@@ -46,9 +46,7 @@ def _write(payload: str, out: str | None) -> None:
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
         model, graph = parse_model(_read(args.model))
-    except OSError as exc:
-        return _fail(str(exc))
-    except ParseError as exc:
+    except (OSError, ParseError) as exc:
         return _fail(str(exc))
     if args.expand_inheritance:
         model = expand_hierarchy(model)
@@ -63,9 +61,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
         model, graph = parse_model(_read(args.model), check=False)
-    except OSError as exc:
-        return _fail(str(exc))
-    except ParseError as exc:
+    except (OSError, ParseError) as exc:
         return _fail(str(exc))
     findings = check_structure(model) + check_goal_structure(graph, model)
     failed = False
@@ -81,9 +77,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     try:
         model, graph = parse_model(_read(args.model))
-    except OSError as exc:
-        return _fail(str(exc))
-    except ParseError as exc:
+    except (OSError, ParseError) as exc:
         return _fail(str(exc))
     try:
         _write(export_dot(model, graph, args.view), args.out)

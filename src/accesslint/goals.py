@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import Iterator
 
-from .model import AccessNeed, AssetModel, ModelError
+from .model import AccessNeed, AssetModel, ModelError, index_names
 
 
 class GoalKind(Enum):
@@ -60,68 +62,82 @@ class GoalGraph:
                 return node
         return None
 
+    # Indexes built on first use: not fields, so ==, repr and
+    # dataclasses.replace ignore them and a replaced graph builds its own.
+    @cached_property
+    def policy_index(self) -> dict[tuple[str, AccessNeed, str, Permission],
+                                   PolicyStatement]:
+        """(subject, access, resource, permission) -> first such statement."""
+        return {(s.subject, s.access, s.resource, s.permission): s
+                for s in reversed(self.policy)}
+
+    @cached_property
+    def parents(self) -> dict[str, list[str]]:
+        """Child goal name -> its parents' names, in document order."""
+        parents: dict[str, list[str]] = {}
+        for ref in self.refinements:
+            parents.setdefault(ref.child, []).append(ref.parent)
+        return parents
+
 
 def _refinement_cycles(graph: GoalGraph) -> list[list[str]]:
     """Strongly connected components of size > 1 (or with a self loop)."""
     children: dict[str, list[str]] = {}
+    self_loops: set[str] = set()
     names = [n.name for n in graph.nodes]
     order = {name: i for i, name in enumerate(names)}
     for ref in graph.refinements:
         if ref.parent in order and ref.child in order:
             children.setdefault(ref.parent, []).append(ref.child)
+            if ref.parent == ref.child:
+                self_loops.add(ref.parent)
 
     # Tarjan without recursion; graphs are small but cycles may be long.
     index_of: dict[str, int] = {}
     low: dict[str, int] = {}
-    on_stack: set[str] = set()
+    on_stack: dict[str, int] = {}  # name -> its position in stack
     stack: list[str] = []
-    counter = 0
+    work: list[tuple[str, Iterator[str]]] = []
     cycles: list[list[str]] = []
+
+    def enter(node: str) -> None:
+        index_of[node] = low[node] = len(index_of)
+        on_stack[node] = len(stack)
+        stack.append(node)
+        work.append((node, iter(children.get(node, ()))))
 
     for root in names:
         if root in index_of:
             continue
-        work = [(root, iter(children.get(root, ())))]
-        index_of[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
+        enter(root)
         while work:
             node, edges = work[-1]
-            advanced = False
             for child in edges:
                 if child not in index_of:
-                    index_of[child] = low[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(children.get(child, ()))))
-                    advanced = True
+                    enter(child)
                     break
                 if child in on_stack:
                     low[node] = min(low[node], index_of[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent_node = work[-1][0]
-                low[parent_node] = min(low[parent_node], low[node])
-            if low[node] == index_of[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                has_self_loop = any(
-                    r.parent == node and r.child == node for r in graph.refinements
-                )
-                if len(component) > 1 or has_self_loop:
-                    cycles.append(sorted(component, key=order.__getitem__))
+            else:
+                work.pop()
+                if work:
+                    parent_node = work[-1][0]
+                    low[parent_node] = min(low[parent_node], low[node])
+                if low[node] == index_of[node]:
+                    component = stack[on_stack[node]:]
+                    del stack[on_stack[node]:]
+                    for member in component:
+                        del on_stack[member]
+                    if len(component) > 1 or node in self_loops:
+                        cycles.append(sorted(component, key=order.__getitem__))
 
     cycles.sort(key=lambda members: order[members[0]])
     return cycles
+
+
+def _policy_where(stmt: PolicyStatement) -> str:
+    return (f"policy {stmt.subject!r} {stmt.access.value} {stmt.resource!r} "
+            f"{stmt.permission.value}")
 
 
 def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError]:
@@ -131,24 +147,9 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
     policy statement and are not refined further are reported at warning
     severity: they may legitimately cover concerns other than access.
     """
-    errors: list[ModelError] = []
-    by_name: dict[str, Goal] = {}
+    by_name, errors = index_names(
+        graph.nodes, "goal", "EmptyGoalName", "DuplicateGoalName")
     asset_names = {a.name for a in model.assets}
-
-    for node in graph.nodes:
-        if not node.name:
-            errors.append(ModelError(
-                "EmptyGoalName", "<unnamed goal>",
-                "goal has an empty name",
-            ))
-            continue
-        if node.name in by_name:
-            errors.append(ModelError(
-                "DuplicateGoalName", node.name,
-                f"goal name {node.name!r} is declared more than once",
-            ))
-            continue
-        by_name[node.name] = node
 
     seen_edges: set[tuple[str, str]] = set()
     for ref in graph.refinements:
@@ -184,54 +185,45 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
         ))
 
     for stmt in graph.policy:
-        where = (f"policy {stmt.subject!r} {stmt.access.value} {stmt.resource!r} "
-                 f"{stmt.permission.value}")
         owner = by_name.get(stmt.requirement)
         if owner is None:
             errors.append(ModelError(
-                "UnknownRequirement", where,
+                "UnknownRequirement", _policy_where(stmt),
                 f"policy statement references unknown requirement {stmt.requirement!r}",
             ))
         elif owner.kind is not GoalKind.REQUIREMENT:
             errors.append(ModelError(
-                "NotARequirement", where,
+                "NotARequirement", _policy_where(stmt),
                 f"policy statement is owned by {stmt.requirement!r}, which is a goal, "
                 "not a requirement",
             ))
         for endpoint in (stmt.subject, stmt.resource):
             if endpoint not in asset_names:
                 errors.append(ModelError(
-                    "UnknownAsset", where,
+                    "UnknownAsset", _policy_where(stmt),
                     f"policy statement references unknown asset {endpoint!r}",
                 ))
 
-    seen_interactions: dict[tuple[str, AccessNeed, str], Permission] = {}
-    reported_conflicts: set[tuple[str, AccessNeed, str]] = set()
-    seen_statements: set[tuple[str, AccessNeed, str, Permission]] = set()
+    # A statement is a duplicate unless it is the first of its kind.  Past
+    # that, an interaction seen before was seen with the other permission.
+    index = graph.policy_index
+    seen_interactions: set[tuple[str, AccessNeed, str]] = set()
     for stmt in graph.policy:
         interaction = (stmt.subject, stmt.access, stmt.resource)
-        full = interaction + (stmt.permission,)
-        where = (f"policy {stmt.subject!r} {stmt.access.value} {stmt.resource!r} "
-                 f"{stmt.permission.value}")
-        if full in seen_statements:
+        if index[interaction + (stmt.permission,)] is not stmt:
             errors.append(ModelError(
-                "DuplicateStatement", where,
+                "DuplicateStatement", _policy_where(stmt),
                 f"statement ({stmt.subject!r}, {stmt.access.value}, {stmt.resource!r}, "
                 f"{stmt.permission.value}) is declared more than once",
             ))
-            continue
-        seen_statements.add(full)
-        previous = seen_interactions.get(interaction)
-        if previous is not None and previous is not stmt.permission:
-            if interaction not in reported_conflicts:
-                errors.append(ModelError(
-                    "ConflictingPermission", where,
-                    f"({stmt.subject!r}, {stmt.access.value}, {stmt.resource!r}) is "
-                    "both allowed and denied",
-                ))
-                reported_conflicts.add(interaction)
-            continue
-        seen_interactions[interaction] = stmt.permission
+        elif interaction in seen_interactions:
+            errors.append(ModelError(
+                "ConflictingPermission", _policy_where(stmt),
+                f"({stmt.subject!r}, {stmt.access.value}, {stmt.resource!r}) is "
+                "both allowed and denied",
+            ))
+        else:
+            seen_interactions.add(interaction)
 
     refined = {ref.parent for ref in graph.refinements}
     owning = {stmt.requirement for stmt in graph.policy}
@@ -255,12 +247,8 @@ def lookup_statement(
     resource: str,
     permission: Permission,
 ) -> PolicyStatement | None:
-    """The unique statement matching all four fields exactly, or None."""
-    for stmt in graph.policy:
-        if (stmt.subject == subject and stmt.access is access
-                and stmt.resource == resource and stmt.permission is permission):
-            return stmt
-    return None
+    """The first statement in document order matching all four fields, or None."""
+    return graph.policy_index.get((subject, access, resource, permission))
 
 
 def trace(graph: GoalGraph, statement: PolicyStatement) -> list[list[str]]:
@@ -269,23 +257,21 @@ def trace(graph: GoalGraph, statement: PolicyStatement) -> list[list[str]]:
     Each path starts with the owning requirement and follows child to
     parent edges depth first, visiting parents in document order.  A
     requirement that is refined from nothing yields a single one-element
-    path.
+    path.  The walk keeps its own stack, so chains of any depth trace.
     """
-    parents: dict[str, list[str]] = {}
-    for ref in graph.refinements:
-        parents.setdefault(ref.child, []).append(ref.parent)
-
+    parents = graph.parents
     paths: list[list[str]] = []
-
-    def walk(node: str, path: list[str]) -> None:
+    # The path walked so far, as an ordered set, and (goal, depth) to visit.
+    path: dict[str, None] = {}
+    pending = [(statement.requirement, 0)]
+    while pending:
+        node, depth = pending.pop()
+        while len(path) > depth:
+            path.popitem()
+        path[node] = None
         ups = [p for p in parents.get(node, ()) if p not in path]
-        if not ups:
+        if ups:
+            pending.extend((p, depth + 1) for p in reversed(ups))
+        else:
             paths.append(list(path))
-            return
-        for parent in ups:
-            path.append(parent)
-            walk(parent, path)
-            path.pop()
-
-    walk(statement.requirement, [statement.requirement])
     return paths

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Mapping
+from typing import Any, Iterable, Mapping
 
 
 class SecurityValue(IntEnum):
@@ -147,25 +147,44 @@ class ModelError:
         return f"{self.code}: {self.message}"
 
 
+def index_names(items: Iterable[Any], noun: str, empty_code: str,
+                duplicate_code: str) -> tuple[dict[str, Any], list[ModelError]]:
+    """Map each name to its first declaration; report empty and repeated names."""
+    by_name: dict[str, Any] = {}
+    errors: list[ModelError] = []
+    for item in items:
+        if not item.name:
+            errors.append(ModelError(
+                empty_code, f"<unnamed {noun}>", f"{noun} has an empty name"))
+        elif item.name in by_name:
+            errors.append(ModelError(
+                duplicate_code, item.name,
+                f"{noun} name {item.name!r} is declared more than once"))
+        else:
+            by_name[item.name] = item
+    return by_name, errors
+
+
 def _inheritance_cycles(assets: tuple[Asset, ...]) -> list[list[str]]:
-    """Cycles in the parent graph, one list of member names per cycle."""
+    """Cycles in the parent graph, one list of member names per cycle.
+
+    Walks up from each asset in document order stop at names already
+    walked; a walk that meets its own trail has found a new cycle.
+    """
     parent = {a.name: a.parent for a in assets}
     order = {a.name: i for i, a in enumerate(assets)}
+    walk_of: dict[str, int] = {}
     cycles: list[list[str]] = []
-    claimed: set[str] = set()
-    for asset in assets:
-        if asset.name in claimed:
-            continue
-        seen: list[str] = []
+    for walk, asset in enumerate(assets):
+        trail: list[str] = []
         current: str | None = asset.name
-        while current is not None and current in parent and current not in seen:
-            seen.append(current)
+        while current in parent and current not in walk_of:
+            walk_of[current] = walk
+            trail.append(current)
             current = parent[current]
-        if current is not None and current in seen:
-            members = seen[seen.index(current):]
-            if not claimed.intersection(members):
-                cycles.append(sorted(members, key=order.__getitem__))
-                claimed.update(members)
+        if walk_of.get(current) == walk:
+            members = trail[trail.index(current):]
+            cycles.append(sorted(members, key=order.__getitem__))
     return cycles
 
 
@@ -175,23 +194,8 @@ def check_structure(model: AssetModel) -> list[ModelError]:
     Findings come out in document order so identical inputs always yield
     identical error lists.
     """
-    errors: list[ModelError] = []
-    by_name: dict[str, Asset] = {}
-
-    for asset in model.assets:
-        if not asset.name:
-            errors.append(ModelError(
-                "EmptyAssetName", "<unnamed asset>",
-                "asset has an empty name",
-            ))
-            continue
-        if asset.name in by_name:
-            errors.append(ModelError(
-                "DuplicateAssetName", asset.name,
-                f"asset name {asset.name!r} is declared more than once",
-            ))
-            continue
-        by_name[asset.name] = asset
+    by_name, errors = index_names(
+        model.assets, "asset", "EmptyAssetName", "DuplicateAssetName")
 
     for asset in model.assets:
         if asset.parent is None or asset.name not in by_name:

@@ -22,11 +22,12 @@ read-down.  Interact needs never participate in level checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
-from .goals import GoalGraph, Permission, lookup_statement
-from .model import ACCESS_ORDER, AccessNeed, Asset, AssetModel, Association
+from .goals import GoalGraph, Permission
+from .model import (ACCESS_ORDER, AccessNeed, Asset, AssetModel, Association,
+                    _inheritance_cycles)
 
 
 class WarningKind(Enum):
@@ -110,15 +111,49 @@ def expand_needs(model: AssetModel) -> list[AccessTriple]:
     return triples
 
 
-def _ancestors(name: str, parent: dict[str, str | None]) -> list[str]:
-    chain: list[str] = []
-    seen = {name}
-    current = parent.get(name)
-    while current is not None and current not in seen:
-        chain.append(current)
-        seen.add(current)
-        current = parent.get(current)
-    return chain
+_Needs = dict[str, frozenset[AccessNeed]]
+
+
+def _ancestor_needs(
+    assets: tuple[Asset, ...], own: dict[str, _Needs],
+) -> dict[str | None, _Needs]:
+    """Asset name -> the needs all of its ancestors hold, by resource.
+
+    Each entry is the parent's entry plus the parent's own needs, so
+    every chain is walked once, parent first.  On a cycle, each member's
+    ancestors are the other members.  Entries may be shared, so none may
+    be mutated.
+    """
+    parent = {a.name: a.parent for a in assets}
+    # None stands above every root, with nothing to hand down.
+    held: dict[str | None, _Needs] = {None: {}}
+
+    def plus_own(base: _Needs, name: str) -> _Needs:
+        extra = own.get(name)
+        if not extra:
+            return base
+        merged = dict(base)
+        for resource, needs in extra.items():
+            merged[resource] = merged.get(resource, frozenset()) | needs
+        return merged
+
+    for ring in _inheritance_cycles(assets):
+        for member in ring:
+            merged, other = {}, parent[member]
+            while other != member:
+                merged, other = plus_own(merged, other), parent[other]
+            held[member] = merged
+    for start in parent:
+        # Climb to the first name with an entry, then fill in the way down.
+        chain: list[str] = []
+        current: str | None = start
+        while current not in held:
+            chain.append(current)
+            current = parent.get(current)
+        for name in reversed(chain):
+            held[name] = plus_own(held[current], current)
+            current = name
+    return held
 
 
 def expand_hierarchy(model: AssetModel) -> AssetModel:
@@ -126,62 +161,47 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
 
     With a chain A <- B <- C where A reads R, the result lets B and C
     read R as well.  Needs held *upon* an ancestor are not inherited,
-    and a need can never be copied onto the descendant itself.  The
-    input model is left untouched.
+    and a need can never be copied onto the descendant itself.  Two
+    assets that gain needs upon each other share one new association.
+    The input model is left untouched.
     """
-    parent = {a.name: a.parent for a in model.assets}
     doc_order = {a.name: i for i, a in enumerate(model.assets)}
 
-    subject_needs: dict[str, dict[str, set[AccessNeed]]] = {}
+    subject_needs: dict[str, _Needs] = {}
     for assoc in model.associations:
-        if assoc.source_needs:
-            subject_needs.setdefault(assoc.source, {}).setdefault(
-                assoc.target, set()).update(assoc.source_needs)
-        if assoc.target_needs:
-            subject_needs.setdefault(assoc.target, {}).setdefault(
-                assoc.source, set()).update(assoc.target_needs)
+        for subject, resource, needs in (
+            (assoc.source, assoc.target, assoc.source_needs),
+            (assoc.target, assoc.source, assoc.target_needs),
+        ):
+            if needs:
+                by_resource = subject_needs.setdefault(subject, {})
+                by_resource[resource] = by_resource.get(resource, frozenset()) | needs
 
-    additions: dict[str, dict[str, set[AccessNeed]]] = {}
-    for asset in model.assets:
-        inherited: dict[str, set[AccessNeed]] = {}
-        for ancestor in _ancestors(asset.name, parent):
-            for resource, needs in subject_needs.get(ancestor, {}).items():
-                if resource == asset.name:
-                    continue
-                inherited.setdefault(resource, set()).update(needs)
-        if inherited:
-            additions[asset.name] = inherited
+    inherited_by = _ancestor_needs(model.assets, subject_needs)
+    additions = {asset.name: {resource: needs
+                              for resource, needs in inherited_by[asset.name].items()
+                              if resource != asset.name}
+                 for asset in model.assets}
 
     associations: list[Association] = []
     for assoc in model.associations:
-        extra_source = additions.get(assoc.source, {}).pop(assoc.target, set())
-        extra_target = additions.get(assoc.target, {}).pop(assoc.source, set())
+        extra_source = additions.get(assoc.source, {}).pop(assoc.target, frozenset())
+        extra_target = additions.get(assoc.target, {}).pop(assoc.source, frozenset())
         if extra_source or extra_target:
-            assoc = Association(
-                source=assoc.source,
-                target=assoc.target,
-                source_needs=assoc.source_needs | extra_source,
-                target_needs=assoc.target_needs | extra_target,
-                source_multiplicity=assoc.source_multiplicity,
-                target_multiplicity=assoc.target_multiplicity,
-            )
+            assoc = replace(assoc, source_needs=assoc.source_needs | extra_source,
+                            target_needs=assoc.target_needs | extra_target)
         associations.append(assoc)
 
     for subject in sorted(additions, key=doc_order.__getitem__):
         for resource in sorted(additions[subject], key=doc_order.__getitem__):
-            needs = additions[subject][resource]
-            if needs:
-                associations.append(Association(
-                    source=subject,
-                    target=resource,
-                    source_needs=frozenset(needs),
-                ))
+            associations.append(Association(
+                source=subject,
+                target=resource,
+                source_needs=additions[subject][resource],
+                target_needs=additions.get(resource, {}).pop(subject, frozenset()),
+            ))
 
-    return AssetModel(
-        assets=model.assets,
-        associations=tuple(associations),
-        matrix=model.matrix,
-    )
+    return replace(model, associations=tuple(associations))
 
 
 def _warning(kind: WarningKind, triple: AccessTriple) -> AccessWarning:
@@ -196,29 +216,24 @@ def validate_access(model: AssetModel, graph: GoalGraph) -> ValidationReport:
     in the order read-up, write-down, write-up, read-down.
     """
     assets: dict[str, Asset] = {a.name: a for a in model.assets}
+    index = graph.policy_index
     warnings: list[AccessWarning] = []
 
     for triple in expand_needs(model):
-        allowed = lookup_statement(
-            graph, triple.subject, triple.access, triple.resource, Permission.ALLOW)
-        if allowed is not None:
+        if (triple.subject, triple.access, triple.resource, Permission.ALLOW) in index:
             subject = assets[triple.subject]
             resource = assets[triple.resource]
-            if (resource.confidentiality > subject.confidentiality
-                    and triple.access is AccessNeed.READ):
-                warnings.append(_warning(WarningKind.NO_READ_UP, triple))
-            if (subject.confidentiality > resource.confidentiality
-                    and triple.access is AccessNeed.WRITE):
-                warnings.append(_warning(WarningKind.NO_WRITE_DOWN, triple))
-            if (resource.integrity > subject.integrity
-                    and triple.access is AccessNeed.WRITE):
-                warnings.append(_warning(WarningKind.NO_WRITE_UP, triple))
-            if (subject.integrity > resource.integrity
-                    and triple.access is AccessNeed.READ):
-                warnings.append(_warning(WarningKind.NO_READ_DOWN, triple))
-        elif lookup_statement(
-                graph, triple.subject, triple.access, triple.resource,
-                Permission.DENY) is not None:
+            if triple.access is AccessNeed.READ:
+                if resource.confidentiality > subject.confidentiality:
+                    warnings.append(_warning(WarningKind.NO_READ_UP, triple))
+                if subject.integrity > resource.integrity:
+                    warnings.append(_warning(WarningKind.NO_READ_DOWN, triple))
+            elif triple.access is AccessNeed.WRITE:
+                if subject.confidentiality > resource.confidentiality:
+                    warnings.append(_warning(WarningKind.NO_WRITE_DOWN, triple))
+                if resource.integrity > subject.integrity:
+                    warnings.append(_warning(WarningKind.NO_WRITE_UP, triple))
+        elif (triple.subject, triple.access, triple.resource, Permission.DENY) in index:
             warnings.append(_warning(WarningKind.UNAUTHORISED_ACCESS, triple))
         else:
             warnings.append(_warning(WarningKind.UNDEFINED_ACCESS, triple))

@@ -1,5 +1,7 @@
 """Goal-graph checks, statement lookup, and requirement tracing."""
 
+import dataclasses
+
 import pytest
 
 from accesslint.fixtures import load_fixture
@@ -170,6 +172,28 @@ class TestLookupStatement:
         assert lookup_statement(graph, "S", AccessNeed.READ, "T",
                                 Permission.DENY) is None
 
+    def test_duplicates_resolve_to_the_first_in_document_order(self):
+        graph = GoalGraph(
+            nodes=(Goal("R", REQ), Goal("R2", REQ)),
+            policy=(_statement(req="R"), _statement(req="R2")),
+        )
+        found = lookup_statement(graph, "S", AccessNeed.READ, "T", Permission.ALLOW)
+        assert found is graph.policy[0]
+
+    def test_replaced_graph_sees_its_own_policy(self):
+        graph = GoalGraph(nodes=(Goal("R", REQ),), policy=(_statement(),))
+        assert lookup_statement(graph, "S", AccessNeed.READ, "T",
+                                Permission.ALLOW) is graph.policy[0]
+        denying = dataclasses.replace(
+            graph, policy=(_statement(permission=Permission.DENY),))
+        assert lookup_statement(denying, "S", AccessNeed.READ, "T",
+                                Permission.ALLOW) is None
+        assert lookup_statement(denying, "S", AccessNeed.READ, "T",
+                                Permission.DENY) is denying.policy[0]
+        # The index is not a field: equality and repr see only the policy.
+        assert graph == GoalGraph(nodes=(Goal("R", REQ),), policy=(_statement(),))
+        assert repr(graph) == repr(GoalGraph(nodes=graph.nodes, policy=graph.policy))
+
 
 class TestTrace:
     def test_pyramid_statement_traces_to_root(self):
@@ -205,6 +229,17 @@ class TestTrace:
             ["R", "P1", "G"],
             ["R", "P2", "G"],
         ]
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        depth = 1200
+        names = [f"G{i}" for i in range(depth)]
+        graph = GoalGraph(
+            nodes=tuple(Goal(n, GoalKind.GOAL) for n in names[:-1]) + (Goal("R", REQ),),
+            refinements=tuple(Refinement(parent, child) for parent, child
+                              in zip(names, names[1:-1] + ["R"])),
+            policy=(_statement(),),
+        )
+        assert trace(graph, graph.policy[0]) == [["R"] + names[-2::-1]]
 
     def test_every_consecutive_pair_is_a_refinement_edge(self):
         _, graph = load_fixture("pyramid")

@@ -182,6 +182,24 @@ class TestCheckStructure:
         assert [e.code for e in errors] == ["CyclicInheritance"]
         assert "A -> B -> A" in errors[0].message
 
+    def test_cycles_reported_in_document_order_of_first_reach(self):
+        # The walk from T1 reaches the D-E cycle before B's walk finds B-C;
+        # the tails T2 and T3 name neither again.
+        model = AssetModel(assets=(
+            Asset("T1", AssetKind.SYSTEM, parent="E"),
+            Asset("B", AssetKind.SYSTEM, parent="C"),
+            Asset("T2", AssetKind.SYSTEM, parent="T1"),
+            Asset("C", AssetKind.SYSTEM, parent="B"),
+            Asset("D", AssetKind.SYSTEM, parent="E"),
+            Asset("E", AssetKind.SYSTEM, parent="D"),
+            Asset("T3", AssetKind.SYSTEM, parent="C"),
+        ))
+        errors = check_structure(model)
+        assert [(e.code, e.where, e.message) for e in errors] == [
+            ("CyclicInheritance", "D", "inheritance cycle: D -> E -> D"),
+            ("CyclicInheritance", "B", "inheritance cycle: B -> C -> B"),
+        ]
+
     def test_deterministic(self):
         model = AssetModel(
             assets=(

@@ -1,6 +1,6 @@
 """Property tests over randomly generated models and graphs."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accesslint.goals import (
@@ -12,7 +12,14 @@ from accesslint.goals import (
     lookup_statement,
     trace,
 )
-from accesslint.model import check_structure
+from accesslint.model import (
+    AccessNeed,
+    Asset,
+    AssetKind,
+    AssetModel,
+    Association,
+    check_structure,
+)
 from accesslint.modelio import parse_model, render_report, serialize_model
 from accesslint.validation import (
     WarningKind,
@@ -182,6 +189,20 @@ def test_hierarchy_expansion_only_adds_triples(model):
     assert base <= expanded
 
 
+# A inherits a read upon B from PA while B inherits a read upon A from PB;
+# the two additions must share one association.
+@example(AssetModel(
+    assets=(
+        Asset("PA", AssetKind.SYSTEM),
+        Asset("A", AssetKind.SYSTEM, parent="PA"),
+        Asset("PB", AssetKind.SYSTEM),
+        Asset("B", AssetKind.SYSTEM, parent="PB"),
+    ),
+    associations=(
+        Association("PA", "B", source_needs=frozenset({AccessNeed.READ})),
+        Association("PB", "A", source_needs=frozenset({AccessNeed.READ})),
+    ),
+))
 @given(asset_models(with_parents=True))
 def test_hierarchy_expansion_is_structurally_valid(model):
     assert check_structure(expand_hierarchy(model)) == []

@@ -229,6 +229,17 @@ class TestValidateBranches:
         report = validate_access(model, _graph_denying(("Subj", R, "Res")))
         assert [w.kind for w in report.warnings] == [WarningKind.UNAUTHORISED_ACCESS]
 
+    def test_allow_wins_when_an_unchecked_graph_also_denies(self):
+        model = _pair_model(needs={R})
+        graph = GoalGraph(
+            nodes=(Goal("R", GoalKind.REQUIREMENT),),
+            policy=(
+                PolicyStatement("R", "Subj", R, "Res", Permission.DENY),
+                PolicyStatement("R", "Subj", R, "Res", Permission.ALLOW),
+            ),
+        )
+        assert validate_access(model, graph).warnings == ()
+
     def test_unmentioned_need_is_undefined(self):
         model = _pair_model(needs={R})
         report = validate_access(model, GoalGraph())
