@@ -44,25 +44,16 @@ def _write(payload: str, out: str | None) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        model, graph = parse_model(_read(args.model))
-    except (OSError, ParseError) as exc:
-        return _fail(str(exc))
+    model, graph = parse_model(_read(args.model))
     if args.expand_inheritance:
         model = expand_hierarchy(model)
     report = validate_access(model, graph)
-    try:
-        _write(render_report(report, args.format), args.out)
-    except OSError as exc:
-        return _fail(str(exc))
+    _write(render_report(report, args.format), args.out)
     return EXIT_WARNINGS if report.warnings else EXIT_OK
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    try:
-        model, graph = parse_model(_read(args.model), check=False)
-    except (OSError, ParseError) as exc:
-        return _fail(str(exc))
+    model, graph = parse_model(_read(args.model), check=False)
     findings = check_structure(model) + check_goal_structure(graph, model)
     failed = False
     for finding in findings:
@@ -75,14 +66,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    try:
-        model, graph = parse_model(_read(args.model))
-    except (OSError, ParseError) as exc:
-        return _fail(str(exc))
-    try:
-        _write(export_dot(model, graph, args.view), args.out)
-    except OSError as exc:
-        return _fail(str(exc))
+    model, graph = parse_model(_read(args.model))
+    _write(export_dot(model, graph, args.view), args.out)
     return EXIT_OK
 
 
@@ -90,10 +75,7 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
     if args.name not in FIXTURE_NAMES:
         known = ", ".join(FIXTURE_NAMES)
         return _fail(f"unknown fixture {args.name!r}, expected one of: {known}")
-    try:
-        _write(fixture_text(args.name), args.out)
-    except OSError as exc:
-        return _fail(str(exc))
+    _write(fixture_text(args.name), args.out)
     return EXIT_OK
 
 
@@ -137,7 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ParseError) as exc:
+        return _fail(str(exc))
+    except Exception as exc:  # a crash must not read as exit 1, "warnings"
+        return _fail(f"internal error: {exc!r}")
 
 
 if __name__ == "__main__":

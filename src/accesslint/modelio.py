@@ -4,7 +4,8 @@ A model document is UTF-8 JSON with top-level keys
 {version, assets, associations, goals, refinements, policy, matrixOverride}.
 The parser is deliberately strict: unknown keys anywhere are hard errors
 with the offending path named, because a silently ignored typo in a
-security model is worse than a parse failure.
+security model is worse than a parse failure.  The per-record schema
+lives in one table, _RECORDS, read by one generic reader.
 
 Serialization is canonical (keys alphabetical within objects, lists in
 document order, two-space indent, trailing newline) so that re-saving a
@@ -80,203 +81,159 @@ class SemanticError(ParseError):
         super().__init__(first.where, f"{len(errors)} structural error(s), first: {first}")
 
 
-def _require_object(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(path, f"expected an object, got {type(value).__name__}")
+class _Bad(Exception):
+    """A record failed its schema; suffix is the path below the record."""
+
+    def __init__(self, suffix: str, reason: str):
+        self.suffix = suffix
+        self.reason = reason
+
+
+def _object_keys(obj: Any, keys: frozenset[str]) -> None:
+    if type(obj) is not dict:
+        raise _Bad("", f"expected an object, got {type(obj).__name__}")
+    if not keys.issuperset(obj):
+        key = next(key for key in obj if key not in keys)
+        raise _Bad(f".{key}", f"unknown key {key!r}")
+
+
+def _string(value: Any) -> str:
+    if type(value) is not str:
+        raise _Bad("", f"expected a string, got {type(value).__name__}")
     return value
 
 
-def _require_list(value: Any, path: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(path, f"expected a list, got {type(value).__name__}")
+def _name(value: Any) -> str:
+    if not _string(value):
+        raise _Bad("", "asset name must be nonempty")
     return value
 
 
-def _require_string(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(path, f"expected a string, got {type(value).__name__}")
-    return value
+def _choice(table: dict, what: str, expected: str | None = None):
+    """Reader for a string that must be one of table's keys."""
+    expected = expected or ", ".join(sorted(table))
+
+    def read(value: Any):
+        if _string(value) not in table:
+            raise _Bad("", f"invalid {what} {value!r}, expected one of: {expected}")
+        return table[value]
+    return read
 
 
-def _require_enum(value: Any, table: dict, path: str, what: str):
-    name = _require_string(value, path)
-    if name not in table:
-        expected = ", ".join(sorted(table))
-        raise SchemaError(path, f"invalid {what} {name!r}, expected one of: {expected}")
-    return table[name]
+_level = _choice(_LEVEL_NAMES, "security level")
+_asset_kind = _choice(_KIND_NAMES, "asset kind")
+_need = _choice(_NEED_NAMES, "access need")
+_multiplicity = _choice({m: m for m in MULTIPLICITIES}, "multiplicity",
+                        ", ".join(repr(m) for m in MULTIPLICITIES))
 
 
-def _reject_unknown_keys(obj: dict, known: tuple[str, ...], path: str) -> None:
-    for key in obj:
-        if key not in known:
-            raise SchemaError(f"{path}.{key}", f"unknown key {key!r}")
+def _levels(value: Any) -> dict[str, SecurityValue]:
+    if type(value) is not dict:
+        raise _Bad("", f"expected an object, got {type(value).__name__}")
+    levels = {}
+    for prop, raw in value.items():
+        try:
+            levels[prop] = _level(raw)
+        except _Bad as bad:
+            raise _Bad(f".{prop}", bad.reason) from None
+    return levels
 
 
-def _parse_needs(value: Any, path: str) -> frozenset[AccessNeed]:
+def _needs(value: Any) -> frozenset[AccessNeed]:
+    if type(value) is not list:
+        raise _Bad("", f"expected a list, got {type(value).__name__}")
     needs = []
-    for i, item in enumerate(_require_list(value, path)):
-        needs.append(_require_enum(item, _NEED_NAMES, f"{path}[{i}]", "access need"))
-    if len(needs) != len(set(needs)):
-        raise SchemaError(path, "access needs listed more than once")
-    return frozenset(needs)
+    for i, item in enumerate(value):
+        try:
+            needs.append(_need(item))
+        except _Bad as bad:
+            raise _Bad(f"[{i}]", bad.reason) from None
+    unique = frozenset(needs)
+    if len(unique) != len(needs):
+        raise _Bad("", "access needs listed more than once")
+    return unique
 
 
-_ASSET_KEYS = ("name", "kind", "confidentiality", "integrity", "extraProperties", "parent")
+def _boolean(value: Any) -> bool:
+    if type(value) is not bool:
+        raise _Bad("", "expected a boolean")
+    return value
 
 
-def _parse_asset(obj: Any, path: str) -> Asset:
-    obj = _require_object(obj, path)
-    _reject_unknown_keys(obj, _ASSET_KEYS, path)
-    for required in ("name", "kind"):
-        if required not in obj:
-            raise SchemaError(path, f"missing required key {required!r}")
-    name = _require_string(obj["name"], f"{path}.name")
-    if not name:
-        raise SchemaError(f"{path}.name", "asset name must be nonempty")
-    kind = _require_enum(obj["kind"], _KIND_NAMES, f"{path}.kind", "asset kind")
-    confidentiality = SecurityValue.NONE
-    if "confidentiality" in obj:
-        confidentiality = _require_enum(
-            obj["confidentiality"], _LEVEL_NAMES, f"{path}.confidentiality",
-            "security level")
-    integrity = SecurityValue.NONE
-    if "integrity" in obj:
-        integrity = _require_enum(
-            obj["integrity"], _LEVEL_NAMES, f"{path}.integrity", "security level")
-    extra: dict[str, SecurityValue] = {}
-    if "extraProperties" in obj:
-        table = _require_object(obj["extraProperties"], f"{path}.extraProperties")
-        for prop, raw in table.items():
-            extra[prop] = _require_enum(
-                raw, _LEVEL_NAMES, f"{path}.extraProperties.{prop}", "security level")
-    parent = None
-    if "parent" in obj:
-        parent = _require_string(obj["parent"], f"{path}.parent")
-    return Asset(
-        name=name,
-        kind=kind,
-        confidentiality=confidentiality,
-        integrity=integrity,
-        extra_properties=extra,
-        parent=parent,
-    )
+# The per-record schema: section -> (class built with cls(**values), required
+# keys, (json key, attribute, reader) in the order the fields are checked).
+# An absent optional key takes the class's default.
+_RECORDS = {
+    "assets": (Asset, ("name", "kind"), (
+        ("name", "name", _name),
+        ("kind", "kind", _asset_kind),
+        ("confidentiality", "confidentiality", _level),
+        ("integrity", "integrity", _level),
+        ("extraProperties", "extra_properties", _levels),
+        ("parent", "parent", _string))),
+    "associations": (Association, ("source", "target"), (
+        ("sourceMultiplicity", "source_multiplicity", _multiplicity),
+        ("targetMultiplicity", "target_multiplicity", _multiplicity),
+        ("source", "source", _string),
+        ("target", "target", _string),
+        ("sourceNeeds", "source_needs", _needs),
+        ("targetNeeds", "target_needs", _needs))),
+    "goals": (Goal, ("name", "kind"), (
+        ("definition", "definition", _string),
+        ("name", "name", _string),
+        ("kind", "kind", _choice(_GOAL_KIND_NAMES, "goal kind")))),
+    "refinements": (Refinement, ("parent", "child"), (
+        ("parent", "parent", _string),
+        ("child", "child", _string))),
+    "policy": (PolicyStatement,
+               ("requirement", "subject", "access", "resource", "permission"), (
+        ("requirement", "requirement", _string),
+        ("subject", "subject", _string),
+        ("access", "access", _need),
+        ("resource", "resource", _string),
+        ("permission", "permission", _choice(_PERMISSION_NAMES, "permission")))),
+    "matrixOverride": (dict, ("subject", "resource", "allowed"), (
+        ("subject", "subject", _asset_kind),
+        ("resource", "resource", _asset_kind),
+        ("allowed", "allowed", _boolean))),
+}
+_RECORD_KEYS = {section: frozenset(key for key, _, _ in fields)
+                for section, (_, _, fields) in _RECORDS.items()}
 
 
-_ASSOCIATION_KEYS = ("source", "target", "sourceNeeds", "targetNeeds",
-                     "sourceMultiplicity", "targetMultiplicity")
+def _record(obj: Any, section: str) -> Any:
+    cls, required, fields = _RECORDS[section]
+    _object_keys(obj, _RECORD_KEYS[section])
+    for key in required:
+        if key not in obj:
+            raise _Bad("", f"missing required key {key!r}")
+    values = {}
+    try:
+        for key, attribute, read in fields:
+            if key in obj:
+                values[attribute] = read(obj[key])
+    except _Bad as bad:
+        raise _Bad(f".{key}{bad.suffix}", bad.reason) from None
+    return cls(**values)
 
 
-def _parse_association(obj: Any, path: str) -> Association:
-    obj = _require_object(obj, path)
-    _reject_unknown_keys(obj, _ASSOCIATION_KEYS, path)
-    for required in ("source", "target"):
-        if required not in obj:
-            raise SchemaError(path, f"missing required key {required!r}")
-    multiplicities: dict[str, str | None] = {}
-    for key in ("sourceMultiplicity", "targetMultiplicity"):
-        multiplicities[key] = None
-        if key in obj:
-            value = _require_string(obj[key], f"{path}.{key}")
-            if value not in MULTIPLICITIES:
-                expected = ", ".join(repr(m) for m in MULTIPLICITIES)
-                raise SchemaError(
-                    f"{path}.{key}",
-                    f"invalid multiplicity {value!r}, expected one of: {expected}")
-            multiplicities[key] = value
-    return Association(
-        source=_require_string(obj["source"], f"{path}.source"),
-        target=_require_string(obj["target"], f"{path}.target"),
-        source_needs=_parse_needs(obj.get("sourceNeeds", []), f"{path}.sourceNeeds"),
-        target_needs=_parse_needs(obj.get("targetNeeds", []), f"{path}.targetNeeds"),
-        source_multiplicity=multiplicities["sourceMultiplicity"],
-        target_multiplicity=multiplicities["targetMultiplicity"],
-    )
+def _records(root: dict, section: str):
+    """Yield each record of a top-level list, raising SchemaError at the first bad one."""
+    items = root.get(section, [])
+    if type(items) is not list:
+        raise SchemaError(f"$.{section}", f"expected a list, got {type(items).__name__}")
+    try:
+        for i, obj in enumerate(items):
+            yield _record(obj, section)
+    except _Bad as bad:
+        # Only matrix entries carry the "$." prefix; locations are part of the
+        # stable error text that gates match on.
+        prefix = "$.matrixOverride" if section == "matrixOverride" else section
+        raise SchemaError(f"{prefix}[{i}]{bad.suffix}", bad.reason) from None
 
 
-_GOAL_KEYS = ("name", "kind", "definition")
-
-
-def _parse_goal(obj: Any, path: str) -> Goal:
-    obj = _require_object(obj, path)
-    _reject_unknown_keys(obj, _GOAL_KEYS, path)
-    for required in ("name", "kind"):
-        if required not in obj:
-            raise SchemaError(path, f"missing required key {required!r}")
-    definition = ""
-    if "definition" in obj:
-        definition = _require_string(obj["definition"], f"{path}.definition")
-    return Goal(
-        name=_require_string(obj["name"], f"{path}.name"),
-        kind=_require_enum(obj["kind"], _GOAL_KIND_NAMES, f"{path}.kind", "goal kind"),
-        definition=definition,
-    )
-
-
-_REFINEMENT_KEYS = ("parent", "child")
-
-
-def _parse_refinement(obj: Any, path: str) -> Refinement:
-    obj = _require_object(obj, path)
-    _reject_unknown_keys(obj, _REFINEMENT_KEYS, path)
-    for required in _REFINEMENT_KEYS:
-        if required not in obj:
-            raise SchemaError(path, f"missing required key {required!r}")
-    return Refinement(
-        parent=_require_string(obj["parent"], f"{path}.parent"),
-        child=_require_string(obj["child"], f"{path}.child"),
-    )
-
-
-_POLICY_KEYS = ("requirement", "subject", "access", "resource", "permission")
-
-
-def _parse_statement(obj: Any, path: str) -> PolicyStatement:
-    obj = _require_object(obj, path)
-    _reject_unknown_keys(obj, _POLICY_KEYS, path)
-    for required in _POLICY_KEYS:
-        if required not in obj:
-            raise SchemaError(path, f"missing required key {required!r}")
-    return PolicyStatement(
-        requirement=_require_string(obj["requirement"], f"{path}.requirement"),
-        subject=_require_string(obj["subject"], f"{path}.subject"),
-        access=_require_enum(obj["access"], _NEED_NAMES, f"{path}.access", "access need"),
-        resource=_require_string(obj["resource"], f"{path}.resource"),
-        permission=_require_enum(
-            obj["permission"], _PERMISSION_NAMES, f"{path}.permission", "permission"),
-    )
-
-
-_OVERRIDE_KEYS = ("subject", "resource", "allowed")
-
-
-def _parse_matrix(overrides: Any, path: str) -> AccessRuleMatrix:
-    allowed = dict(default_matrix().allowed)
-    seen: set[tuple[AssetKind, AssetKind]] = set()
-    for i, obj in enumerate(_require_list(overrides, path)):
-        entry_path = f"{path}[{i}]"
-        obj = _require_object(obj, entry_path)
-        _reject_unknown_keys(obj, _OVERRIDE_KEYS, entry_path)
-        for required in _OVERRIDE_KEYS:
-            if required not in obj:
-                raise SchemaError(entry_path, f"missing required key {required!r}")
-        subject = _require_enum(
-            obj["subject"], _KIND_NAMES, f"{entry_path}.subject", "asset kind")
-        resource = _require_enum(
-            obj["resource"], _KIND_NAMES, f"{entry_path}.resource", "asset kind")
-        if not isinstance(obj["allowed"], bool):
-            raise SchemaError(f"{entry_path}.allowed", "expected a boolean")
-        cell = (subject, resource)
-        if cell in seen:
-            raise SchemaError(
-                entry_path,
-                f"duplicate override for ({subject.value}, {resource.value})")
-        seen.add(cell)
-        allowed[cell] = obj["allowed"]
-    return AccessRuleMatrix(allowed)
-
-
-_TOP_KEYS = ("version", "assets", "associations", "goals", "refinements",
-             "policy", "matrixOverride")
+_TOP_KEYS = frozenset(("version", "assets", "associations", "goals", "refinements",
+                       "policy", "matrixOverride"))
 
 
 def parse_model(document: bytes | str, *, check: bool = True) -> tuple[AssetModel, GoalGraph]:
@@ -295,41 +252,43 @@ def parse_model(document: bytes | str, *, check: bool = True) -> tuple[AssetMode
             raise DocumentSyntaxError(
                 f"byte {exc.start}", "document is not valid UTF-8") from exc
     try:
-        data = json.loads(document)
+        root = json.loads(document)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(
             f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
+    except RecursionError as exc:
+        raise DocumentSyntaxError("$", "document is nested too deeply") from exc
 
-    root = _require_object(data, "$")
-    _reject_unknown_keys(root, _TOP_KEYS, "$")
+    try:
+        _object_keys(root, _TOP_KEYS)
+    except _Bad as bad:
+        raise SchemaError(f"${bad.suffix}", bad.reason) from None
     if "version" not in root:
         raise SchemaError("$.version", "missing required key 'version'")
-    if root["version"] != DOCUMENT_VERSION:
+    version = root["version"]
+    if type(version) is not int or version != DOCUMENT_VERSION:
         raise SchemaError(
             "$.version",
-            f"unsupported document version {root['version']!r}, "
-            f"expected {DOCUMENT_VERSION}")
+            f"unsupported document version {version!r}, expected {DOCUMENT_VERSION}")
 
-    assets = tuple(
-        _parse_asset(obj, f"assets[{i}]")
-        for i, obj in enumerate(_require_list(root.get("assets", []), "$.assets")))
-    associations = tuple(
-        _parse_association(obj, f"associations[{i}]")
-        for i, obj in enumerate(
-            _require_list(root.get("associations", []), "$.associations")))
-    goals = tuple(
-        _parse_goal(obj, f"goals[{i}]")
-        for i, obj in enumerate(_require_list(root.get("goals", []), "$.goals")))
-    refinements = tuple(
-        _parse_refinement(obj, f"refinements[{i}]")
-        for i, obj in enumerate(
-            _require_list(root.get("refinements", []), "$.refinements")))
-    policy = tuple(
-        _parse_statement(obj, f"policy[{i}]")
-        for i, obj in enumerate(_require_list(root.get("policy", []), "$.policy")))
-    matrix = _parse_matrix(root.get("matrixOverride", []), "$.matrixOverride")
+    assets = tuple(_records(root, "assets"))
+    associations = tuple(_records(root, "associations"))
+    goals = tuple(_records(root, "goals"))
+    refinements = tuple(_records(root, "refinements"))
+    policy = tuple(_records(root, "policy"))
+    allowed = dict(default_matrix().allowed)
+    seen: set[tuple[AssetKind, AssetKind]] = set()
+    for i, entry in enumerate(_records(root, "matrixOverride")):
+        subject, resource = cell = entry["subject"], entry["resource"]
+        if cell in seen:
+            raise SchemaError(
+                f"$.matrixOverride[{i}]",
+                f"duplicate override for ({subject.value}, {resource.value})")
+        seen.add(cell)
+        allowed[cell] = entry["allowed"]
 
-    model = AssetModel(assets=assets, associations=associations, matrix=matrix)
+    model = AssetModel(assets=assets, associations=associations,
+                       matrix=AccessRuleMatrix(allowed))
     graph = GoalGraph(nodes=goals, refinements=refinements, policy=policy)
 
     if check:

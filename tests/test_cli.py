@@ -70,6 +70,25 @@ class TestValidate:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_deeply_nested_document_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: $: document is nested too deeply\n"
+
+    def test_unexpected_exception_exits_two_with_one_line(
+            self, capsys, monkeypatch, pyramid_path):
+        def crash(model, graph):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("accesslint.cli.validate_access", crash)
+        code, out, err = run(capsys, "validate", pyramid_path)
+        assert code == 2
+        assert out == ""
+        assert err == "error: internal error: RuntimeError('boom')\n"
+
     def test_expand_inheritance_flag(self, capsys, data_dir):
         chain = str(data_dir / "chain.json")
         code, out, _ = run(capsys, "validate", chain)

@@ -96,6 +96,18 @@ class TestParse:
         with pytest.raises(SchemaError):
             parse_model('{"version": 99}')
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_non_integer_version_rejected(self, version):
+        with pytest.raises(SchemaError) as info:
+            parse_model(json.dumps({"version": version}))
+        assert str(info.value) == (
+            f"$.version: unsupported document version {version!r}, expected 1")
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        with pytest.raises(DocumentSyntaxError) as info:
+            parse_model("[" * 100000 + "]" * 100000)
+        assert str(info.value) == "$: document is nested too deeply"
+
     def test_duplicate_needs_rejected(self):
         document = _doc(associations=[
             {"source": "Works Diary", "target": "Diary Event",
@@ -171,6 +183,41 @@ class TestParse:
             with pytest.raises(ParseError) as info:
                 parse_model(document)
             assert info.value.location
+
+
+_ASSET = {"name": "A", "kind": "system"}
+_OVERRIDE = {"subject": "people", "resource": "people", "allowed": False}
+
+
+@pytest.mark.parametrize("document, message", [
+    ({"associations": [{"source": 1, "target": "A", "sourceMultiplicity": "2..5"}]},
+     "associations[0].sourceMultiplicity: invalid multiplicity '2..5', "
+     "expected one of: '1', '0..1', '1..*', '*'"),
+    ({"goals": [{"name": 1, "kind": "goal", "definition": 2}]},
+     "goals[0].definition: expected a string, got int"),
+    ({"matrixOverride": [_OVERRIDE, _OVERRIDE, {"subject": "x"}]},
+     "$.matrixOverride[1]: duplicate override for (people, people)"),
+    ({"policy": [{"requirement": "R", "subject": "A", "access": "execute",
+                  "resource": "A", "permission": "allow"}],
+      "matrixOverride": [{"subject": "x", "resource": "people", "allowed": True}]},
+     "policy[0].access: invalid access need 'execute', "
+     "expected one of: interact, read, write"),
+    ({"assets": [{"kind": "system", "colour": "red"}]},
+     "assets[0].colour: unknown key 'colour'"),
+    ({"assets": [_ASSET], "associations": [
+        {"source": "A", "target": "A", "targetNeeds": ["read", "delete"]}]},
+     "associations[0].targetNeeds[1]: invalid access need 'delete', "
+     "expected one of: interact, read, write"),
+    ({"assets": [dict(_ASSET, extraProperties={"availability": "huge"})]},
+     "assets[0].extraProperties.availability: invalid security level 'huge', "
+     "expected one of: high, low, medium, none"),
+    ({"refinements": [{"parent": 1}], "assets": {}},
+     "$.assets: expected a list, got dict"),
+])
+def test_first_fault_wins_with_exact_text(document, message):
+    with pytest.raises(SchemaError) as info:
+        parse_model(json.dumps({"version": 1, **document}))
+    assert str(info.value) == message
 
 
 class TestSerialize:
