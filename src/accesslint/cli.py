@@ -79,46 +79,43 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="accesslint",
-        description="Validate access-control needs in early-design models.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
+_parser = argparse.ArgumentParser(
+    prog="accesslint",
+    description="Validate access-control needs in early-design models.",
+)
+_commands = _parser.add_subparsers(dest="command", required=True)
 
-    validate = commands.add_parser(
-        "validate", help="run the access validation check and print a report")
-    validate.add_argument("model", help="path to a model document")
-    validate.add_argument("--format", choices=("text", "json"), default="text")
-    validate.add_argument(
-        "--expand-inheritance", action="store_true",
-        help="copy inherited access needs down parent chains before validating")
-    validate.add_argument("--out", help="write the report here instead of stdout")
-    validate.set_defaults(func=_cmd_validate)
+_validate = _commands.add_parser(
+    "validate", help="run the access validation check and print a report")
+_validate.add_argument("model", help="path to a model document")
+_validate.add_argument("--format", choices=("text", "json"), default="text")
+_validate.add_argument(
+    "--expand-inheritance", action="store_true",
+    help="copy inherited access needs down parent chains before validating")
+_validate.add_argument("--out", help="write the report here instead of stdout")
+_validate.set_defaults(func=_cmd_validate)
 
-    check = commands.add_parser(
-        "check", help="run structural checks only, one finding per line")
-    check.add_argument("model", help="path to a model document")
-    check.set_defaults(func=_cmd_check)
+_check = _commands.add_parser(
+    "check", help="run structural checks only, one finding per line")
+_check.add_argument("model", help="path to a model document")
+_check.set_defaults(func=_cmd_check)
 
-    export = commands.add_parser("export", help="render a DOT view of the model")
-    export.add_argument("model", help="path to a model document")
-    export.add_argument("--view", choices=VIEWS, required=True)
-    export.add_argument("--out", help="write the DOT here instead of stdout")
-    export.set_defaults(func=_cmd_export)
+_export = _commands.add_parser("export", help="render a DOT view of the model")
+_export.add_argument("model", help="path to a model document")
+_export.add_argument("--view", choices=VIEWS, required=True)
+_export.add_argument("--out", help="write the DOT here instead of stdout")
+_export.set_defaults(func=_cmd_export)
 
-    fixture = commands.add_parser(
-        "fixture", help="write a bundled example model document")
-    fixture.add_argument("--name", required=True,
-                         help="fixture name: " + ", ".join(FIXTURE_NAMES))
-    fixture.add_argument("--out", help="write the document here instead of stdout")
-    fixture.set_defaults(func=_cmd_fixture)
-
-    return parser
+_fixture = _commands.add_parser(
+    "fixture", help="write a bundled example model document")
+_fixture.add_argument("--name", required=True,
+                      help="fixture name: " + ", ".join(FIXTURE_NAMES))
+_fixture.add_argument("--out", help="write the document here instead of stdout")
+_fixture.set_defaults(func=_cmd_fixture)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ParseError) as exc:

@@ -11,10 +11,6 @@ _SHORT = {AccessNeed.READ: "r", AccessNeed.WRITE: "w", AccessNeed.INTERACT: "x"}
 VIEWS = ("asset", "goal")
 
 
-def _quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def _label(*lines: str) -> str:
     escaped = (line.replace("\\", "\\\\").replace('"', '\\"') for line in lines)
     return '"' + "\\n".join(escaped) + '"'
@@ -33,15 +29,15 @@ def _asset_view(model: AssetModel) -> list[str]:
             f"C: {asset.confidentiality.name.lower()}"
             f"  I: {asset.integrity.name.lower()}",
         )
-        lines.append(f"  {_quote(asset.name)} [label={label}];")
+        lines.append(f"  {_label(asset.name)} [label={label}];")
     for assoc in model.associations:
         attrs = ["dir=none"]
         if assoc.source_needs:
-            attrs.append(f"taillabel={_quote(_adornment(assoc.source_needs))}")
+            attrs.append(f"taillabel={_label(_adornment(assoc.source_needs))}")
         if assoc.target_needs:
-            attrs.append(f"headlabel={_quote(_adornment(assoc.target_needs))}")
+            attrs.append(f"headlabel={_label(_adornment(assoc.target_needs))}")
         lines.append(
-            f"  {_quote(assoc.source)} -> {_quote(assoc.target)} "
+            f"  {_label(assoc.source)} -> {_label(assoc.target)} "
             f"[{', '.join(attrs)}];")
     lines.append("}")
     return lines
@@ -51,9 +47,9 @@ def _goal_view(graph: GoalGraph) -> list[str]:
     lines = ["digraph goals {"]
     for node in graph.nodes:
         shape = "parallelogram" if node.kind is GoalKind.GOAL else "box"
-        lines.append(f"  {_quote(node.name)} [shape={shape}];")
+        lines.append(f"  {_label(node.name)} [shape={shape}];")
     for ref in graph.refinements:
-        lines.append(f"  {_quote(ref.child)} -> {_quote(ref.parent)};")
+        lines.append(f"  {_label(ref.child)} -> {_label(ref.parent)};")
     lines.append("}")
     return lines
 

@@ -220,7 +220,7 @@ def check_structure(model: AssetModel) -> list[ModelError]:
         ))
 
     seen_pairs: set[frozenset[str]] = set()
-    for index, assoc in enumerate(model.associations):
+    for assoc in model.associations:
         where = f"association {assoc.source!r} - {assoc.target!r}"
         resolved = True
         for endpoint in (assoc.source, assoc.target):

@@ -256,6 +256,8 @@ def parse_model(document: bytes | str, *, check: bool = True) -> tuple[AssetMode
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(
             f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
+    except ValueError as exc:  # an int literal past the interpreter's digit limit
+        raise DocumentSyntaxError("$", "integer literal is too long") from exc
     except RecursionError as exc:
         raise DocumentSyntaxError("$", "document is nested too deeply") from exc
 

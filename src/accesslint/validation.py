@@ -65,7 +65,10 @@ _MESSAGE_PREFIX = {
 class AccessWarning:
     kind: WarningKind
     triple: AccessTriple
-    message: str
+
+    @property
+    def message(self) -> str:
+        return f"{_MESSAGE_PREFIX[self.kind]}: {self.triple}"
 
 
 # Summary rule labels, in report order, with the warning kind each one counts.
@@ -163,7 +166,9 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
     read R as well.  Needs held *upon* an ancestor are not inherited,
     and a need can never be copied onto the descendant itself.  Two
     assets that gain needs upon each other share one new association.
-    The input model is left untouched.
+    The input model is left untouched.  It must pass check_structure, as
+    parse_model's result does by default; an ancestor's need upon an
+    undeclared asset raises KeyError.
     """
     doc_order = {a.name: i for i, a in enumerate(model.assets)}
 
@@ -204,16 +209,14 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
     return replace(model, associations=tuple(associations))
 
 
-def _warning(kind: WarningKind, triple: AccessTriple) -> AccessWarning:
-    return AccessWarning(kind, triple, f"{_MESSAGE_PREFIX[kind]}: {triple}")
-
-
 def validate_access(model: AssetModel, graph: GoalGraph) -> ValidationReport:
     """Resolve every expanded need against the policy and the lattice rules.
 
     Warnings come out in expansion order; an allowed triple can raise up
     to two level warnings (one confidentiality, one integrity), checked
-    in the order read-up, write-down, write-up, read-down.
+    in the order read-up, write-down, write-up, read-down.  The model
+    must pass check_structure, as parse_model's result does by default;
+    an allowed triple naming an undeclared asset raises KeyError.
     """
     assets: dict[str, Asset] = {a.name: a for a in model.assets}
     index = graph.policy_index
@@ -225,17 +228,17 @@ def validate_access(model: AssetModel, graph: GoalGraph) -> ValidationReport:
             resource = assets[triple.resource]
             if triple.access is AccessNeed.READ:
                 if resource.confidentiality > subject.confidentiality:
-                    warnings.append(_warning(WarningKind.NO_READ_UP, triple))
+                    warnings.append(AccessWarning(WarningKind.NO_READ_UP, triple))
                 if subject.integrity > resource.integrity:
-                    warnings.append(_warning(WarningKind.NO_READ_DOWN, triple))
+                    warnings.append(AccessWarning(WarningKind.NO_READ_DOWN, triple))
             elif triple.access is AccessNeed.WRITE:
                 if subject.confidentiality > resource.confidentiality:
-                    warnings.append(_warning(WarningKind.NO_WRITE_DOWN, triple))
+                    warnings.append(AccessWarning(WarningKind.NO_WRITE_DOWN, triple))
                 if resource.integrity > subject.integrity:
-                    warnings.append(_warning(WarningKind.NO_WRITE_UP, triple))
+                    warnings.append(AccessWarning(WarningKind.NO_WRITE_UP, triple))
         elif (triple.subject, triple.access, triple.resource, Permission.DENY) in index:
-            warnings.append(_warning(WarningKind.UNAUTHORISED_ACCESS, triple))
+            warnings.append(AccessWarning(WarningKind.UNAUTHORISED_ACCESS, triple))
         else:
-            warnings.append(_warning(WarningKind.UNDEFINED_ACCESS, triple))
+            warnings.append(AccessWarning(WarningKind.UNDEFINED_ACCESS, triple))
 
     return ValidationReport(tuple(warnings))

@@ -121,7 +121,8 @@ def goal_graphs(draw, model: AssetModel, max_statements: int = 10) -> GoalGraph:
 
 
 @st.composite
-def models_with_graphs(draw, max_assets: int = 6, max_statements: int = 10):
-    model = draw(asset_models(max_assets=max_assets))
+def models_with_graphs(draw, max_assets: int = 6, max_statements: int = 10,
+                       with_parents: bool = False):
+    model = draw(asset_models(max_assets=max_assets, with_parents=with_parents))
     graph = draw(goal_graphs(model, max_statements=max_statements))
     return model, graph

@@ -140,6 +140,14 @@ class TestCheck:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_over_long_integer_literal_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"version": ' + "1" * 5000 + "}", encoding="utf-8")
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: $: integer literal is too long\n"
+
     def test_each_finding_on_its_own_line(self, capsys, tmp_path):
         path = tmp_path / "two.json"
         path.write_text(json.dumps({
@@ -212,6 +220,8 @@ class TestFixture:
         assert code == 2
         assert out == ""
         assert "bogus" in err
+        with pytest.raises(KeyError):
+            fixture_text("nope")
 
     def test_fixture_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "m.json"

@@ -36,6 +36,18 @@ def test_works_diary_edge_carries_tail_adornment():
     assert "headlabel" not in text  # no needs on the diary-event end
 
 
+def test_target_needs_become_a_head_label():
+    from accesslint.model import AccessNeed, Asset, AssetKind, Association
+
+    model = AssetModel(
+        assets=(Asset("A", AssetKind.SYSTEM), Asset("B", AssetKind.SYSTEM)),
+        associations=(Association("A", "B", target_needs=frozenset({AccessNeed.READ})),),
+    )
+    text = export_dot(model, GoalGraph(), "asset")
+    assert '"A" -> "B" [dir=none, headlabel="r"];' in text
+    assert "taillabel" not in text
+
+
 def test_asset_view_counts_match_model():
     model, graph = load_fixture("pyramid")
     nodes, edges = _check_dot(export_dot(model, graph, "asset"))

@@ -64,6 +64,7 @@ class TestParse:
         participant = model.asset_named("Participant")
         assert participant.confidentiality is SecurityValue.NONE
         assert participant.integrity is SecurityValue.LOW
+        assert model.asset_named("Nobody") is None
 
     def test_malformed_json_reports_line(self):
         with pytest.raises(DocumentSyntaxError) as info:
@@ -108,6 +109,11 @@ class TestParse:
             parse_model("[" * 100000 + "]" * 100000)
         assert str(info.value) == "$: document is nested too deeply"
 
+    def test_over_long_integer_literal_is_a_syntax_error(self):
+        with pytest.raises(DocumentSyntaxError) as info:
+            parse_model('{"version": ' + "1" * 5000 + "}")
+        assert str(info.value) == "$: integer literal is too long"
+
     def test_duplicate_needs_rejected(self):
         document = _doc(associations=[
             {"source": "Works Diary", "target": "Diary Event",
@@ -145,6 +151,7 @@ class TestParse:
         document = _doc(goals=[{"name": "R", "kind": "requirement"}])
         model, graph = parse_model(document)
         assert graph.node_named("R") is not None
+        assert graph.node_named("Nobody") is None
 
     def test_matrix_override_applies(self):
         document = _doc(
@@ -213,6 +220,15 @@ _OVERRIDE = {"subject": "people", "resource": "people", "allowed": False}
      "expected one of: high, low, medium, none"),
     ({"refinements": [{"parent": 1}], "assets": {}},
      "$.assets: expected a list, got dict"),
+    ({"assets": [[]]}, "assets[0]: expected an object, got list"),
+    ({"assets": [{"name": "", "kind": "system"}]},
+     "assets[0].name: asset name must be nonempty"),
+    ({"assets": [dict(_ASSET, extraProperties=[])]},
+     "assets[0].extraProperties: expected an object, got list"),
+    ({"associations": [{"source": "A", "target": "B", "sourceNeeds": "read"}]},
+     "associations[0].sourceNeeds: expected a list, got str"),
+    ({"matrixOverride": [dict(_OVERRIDE, allowed=1)]},
+     "$.matrixOverride[0].allowed: expected a boolean"),
 ])
 def test_first_fault_wins_with_exact_text(document, message):
     with pytest.raises(SchemaError) as info:

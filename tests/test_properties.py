@@ -167,7 +167,7 @@ def test_reports_render_identically_on_repeat_runs(pair):
     assert render_report(first, "json") == render_report(second, "json")
 
 
-@given(models_with_graphs())
+@given(models_with_graphs(with_parents=True))
 def test_round_trip_preserves_structure(pair):
     model, graph = pair
     again_model, again_graph = parse_model(serialize_model(model, graph))

@@ -201,6 +201,25 @@ class TestExpandHierarchy:
             AccessTriple("T", W, "B"),
         }
 
+    def test_cycle_members_and_their_descendants_pool_needs(self):
+        # A and B inherit from each other; T hangs off the ring at A.
+        model = AssetModel(
+            assets=(
+                Asset("A", AssetKind.SYSTEM, parent="B"),
+                Asset("B", AssetKind.SYSTEM, parent="A"),
+                Asset("T", AssetKind.SYSTEM, parent="A"),
+                Asset("R", AssetKind.SYSTEM),
+            ),
+            associations=(
+                Association("A", "R", source_needs=frozenset({R})),
+                Association("B", "R", source_needs=frozenset({W})),
+            ),
+        )
+        assert expand_needs(expand_hierarchy(model)) == [
+            AccessTriple(subject, access, "R")
+            for subject in ("A", "B", "T") for access in (R, W)
+        ]
+
 
 class TestValidateBranches:
     def test_low_resource_read_by_none_subject_is_read_up(self):
