@@ -7,14 +7,19 @@ with the offending path named, because a silently ignored typo in a
 security model is worse than a parse failure.  The per-record schema
 lives in one table, _RECORDS, read by one generic reader.
 
-Serialization is canonical (keys alphabetical within objects, lists in
-document order, two-space indent, trailing newline) so that re-saving a
-parsed document is byte-stable.
+Serialization is canonical, exactly json.dumps(document, indent=2,
+sort_keys=True) plus a newline (non-ASCII escaped as \\uXXXX), so re-saving
+a parsed document is byte-stable.  _RECORDS writes it too, one writer beside
+each reader, so a new field is declared once for both read and write.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import combinations
+from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
+from types import SimpleNamespace
 from typing import Any
 
 from .goals import (
@@ -40,7 +45,7 @@ from .model import (
     check_structure,
     default_matrix,
 )
-from .validation import RULE_RESULTS, ValidationReport
+from .validation import RULE_RESULTS, ValidationReport, WarningKind
 
 DOCUMENT_VERSION = 1
 
@@ -110,21 +115,21 @@ def _name(value: Any) -> str:
 
 
 def _choice(table: dict, what: str, expected: str | None = None):
-    """Reader for a string that must be one of table's keys."""
+    """Reader for a string that must be one of table's keys, and its writer."""
     expected = expected or ", ".join(sorted(table))
 
     def read(value: Any):
         if _string(value) not in table:
             raise _Bad("", f"invalid {what} {value!r}, expected one of: {expected}")
         return table[value]
-    return read
+    return read, {value: _quote(key) for key, value in table.items()}.__getitem__
 
 
-_level = _choice(_LEVEL_NAMES, "security level")
-_asset_kind = _choice(_KIND_NAMES, "asset kind")
-_need = _choice(_NEED_NAMES, "access need")
-_multiplicity = _choice({m: m for m in MULTIPLICITIES}, "multiplicity",
-                        ", ".join(repr(m) for m in MULTIPLICITIES))
+_level, _level_text = _choice(_LEVEL_NAMES, "security level")
+_asset_kind, _kind_text = _choice(_KIND_NAMES, "asset kind")
+_need, _need_text = _choice(_NEED_NAMES, "access need")
+_multiplicity, _ = _choice({m: m for m in MULTIPLICITIES}, "multiplicity",
+                           ", ".join(repr(m) for m in MULTIPLICITIES))
 
 
 def _levels(value: Any) -> dict[str, SecurityValue]:
@@ -160,45 +165,103 @@ def _boolean(value: Any) -> bool:
     return value
 
 
+# Writers give a field's canonical JSON text at record depth (members six
+# spaces in), or None where the field is omitted.
+def _optional(value: str | None) -> str | None:
+    return None if value is None else _quote(value)
+
+
+def _nonempty(value: str) -> str | None:
+    return _quote(value) if value else None
+
+
+_json_bool = {False: "false", True: "true"}.__getitem__
+
+
+def _object(members, indent: str) -> str:
+    """A JSON object from (key, value text) pairs, keys sorted, closing at indent."""
+    text = ",".join(f"\n{indent}  {_quote(key)}: {value}" for key, value in sorted(members))
+    return f"{{{text}\n{indent}}}" if text else "{}"
+
+
+def _level_map(levels: dict) -> str | None:
+    pairs = [(prop, _level_text(level)) for prop, level in levels.items()]
+    return _object(pairs, "      ") if pairs else None
+
+
+# Every need set, listed in ACCESS_ORDER; the empty set is omitted.
+_NEED_LISTS = {
+    frozenset(chosen): "[" + ",".join(f"\n        {_need_text(n)}" for n in chosen)
+    + "\n      ]" if chosen else None
+    for size in range(len(ACCESS_ORDER) + 1)
+    for chosen in combinations(sorted(ACCESS_ORDER, key=ACCESS_ORDER.__getitem__), size)
+}
+
+
 # The per-record schema: section -> (class built with cls(**values), required
-# keys, (json key, attribute, reader) in the order the fields are checked).
-# An absent optional key takes the class's default.
+# keys, (json key, attribute, reader, writer) in the order the fields are
+# checked).  An absent optional key takes the class's default.
 _RECORDS = {
     "assets": (Asset, ("name", "kind"), (
-        ("name", "name", _name),
-        ("kind", "kind", _asset_kind),
-        ("confidentiality", "confidentiality", _level),
-        ("integrity", "integrity", _level),
-        ("extraProperties", "extra_properties", _levels),
-        ("parent", "parent", _string))),
+        ("name", "name", _name, _quote),
+        ("kind", "kind", _asset_kind, _kind_text),
+        ("confidentiality", "confidentiality", _level, _level_text),
+        ("integrity", "integrity", _level, _level_text),
+        ("extraProperties", "extra_properties", _levels, _level_map),
+        ("parent", "parent", _string, _optional))),
     "associations": (Association, ("source", "target"), (
-        ("sourceMultiplicity", "source_multiplicity", _multiplicity),
-        ("targetMultiplicity", "target_multiplicity", _multiplicity),
-        ("source", "source", _string),
-        ("target", "target", _string),
-        ("sourceNeeds", "source_needs", _needs),
-        ("targetNeeds", "target_needs", _needs))),
+        ("sourceMultiplicity", "source_multiplicity", _multiplicity, _optional),
+        ("targetMultiplicity", "target_multiplicity", _multiplicity, _optional),
+        ("source", "source", _string, _quote),
+        ("target", "target", _string, _quote),
+        ("sourceNeeds", "source_needs", _needs, _NEED_LISTS.__getitem__),
+        ("targetNeeds", "target_needs", _needs, _NEED_LISTS.__getitem__))),
     "goals": (Goal, ("name", "kind"), (
-        ("definition", "definition", _string),
-        ("name", "name", _string),
-        ("kind", "kind", _choice(_GOAL_KIND_NAMES, "goal kind")))),
+        ("definition", "definition", _string, _nonempty),
+        ("name", "name", _string, _quote),
+        ("kind", "kind", *_choice(_GOAL_KIND_NAMES, "goal kind")))),
     "refinements": (Refinement, ("parent", "child"), (
-        ("parent", "parent", _string),
-        ("child", "child", _string))),
+        ("parent", "parent", _string, _quote),
+        ("child", "child", _string, _quote))),
     "policy": (PolicyStatement,
                ("requirement", "subject", "access", "resource", "permission"), (
-        ("requirement", "requirement", _string),
-        ("subject", "subject", _string),
-        ("access", "access", _need),
-        ("resource", "resource", _string),
-        ("permission", "permission", _choice(_PERMISSION_NAMES, "permission")))),
-    "matrixOverride": (dict, ("subject", "resource", "allowed"), (
-        ("subject", "subject", _asset_kind),
-        ("resource", "resource", _asset_kind),
-        ("allowed", "allowed", _boolean))),
+        ("requirement", "requirement", _string, _quote),
+        ("subject", "subject", _string, _quote),
+        ("access", "access", _need, _need_text),
+        ("resource", "resource", _string, _quote),
+        ("permission", "permission", *_choice(_PERMISSION_NAMES, "permission")))),
+    "matrixOverride": (SimpleNamespace, ("subject", "resource", "allowed"), (
+        ("subject", "subject", _asset_kind, _kind_text),
+        ("resource", "resource", _asset_kind, _kind_text),
+        ("allowed", "allowed", _boolean, _json_bool))),
 }
-_RECORD_KEYS = {section: frozenset(key for key, _, _ in fields)
+_RECORD_KEYS = {section: frozenset(key for key, *_ in fields)
                 for section, (_, _, fields) in _RECORDS.items()}
+
+
+def _layout(fields) -> tuple:
+    """(member prefix, getter, writer) per field, in sorted-key order."""
+    return tuple((f"\n      {_quote(key)}: ", attrgetter(attribute), write)
+                 for key, attribute, *_, write in sorted(fields))
+
+
+_LAYOUTS = {section: _layout(fields) for section, (_, _, fields) in _RECORDS.items()}
+_WARNING_LAYOUT = _layout((
+    ("kind", "kind", {kind: _quote(kind.value) for kind in WarningKind}.__getitem__),
+    ("subject", "triple.subject", _quote),
+    ("access", "triple.access", _need_text),
+    ("resource", "triple.resource", _quote),
+    ("message", "message", _quote)))
+
+
+def _write_records(records, layout: tuple) -> str:
+    """A list of records as the JSON value of a top-level key."""
+    if not records:
+        return "[]"
+    columns = [[None if text is None else prefix + text
+                for text in map(write, map(get, records))] for prefix, get, write in layout]
+    rows = (",".join(filter(None, row)) for row in zip(*columns))
+    return "[\n    {" + "\n    },\n    {".join(rows) + "\n    }\n  ]"
 
 
 def _record(obj: Any, section: str) -> Any:
@@ -209,7 +272,7 @@ def _record(obj: Any, section: str) -> Any:
             raise _Bad("", f"missing required key {key!r}")
     values = {}
     try:
-        for key, attribute, read in fields:
+        for key, attribute, read, _ in fields:
             if key in obj:
                 values[attribute] = read(obj[key])
     except _Bad as bad:
@@ -281,13 +344,13 @@ def parse_model(document: bytes | str, *, check: bool = True) -> tuple[AssetMode
     allowed = dict(default_matrix().allowed)
     seen: set[tuple[AssetKind, AssetKind]] = set()
     for i, entry in enumerate(_records(root, "matrixOverride")):
-        subject, resource = cell = entry["subject"], entry["resource"]
+        subject, resource = cell = entry.subject, entry.resource
         if cell in seen:
             raise SchemaError(
                 f"$.matrixOverride[{i}]",
                 f"duplicate override for ({subject.value}, {resource.value})")
         seen.add(cell)
-        allowed[cell] = entry["allowed"]
+        allowed[cell] = entry.allowed
 
     model = AssetModel(assets=assets, associations=associations,
                        matrix=AccessRuleMatrix(allowed))
@@ -302,48 +365,6 @@ def parse_model(document: bytes | str, *, check: bool = True) -> tuple[AssetMode
     return model, graph
 
 
-def _level_name(level: SecurityValue) -> str:
-    return level.name.lower()
-
-
-def _asset_to_obj(asset: Asset) -> dict:
-    obj: dict[str, Any] = {
-        "name": asset.name,
-        "kind": asset.kind.value,
-        "confidentiality": _level_name(asset.confidentiality),
-        "integrity": _level_name(asset.integrity),
-    }
-    if asset.extra_properties:
-        obj["extraProperties"] = {
-            prop: _level_name(level) for prop, level in asset.extra_properties.items()
-        }
-    if asset.parent is not None:
-        obj["parent"] = asset.parent
-    return obj
-
-
-def _association_to_obj(assoc: Association) -> dict:
-    obj: dict[str, Any] = {"source": assoc.source, "target": assoc.target}
-    if assoc.source_needs:
-        obj["sourceNeeds"] = [
-            n.value for n in sorted(assoc.source_needs, key=ACCESS_ORDER.__getitem__)]
-    if assoc.target_needs:
-        obj["targetNeeds"] = [
-            n.value for n in sorted(assoc.target_needs, key=ACCESS_ORDER.__getitem__)]
-    if assoc.source_multiplicity is not None:
-        obj["sourceMultiplicity"] = assoc.source_multiplicity
-    if assoc.target_multiplicity is not None:
-        obj["targetMultiplicity"] = assoc.target_multiplicity
-    return obj
-
-
-def _goal_to_obj(goal: Goal) -> dict:
-    obj: dict[str, Any] = {"name": goal.name, "kind": goal.kind.value}
-    if goal.definition:
-        obj["definition"] = goal.definition
-    return obj
-
-
 def serialize_model(model: AssetModel, graph: GoalGraph) -> str:
     """Render a model and goal graph as canonical document text.
 
@@ -351,38 +372,23 @@ def serialize_model(model: AssetModel, graph: GoalGraph) -> str:
     (m, g); serializing what parse_model returned reproduces the
     canonical bytes exactly.
     """
-    document: dict[str, Any] = {"version": DOCUMENT_VERSION}
-    if model.assets:
-        document["assets"] = [_asset_to_obj(a) for a in model.assets]
-    if model.associations:
-        document["associations"] = [_association_to_obj(a) for a in model.associations]
-    if graph.nodes:
-        document["goals"] = [_goal_to_obj(g) for g in graph.nodes]
-    if graph.refinements:
-        document["refinements"] = [
-            {"parent": r.parent, "child": r.child} for r in graph.refinements]
-    if graph.policy:
-        document["policy"] = [
-            {
-                "requirement": s.requirement,
-                "subject": s.subject,
-                "access": s.access.value,
-                "resource": s.resource,
-                "permission": s.permission.value,
-            }
-            for s in graph.policy
-        ]
     base = default_matrix().allowed
-    overrides = [
-        {"subject": subject.value, "resource": resource.value,
-         "allowed": model.matrix.allowed[(subject, resource)]}
-        for subject in AssetKind
-        for resource in AssetKind
-        if model.matrix.allowed[(subject, resource)] != base[(subject, resource)]
-    ]
-    if overrides:
-        document["matrixOverride"] = overrides
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    allowed = model.matrix.allowed
+    sections = {
+        "assets": model.assets, "associations": model.associations,
+        "goals": graph.nodes, "refinements": graph.refinements, "policy": graph.policy,
+        "matrixOverride": [
+            SimpleNamespace(subject=subject, resource=resource,
+                            allowed=allowed[(subject, resource)])
+            for subject in AssetKind
+            for resource in AssetKind
+            if allowed[(subject, resource)] != base[(subject, resource)]
+        ],
+    }
+    members = [(section, _write_records(records, _LAYOUTS[section]))
+               for section, records in sections.items() if records]
+    members.append(("version", str(DOCUMENT_VERSION)))
+    return _object(members, "") + "\n"
 
 
 def render_report(report: ValidationReport, format: str = "text") -> str:
@@ -393,21 +399,13 @@ def render_report(report: ValidationReport, format: str = "text") -> str:
     warnings, per-kind counts, and rule flags.
     """
     if format == "json":
-        payload = {
-            "warnings": [
-                {
-                    "kind": w.kind.value,
-                    "subject": w.triple.subject,
-                    "access": w.triple.access.value,
-                    "resource": w.triple.resource,
-                    "message": w.message,
-                }
-                for w in report.warnings
-            ],
-            "summary": {kind.value: count for kind, count in report.summary.items()},
-            "ruleResults": report.rule_results,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _object((
+            ("ruleResults", _object([(key, _json_bool(flag))
+                                     for key, flag in report.rule_results.items()], "  ")),
+            ("summary", _object([(kind.value, str(count))
+                                 for kind, count in report.summary.items()], "  ")),
+            ("warnings", _write_records(report.warnings, _WARNING_LAYOUT)),
+        ), "") + "\n"
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")
 

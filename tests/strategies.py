@@ -26,14 +26,21 @@ kinds = st.sampled_from(list(AssetKind))
 levels = st.sampled_from(list(SecurityValue))
 need_sets = st.frozensets(st.sampled_from(list(AccessNeed)))
 multiplicities = st.sampled_from([None, "1", "0..1", "1..*", "*"])
+# Plain letters, characters that JSON escapes (quote, backslash, control
+# characters, non-ASCII, an astral-plane character written as a surrogate
+# pair, U+2028) and two it leaves as they are (slash, DEL).
+ALPHABET = 'AbZ "\\/\x00\t\n\x1f\x7f\xe9\u2028\U0001f600'
+texts = st.text(alphabet=ALPHABET, max_size=6)
+names = st.text(alphabet=ALPHABET, min_size=1, max_size=4)
 extra_properties = st.dictionaries(
-    st.sampled_from(["availability", "accountability"]), levels, max_size=2)
+    st.sampled_from(["availability", "accountability"]) | names, levels, max_size=2)
 
 
 @st.composite
 def asset_models(draw, max_assets: int = 6, with_parents: bool = False) -> AssetModel:
     """A structurally valid model: unique names, legal needs, acyclic parents."""
     count = draw(st.integers(min_value=1, max_value=max_assets))
+    asset_names = draw(st.lists(names, min_size=count, max_size=count, unique=True))
     matrix = default_matrix()
     assets: list[Asset] = []
     for i in range(count):
@@ -46,7 +53,7 @@ def asset_models(draw, max_assets: int = 6, with_parents: bool = False) -> Asset
             if candidates and draw(st.booleans()):
                 parent = draw(st.sampled_from(candidates))
         assets.append(Asset(
-            name=f"A{i}",
+            name=asset_names[i],
             kind=kind,
             confidentiality=draw(levels),
             integrity=draw(levels),
@@ -79,22 +86,26 @@ def asset_models(draw, max_assets: int = 6, with_parents: bool = False) -> Asset
 def goal_graphs(draw, model: AssetModel, max_statements: int = 10) -> GoalGraph:
     """A valid graph over the model's assets: no conflicts, no duplicates."""
     req_count = draw(st.integers(min_value=1, max_value=3))
+    # Names of at most four characters never collide with "Root goal".
+    requirements = draw(st.lists(names, min_size=req_count, max_size=req_count,
+                                 unique=True))
     with_root = draw(st.booleans())
     nodes = []
     refinements = []
     if with_root:
-        nodes.append(Goal(name="Root goal", kind=GoalKind.GOAL))
-    for i in range(req_count):
-        nodes.append(Goal(name=f"R{i}", kind=GoalKind.REQUIREMENT))
+        nodes.append(Goal(name="Root goal", kind=GoalKind.GOAL, definition=draw(texts)))
+    for requirement in requirements:
+        nodes.append(Goal(name=requirement, kind=GoalKind.REQUIREMENT,
+                          definition=draw(texts)))
         if with_root:
-            refinements.append(Refinement(parent="Root goal", child=f"R{i}"))
+            refinements.append(Refinement(parent="Root goal", child=requirement))
 
-    names = [a.name for a in model.assets]
+    asset_names = [a.name for a in model.assets]
     raw = draw(st.lists(
         st.tuples(
-            st.sampled_from(names),
+            st.sampled_from(asset_names),
             st.sampled_from(list(AccessNeed)),
-            st.sampled_from(names),
+            st.sampled_from(asset_names),
             st.sampled_from(list(Permission)),
             st.integers(min_value=0, max_value=req_count - 1),
         ),
@@ -107,7 +118,7 @@ def goal_graphs(draw, model: AssetModel, max_statements: int = 10) -> GoalGraph:
             continue
         seen.add((subject, access, resource))
         statements.append(PolicyStatement(
-            requirement=f"R{req}",
+            requirement=requirements[req],
             subject=subject,
             access=access,
             resource=resource,

@@ -5,8 +5,17 @@ import json
 import pytest
 
 from accesslint.fixtures import fixture_text, load_fixture
-from accesslint.goals import GoalGraph
-from accesslint.model import AccessNeed, AssetKind, AssetModel, SecurityValue
+from accesslint.goals import Goal, GoalGraph, GoalKind
+from accesslint.model import (
+    AccessNeed,
+    AccessRuleMatrix,
+    Asset,
+    AssetKind,
+    AssetModel,
+    Association,
+    SecurityValue,
+    default_matrix,
+)
 from accesslint.modelio import (
     DocumentSyntaxError,
     ParseError,
@@ -17,6 +26,8 @@ from accesslint.modelio import (
     serialize_model,
 )
 from accesslint.validation import ValidationReport, expand_needs, validate_access
+
+import json_reference
 
 
 def _doc(**overrides) -> str:
@@ -236,6 +247,123 @@ def test_first_fault_wins_with_exact_text(document, message):
     assert str(info.value) == message
 
 
+# Documents pinned to their exact bytes, one record shape each.
+EXACT_DOCUMENTS = {
+    "levels-at-none": (AssetModel(assets=(Asset("A", AssetKind.SYSTEM),)), GoalGraph(), """{
+  "assets": [
+    {
+      "confidentiality": "none",
+      "integrity": "none",
+      "kind": "system",
+      "name": "A"
+    }
+  ],
+  "version": 1
+}
+"""),
+    # Only a None parent is left out; an empty one (which check_structure
+    # rejects) is written.
+    "empty-parent": (AssetModel(assets=(Asset("A", AssetKind.SYSTEM, parent=""),)),
+                     GoalGraph(), """{
+  "assets": [
+    {
+      "confidentiality": "none",
+      "integrity": "none",
+      "kind": "system",
+      "name": "A",
+      "parent": ""
+    }
+  ],
+  "version": 1
+}
+"""),
+    "target-needs-only": (AssetModel(associations=(Association(
+        "A", "B", target_needs=frozenset({AccessNeed.INTERACT, AccessNeed.READ})),)),
+        GoalGraph(), """{
+  "associations": [
+    {
+      "source": "A",
+      "target": "B",
+      "targetNeeds": [
+        "read",
+        "interact"
+      ]
+    }
+  ],
+  "version": 1
+}
+"""),
+    "multiplicities": (AssetModel(associations=(Association(
+        "A", "B", source_multiplicity="1", target_multiplicity="1..*"),)), GoalGraph(), """{
+  "associations": [
+    {
+      "source": "A",
+      "sourceMultiplicity": "1",
+      "target": "B",
+      "targetMultiplicity": "1..*"
+    }
+  ],
+  "version": 1
+}
+"""),
+    "empty-and-escaped-definitions": (AssetModel(), GoalGraph(nodes=(
+        Goal("G", GoalKind.GOAL, ""),
+        Goal("R", GoalKind.REQUIREMENT, 'say "\\"\x00\xe9\u2028\U0001f600'))), """{
+  "goals": [
+    {
+      "kind": "goal",
+      "name": "G"
+    },
+    {
+      "definition": "say \\"\\\\\\"\\u0000\\u00e9\\u2028\\ud83d\\ude00",
+      "kind": "requirement",
+      "name": "R"
+    }
+  ],
+  "version": 1
+}
+"""),
+    "matrix-override": (AssetModel(matrix=AccessRuleMatrix({
+        **default_matrix().allowed,
+        (AssetKind.PEOPLE, AssetKind.PEOPLE): False,
+        (AssetKind.SYSTEM, AssetKind.PEOPLE): True})), GoalGraph(), """{
+  "matrixOverride": [
+    {
+      "allowed": true,
+      "resource": "people",
+      "subject": "system"
+    },
+    {
+      "allowed": false,
+      "resource": "people",
+      "subject": "people"
+    }
+  ],
+  "version": 1
+}
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_DOCUMENTS))
+def test_exact_document_bytes(name):
+    model, graph, text = EXACT_DOCUMENTS[name]
+    assert serialize_model(model, graph) == text
+    assert text == json_reference.canonical(json_reference.document(model, graph))
+
+
+@pytest.mark.parametrize("pair", [
+    load_fixture("pyramid"), load_fixture("works-diary"), (AssetModel(), GoalGraph())],
+    ids=["pyramid", "works-diary", "empty"])
+def test_writer_matches_json_dumps(pair):
+    model, graph = pair
+    reference = json_reference.canonical(json_reference.document(model, graph))
+    assert serialize_model(model, graph) == reference
+    report = validate_access(model, graph)
+    reference = json_reference.canonical(json_reference.report(report))
+    assert render_report(report, "json") == reference
+
+
 class TestSerialize:
     def test_empty_model_is_minimal(self):
         text = serialize_model(AssetModel(), GoalGraph())
@@ -295,7 +423,14 @@ class TestRenderReport:
         assert text.count("undefined_access:") == 6
 
     def test_empty_report_json(self):
-        payload = json.loads(render_report(ValidationReport(), "json"))
+        text = render_report(ValidationReport(), "json")
+        assert text == json_reference.canonical(json_reference.report(ValidationReport()))
+        assert text.endswith('''
+  },
+  "warnings": []
+}
+''')
+        payload = json.loads(text)
         assert payload["warnings"] == []
         assert all(flag is False for flag in payload["ruleResults"].values())
         assert all(count == 0 for count in payload["summary"].values())

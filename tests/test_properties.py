@@ -1,5 +1,7 @@
 """Property tests over randomly generated models and graphs."""
 
+from dataclasses import replace
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,7 @@ from accesslint.goals import (
 )
 from accesslint.model import (
     AccessNeed,
+    AccessRuleMatrix,
     Asset,
     AssetKind,
     AssetModel,
@@ -28,6 +31,7 @@ from accesslint.validation import (
     validate_access,
 )
 
+import json_reference
 import rule_oracle
 from strategies import asset_models, goal_graphs, models_with_graphs
 
@@ -180,6 +184,19 @@ def test_serialization_is_canonical(pair):
     model, graph = pair
     text = serialize_model(model, graph)
     assert serialize_model(*parse_model(text)) == text
+
+
+@given(models_with_graphs(with_parents=True),
+       st.dictionaries(st.tuples(st.sampled_from(list(AssetKind)),
+                                 st.sampled_from(list(AssetKind))), st.booleans()))
+def test_writer_matches_json_dumps(pair, cells):
+    model, graph = pair
+    report = validate_access(model, graph)
+    assert render_report(report, "json") == json_reference.canonical(
+        json_reference.report(report))
+    model = replace(model, matrix=AccessRuleMatrix({**model.matrix.allowed, **cells}))
+    assert serialize_model(model, graph) == json_reference.canonical(
+        json_reference.document(model, graph))
 
 
 @given(asset_models(with_parents=True))
