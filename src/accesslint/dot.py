@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .goals import GoalGraph, GoalKind
-from .model import ACCESS_ORDER, AccessNeed, AssetModel
+from .model import AccessNeed, AssetModel
 
 # Conventional one-letter adornments used on association ends.
 _SHORT = {AccessNeed.READ: "r", AccessNeed.WRITE: "w", AccessNeed.INTERACT: "x"}
@@ -17,7 +17,7 @@ def _label(*lines: str) -> str:
 
 
 def _adornment(needs: frozenset[AccessNeed]) -> str:
-    return ",".join(_SHORT[n] for n in sorted(needs, key=ACCESS_ORDER.__getitem__))
+    return ",".join(_SHORT[n] for n in AccessNeed if n in needs)
 
 
 def _asset_view(model: AssetModel) -> list[str]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator
 
 from .model import AccessNeed, AssetModel, ModelError, index_names
 
@@ -56,12 +55,6 @@ class GoalGraph:
     refinements: tuple[Refinement, ...] = ()
     policy: tuple[PolicyStatement, ...] = ()
 
-    def node_named(self, name: str) -> Goal | None:
-        for node in self.nodes:
-            if node.name == name:
-                return node
-        return None
-
     # Indexes built on first use: not fields, so ==, repr and
     # dataclasses.replace ignore them and a replaced graph builds its own.
     @cached_property
@@ -81,55 +74,48 @@ class GoalGraph:
 
 
 def _refinement_cycles(graph: GoalGraph) -> list[list[str]]:
-    """Strongly connected components of size > 1 (or with a self loop)."""
+    """Strongly connected components of size > 1 (or with a self loop).
+
+    Pass one walks down the child edges and records the order goals
+    finish in; pass two, last finished first, gathers each component
+    upward along graph.parents.  Neither recurses, as chains may be
+    long.  Edges to unknown goals count for nothing.
+    """
+    order = {node.name: i for i, node in enumerate(graph.nodes)}
     children: dict[str, list[str]] = {}
-    self_loops: set[str] = set()
-    names = [n.name for n in graph.nodes]
-    order = {name: i for i, name in enumerate(names)}
     for ref in graph.refinements:
         if ref.parent in order and ref.child in order:
             children.setdefault(ref.parent, []).append(ref.child)
-            if ref.parent == ref.child:
-                self_loops.add(ref.parent)
 
-    # Tarjan without recursion; graphs are small but cycles may be long.
-    index_of: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: dict[str, int] = {}  # name -> its position in stack
-    stack: list[str] = []
-    work: list[tuple[str, Iterator[str]]] = []
+    finished: list[str] = []
+    seen: set[str] = set()
+    for root in order:
+        pending = [(root, False)]
+        while pending:
+            node, done = pending.pop()
+            if done:
+                finished.append(node)
+            elif node not in seen:
+                seen.add(node)
+                pending.append((node, True))
+                pending.extend((child, False) for child in children.get(node, ()))
+
+    # Every known goal is in seen now; a component claims its goals by
+    # taking them out.
+    parents = graph.parents
     cycles: list[list[str]] = []
-
-    def enter(node: str) -> None:
-        index_of[node] = low[node] = len(index_of)
-        on_stack[node] = len(stack)
-        stack.append(node)
-        work.append((node, iter(children.get(node, ()))))
-
-    for root in names:
-        if root in index_of:
+    for root in reversed(finished):
+        if root not in seen:
             continue
-        enter(root)
-        while work:
-            node, edges = work[-1]
-            for child in edges:
-                if child not in index_of:
-                    enter(child)
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index_of[child])
-            else:
-                work.pop()
-                if work:
-                    parent_node = work[-1][0]
-                    low[parent_node] = min(low[parent_node], low[node])
-                if low[node] == index_of[node]:
-                    component = stack[on_stack[node]:]
-                    del stack[on_stack[node]:]
-                    for member in component:
-                        del on_stack[member]
-                    if len(component) > 1 or node in self_loops:
-                        cycles.append(sorted(component, key=order.__getitem__))
+        seen.discard(root)
+        component = [root]
+        for node in component:  # grows as the walk goes up
+            for parent in parents.get(node, ()):
+                if parent in seen:
+                    seen.discard(parent)
+                    component.append(parent)
+        if len(component) > 1 or root in parents.get(root, ()):
+            cycles.append(sorted(component, key=order.__getitem__))
 
     cycles.sort(key=lambda members: order[members[0]])
     return cycles

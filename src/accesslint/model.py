@@ -27,11 +27,6 @@ class SecurityValue(IntEnum):
     HIGH = 3
 
 
-def compare_levels(a: SecurityValue, b: SecurityValue) -> int:
-    """Three-way comparison of two levels: -1, 0, or +1 as a is below, equal to, or above b."""
-    return (a > b) - (a < b)
-
-
 class AssetKind(Enum):
     SYSTEM = "system"
     INFORMATION = "information"
@@ -44,14 +39,10 @@ class AccessNeed(Enum):
     INTERACT = "interact"
 
 
-# Canonical ordering of needs wherever a deterministic sequence is required.
-ACCESS_ORDER: Mapping[AccessNeed, int] = {
-    AccessNeed.READ: 0,
-    AccessNeed.WRITE: 1,
-    AccessNeed.INTERACT: 2,
-}
+# Rank of each need in declaration order, the canonical order of needs.
+ACCESS_ORDER: Mapping[AccessNeed, int] = {need: i for i, need in enumerate(AccessNeed)}
 
-# Multiplicity strings accepted on association ends (documentation only).
+# The only multiplicity strings the parser accepts on association ends.
 MULTIPLICITIES = ("1", "0..1", "1..*", "*")
 
 
@@ -123,12 +114,6 @@ class AssetModel:
     associations: tuple[Association, ...] = ()
     matrix: AccessRuleMatrix = field(default_factory=default_matrix)
 
-    def asset_named(self, name: str) -> Asset | None:
-        for asset in self.assets:
-            if asset.name == name:
-                return asset
-        return None
-
 
 @dataclass(frozen=True)
 class ModelError:
@@ -168,7 +153,7 @@ def index_names(items: Iterable[Any], noun: str, empty_code: str,
 def _inheritance_cycles(assets: tuple[Asset, ...]) -> list[list[str]]:
     """Cycles in the parent graph, one list of member names per cycle.
 
-    Walks up from each asset in document order stop at names already
+    Walks up from each asset in document order, stopping at names already
     walked; a walk that meets its own trail has found a new cycle.
     """
     parent = {a.name: a.parent for a in assets}

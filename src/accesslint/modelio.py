@@ -16,6 +16,7 @@ each reader, so a new field is declared once for both read and write.
 from __future__ import annotations
 
 import json
+import re
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
@@ -32,7 +33,6 @@ from .goals import (
     check_goal_structure,
 )
 from .model import (
-    ACCESS_ORDER,
     AccessNeed,
     AccessRuleMatrix,
     Asset,
@@ -189,12 +189,12 @@ def _level_map(levels: dict) -> str | None:
     return _object(pairs, "      ") if pairs else None
 
 
-# Every need set, listed in ACCESS_ORDER; the empty set is omitted.
+# Every need set, listed in declaration order; the empty set is omitted.
 _NEED_LISTS = {
     frozenset(chosen): "[" + ",".join(f"\n        {_need_text(n)}" for n in chosen)
     + "\n      ]" if chosen else None
-    for size in range(len(ACCESS_ORDER) + 1)
-    for chosen in combinations(sorted(ACCESS_ORDER, key=ACCESS_ORDER.__getitem__), size)
+    for size in range(len(AccessNeed) + 1)
+    for chosen in combinations(AccessNeed, size)
 }
 
 
@@ -295,6 +295,27 @@ def _records(root: dict, section: str):
         raise SchemaError(f"{prefix}[{i}]{bad.suffix}", bad.reason) from None
 
 
+# One escape sequence: a surrogate pair, an unpaired half (group 1), or any other.
+_ESCAPE = re.compile(r"\\(?:u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}"
+                     r"|(u[dD][89a-fA-F][0-9a-fA-F]{2})|.)")
+
+
+def _reject_unpaired_surrogates(document: str) -> None:
+    """Raise at the first \\uXXXX escape of half a surrogate pair.
+
+    json.loads lets one through as a lone surrogate, which has no UTF-8
+    encoding.  json.loads has also accepted the document, so every
+    backslash in it starts an escape inside a string.
+    """
+    for match in _ESCAPE.finditer(document):
+        if match[1]:
+            pos = match.start()
+            line = document.count("\n", 0, pos) + 1
+            column = pos - document.rfind("\n", 0, pos)
+            raise DocumentSyntaxError(f"line {line}, column {column}",
+                                      f"unpaired surrogate escape \\{match[1]}")
+
+
 _TOP_KEYS = frozenset(("version", "assets", "associations", "goals", "refinements",
                        "policy", "matrixOverride"))
 
@@ -323,6 +344,10 @@ def parse_model(document: bytes | str, *, check: bool = True) -> tuple[AssetMode
         raise DocumentSyntaxError("$", "integer literal is too long") from exc
     except RecursionError as exc:
         raise DocumentSyntaxError("$", "document is nested too deeply") from exc
+    # Most documents hold no backslash, and a one-character test is far
+    # cheaper than a longer one.
+    if "\\" in document and ("\\ud" in document or "\\uD" in document):
+        _reject_unpaired_surrogates(document)
 
     try:
         _object_keys(root, _TOP_KEYS)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 from .goals import GoalGraph, Permission
 from .model import (ACCESS_ORDER, AccessNeed, Asset, AssetModel, Association,
@@ -85,7 +86,7 @@ RULE_RESULTS: tuple[tuple[str, str, WarningKind], ...] = (
 class ValidationReport:
     warnings: tuple[AccessWarning, ...] = ()
 
-    @property
+    @cached_property
     def summary(self) -> dict[WarningKind, int]:
         counts = {kind: 0 for kind in WarningKind}
         for warning in self.warnings:

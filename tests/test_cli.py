@@ -232,6 +232,17 @@ class TestFixture:
         assert out_path.read_text(encoding="utf-8") == fixture_text("works-diary")
 
 
+@pytest.mark.parametrize("command", [
+    ["check"], ["validate"], ["validate", "--format", "json"],
+    ["export", "--view", "asset"],
+])
+def test_unpaired_surrogate_escape_exits_two(capsys, data_dir, command):
+    code, out, err = run(capsys, *command, str(data_dir / "surrogate.json"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 1, column 34: unpaired surrogate escape \\ud800\n"
+
+
 def test_unknown_flag_is_a_usage_error(capsys, pyramid_path):
     with pytest.raises(SystemExit) as info:
         main(["validate", pyramid_path, "--frobnicate"])

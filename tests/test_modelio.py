@@ -66,16 +66,16 @@ class TestParse:
 
     def test_pyramid_reproduces_table_values(self):
         model, _ = load_fixture("pyramid")
-        resource = model.asset_named("Delivery Resource")
+        assets = {a.name: a for a in model.assets}
+        resource = assets["Delivery Resource"]
         assert resource.confidentiality is SecurityValue.NONE
         assert resource.integrity is SecurityValue.NONE
-        item = model.asset_named("Data Item")
+        item = assets["Data Item"]
         assert item.confidentiality is SecurityValue.LOW
         assert item.integrity is SecurityValue.MEDIUM
-        participant = model.asset_named("Participant")
+        participant = assets["Participant"]
         assert participant.confidentiality is SecurityValue.NONE
         assert participant.integrity is SecurityValue.LOW
-        assert model.asset_named("Nobody") is None
 
     def test_malformed_json_reports_line(self):
         with pytest.raises(DocumentSyntaxError) as info:
@@ -125,6 +125,30 @@ class TestParse:
             parse_model('{"version": ' + "1" * 5000 + "}")
         assert str(info.value) == "$: integer literal is too long"
 
+    def test_unpaired_surrogate_escape_is_a_syntax_error(self, data_dir):
+        with pytest.raises(DocumentSyntaxError) as info:
+            parse_model((data_dir / "surrogate.json").read_bytes())
+        assert str(info.value) == "line 1, column 34: unpaired surrogate escape \\ud800"
+
+    @pytest.mark.parametrize("escape, where", [
+        ("\\uDC00", "line 2, column 22: unpaired surrogate escape \\uDC00"),
+        ("\\ud83dA", "line 2, column 22: unpaired surrogate escape \\ud83d"),
+        ("\\ude00\\ud83d", "line 2, column 22: unpaired surrogate escape \\ude00"),
+        ("\\\\\\ud83d", "line 2, column 24: unpaired surrogate escape \\ud83d"),
+    ])
+    def test_surrogate_escape_location(self, escape, where):
+        document = '{"version": 1,\n "goals": [{"name": "' + escape + '", "kind": "goal"}]}'
+        with pytest.raises(DocumentSyntaxError) as info:
+            parse_model(document)
+        assert str(info.value) == where
+
+    def test_surrogate_pair_and_escaped_backslash_accepted(self):
+        # U+1F600 escaped as the writer escapes it, and a backslash then "ud800".
+        document = ('{"version": 1, "goals": [{"name": "\\ud83d\\ude00", "kind": "goal"},'
+                    ' {"name": "\\\\ud800", "kind": "goal"}]}')
+        _, graph = parse_model(document)
+        assert [node.name for node in graph.nodes] == ["\U0001f600", "\\ud800"]
+
     def test_duplicate_needs_rejected(self):
         document = _doc(associations=[
             {"source": "Works Diary", "target": "Diary Event",
@@ -161,8 +185,7 @@ class TestParse:
     def test_warning_severity_findings_do_not_fail_parse(self):
         document = _doc(goals=[{"name": "R", "kind": "requirement"}])
         model, graph = parse_model(document)
-        assert graph.node_named("R") is not None
-        assert graph.node_named("Nobody") is None
+        assert [node.name for node in graph.nodes] == ["R"]
 
     def test_matrix_override_applies(self):
         document = _doc(
@@ -381,7 +404,7 @@ class TestSerialize:
         ], associations=[])
         model, graph = parse_model(document)
         again, _ = parse_model(serialize_model(model, graph))
-        assert again.asset_named("A").extra_properties == {
+        assert again.assets[0].extra_properties == {
             "availability": SecurityValue.LOW}
 
     def test_matrix_override_survives_round_trip(self):

@@ -31,6 +31,7 @@ from accesslint.validation import (
     validate_access,
 )
 
+import cycle_oracle
 import json_reference
 import rule_oracle
 from strategies import asset_models, goal_graphs, models_with_graphs
@@ -241,3 +242,25 @@ def test_hierarchy_expansion_matches_ancestor_closure(model):
                         asset.name, triple.access, triple.resource))
             ancestor = parent.get(ancestor)
     assert set(expand_needs(expand_hierarchy(model))) == expected
+
+
+# Goal graphs with repeated names, repeated edges and self-loops; a name
+# the list of goals leaves out is an unknown end.
+_goal_names = st.sampled_from("ABCDE")
+
+
+# A is declared twice, so its last declaration sorts it after B.
+@example(["A", "B", "A"], [("A", "B"), ("B", "A")])
+# C reaches A only as A's second parent.
+@example(["A", "B", "C"], [("B", "A"), ("C", "A"), ("A", "B"), ("A", "C")])
+@settings(max_examples=300)
+@given(st.lists(_goal_names, max_size=7),
+       st.lists(st.tuples(_goal_names, _goal_names), max_size=12))
+def test_refinement_cycles_match_reference(names, edges):
+    graph = GoalGraph(nodes=tuple(Goal(name, GoalKind.GOAL) for name in names),
+                      refinements=tuple(Refinement(p, c) for p, c in edges))
+    found = [(f.where, f.message) for f in check_goal_structure(graph, AssetModel())
+             if f.code == "CyclicRefinement"]
+    assert found == [
+        (members[0], "refinement cycle: " + " -> ".join(members + [members[0]]))
+        for members in cycle_oracle.refinement_cycles(names, edges)]
