@@ -7,15 +7,15 @@ be adorned with the access needs (read, write, interact) one asset has
 upon the other.  Which asset kinds may act as subjects on which resource
 kinds is governed by an access-rule matrix.
 
-Everything here is immutable once constructed; the checks are pure
-functions that return error lists rather than raising.
+Records are frozen dataclasses whose dict fields nothing here mutates;
+the checks are pure functions that return error lists rather than raising.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 
 class SecurityValue(IntEnum):
@@ -150,27 +150,27 @@ def index_names(items: Iterable[Any], noun: str, empty_code: str,
     return by_name, errors
 
 
-def _inheritance_cycles(assets: tuple[Asset, ...]) -> list[list[str]]:
-    """Cycles in the parent graph, one list of member names per cycle.
+def parent_walks(
+    assets: tuple[Asset, ...],
+) -> Iterator[tuple[list[str], str | None, int | None]]:
+    """Walk up the parent links from each asset in document order.
 
-    Walks up from each asset in document order, stopping at names already
-    walked; a walk that meets its own trail has found a new cycle.
+    A walk stops at a name an earlier walk took, at a name that is not an
+    asset, or above a root (None).  Each yields its trail of names, bottom
+    first, the name it stopped at, and the trail index where it met its
+    own trail, closing a new cycle, or None.
     """
-    parent = {a.name: a.parent for a in assets}
-    order = {a.name: i for i, a in enumerate(assets)}
+    untaken = {a.name: a.parent for a in assets}
     walk_of: dict[str, int] = {}
-    cycles: list[list[str]] = []
     for walk, asset in enumerate(assets):
         trail: list[str] = []
         current: str | None = asset.name
-        while current in parent and current not in walk_of:
+        while current in untaken:
             walk_of[current] = walk
             trail.append(current)
-            current = parent[current]
-        if walk_of.get(current) == walk:
-            members = trail[trail.index(current):]
-            cycles.append(sorted(members, key=order.__getitem__))
-    return cycles
+            current = untaken.pop(current)
+        closed = trail.index(current) if walk_of.get(current) == walk else None
+        yield trail, current, closed
 
 
 def check_structure(model: AssetModel) -> list[ModelError]:
@@ -198,11 +198,14 @@ def check_structure(model: AssetModel) -> list[ModelError]:
                 f"{parent.name!r} ({parent.kind.value})",
             ))
 
-    for members in _inheritance_cycles(model.assets):
-        errors.append(ModelError(
-            "CyclicInheritance", members[0],
-            "inheritance cycle: " + " -> ".join(members + [members[0]]),
-        ))
+    order = {a.name: i for i, a in enumerate(model.assets)}
+    for trail, _, closed in parent_walks(model.assets):
+        if closed is not None:
+            members = sorted(trail[closed:], key=order.__getitem__)
+            errors.append(ModelError(
+                "CyclicInheritance", members[0],
+                "inheritance cycle: " + " -> ".join(members + [members[0]]),
+            ))
 
     seen_pairs: set[frozenset[str]] = set()
     for assoc in model.associations:

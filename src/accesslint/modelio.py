@@ -335,6 +335,13 @@ def parse_model(document: bytes | str, *, check: bool = True) -> tuple[AssetMode
         except UnicodeDecodeError as exc:
             raise DocumentSyntaxError(
                 f"byte {exc.start}", "document is not valid UTF-8") from exc
+    elif not document.isascii():
+        try:  # a raw surrogate, which only a str can hold, has no UTF-8 encoding
+            document.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            at = json.JSONDecodeError("", document, exc.start)  # json's line, column
+            raise DocumentSyntaxError(f"line {at.lineno}, column {at.colno}",
+                                      f"unpaired surrogate U+{ord(document[exc.start]):04X}")
     try:
         root = json.loads(document)
     except json.JSONDecodeError as exc:

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .goals import GoalGraph, Permission
 from .model import (ACCESS_ORDER, AccessNeed, Asset, AssetModel, Association,
-                    _inheritance_cycles)
+                    parent_walks)
 
 
 class WarningKind(Enum):
@@ -118,21 +118,17 @@ def expand_needs(model: AssetModel) -> list[AccessTriple]:
 _Needs = dict[str, frozenset[AccessNeed]]
 
 
-def _ancestor_needs(
-    assets: tuple[Asset, ...], own: dict[str, _Needs],
-) -> dict[str | None, _Needs]:
+def _ancestor_needs(assets: tuple[Asset, ...], own: dict[str, _Needs]) -> dict[str, _Needs]:
     """Asset name -> the needs all of its ancestors hold, by resource.
 
-    Each entry is the parent's entry plus the parent's own needs, so
-    every chain is walked once, parent first.  On a cycle, each member's
-    ancestors are the other members.  Entries may be shared, so none may
-    be mutated.
+    Reads model.parent_walks.  In a cycle, each member gets the other
+    members' needs; the rest of each trail is filled top-down, each entry
+    being its parent's entry plus its parent's own needs.  Entries may be
+    shared, so none may be mutated.
     """
-    parent = {a.name: a.parent for a in assets}
-    # None stands above every root, with nothing to hand down.
-    held: dict[str | None, _Needs] = {None: {}}
+    held: dict[str, _Needs] = {}
 
-    def plus_own(base: _Needs, name: str) -> _Needs:
+    def plus_own(base: _Needs, name: str | None) -> _Needs:
         extra = own.get(name)
         if not extra:
             return base
@@ -141,22 +137,15 @@ def _ancestor_needs(
             merged[resource] = merged.get(resource, frozenset()) | needs
         return merged
 
-    for ring in _inheritance_cycles(assets):
-        for member in ring:
-            merged, other = {}, parent[member]
-            while other != member:
-                merged, other = plus_own(merged, other), parent[other]
-            held[member] = merged
-    for start in parent:
-        # Climb to the first name with an entry, then fill in the way down.
-        chain: list[str] = []
-        current: str | None = start
-        while current not in held:
-            chain.append(current)
-            current = parent.get(current)
-        for name in reversed(chain):
-            held[name] = plus_own(held[current], current)
-            current = name
+    for trail, above, closed in parent_walks(assets):
+        if closed is not None:
+            ring, trail = trail[closed:], trail[:closed]
+            for i, member in enumerate(ring):
+                held[member] = reduce(plus_own, ring[i + 1:] + ring[:i], {})
+        base = held.get(above, {})
+        for name in reversed(trail):
+            base = held[name] = plus_own(base, above)
+            above = name
     return held
 
 
@@ -165,9 +154,11 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
 
     With a chain A <- B <- C where A reads R, the result lets B and C
     read R as well.  Needs held *upon* an ancestor are not inherited,
-    and a need can never be copied onto the descendant itself.  Two
-    assets that gain needs upon each other share one new association.
-    The input model is left untouched.  It must pass check_structure, as
+    and a need is never copied onto the descendant itself.  Each gained
+    (subject, resource) pair joins the association between the two, or
+    else a new one, in order of subject then resource declaration, that
+    also takes the reverse pair: mutual gains share one association.
+    The input is left untouched.  It must pass check_structure, as
     parse_model's result does by default; an ancestor's need upon an
     undeclared asset raises KeyError.
     """
@@ -184,28 +175,26 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
                 by_resource[resource] = by_resource.get(resource, frozenset()) | needs
 
     inherited_by = _ancestor_needs(model.assets, subject_needs)
-    additions = {asset.name: {resource: needs
-                              for resource, needs in inherited_by[asset.name].items()
-                              if resource != asset.name}
-                 for asset in model.assets}
+    gained = {(asset.name, resource): needs
+              for asset in model.assets
+              for resource, needs in inherited_by[asset.name].items()
+              if resource != asset.name}
 
     associations: list[Association] = []
     for assoc in model.associations:
-        extra_source = additions.get(assoc.source, {}).pop(assoc.target, frozenset())
-        extra_target = additions.get(assoc.target, {}).pop(assoc.source, frozenset())
+        extra_source = gained.pop((assoc.source, assoc.target), frozenset())
+        extra_target = gained.pop((assoc.target, assoc.source), frozenset())
         if extra_source or extra_target:
             assoc = replace(assoc, source_needs=assoc.source_needs | extra_source,
                             target_needs=assoc.target_needs | extra_target)
         associations.append(assoc)
 
-    for subject in sorted(additions, key=doc_order.__getitem__):
-        for resource in sorted(additions[subject], key=doc_order.__getitem__):
+    for subject, resource in sorted(
+            gained, key=lambda pair: (doc_order[pair[0]], doc_order[pair[1]])):
+        needs = gained.pop((subject, resource), None)
+        if needs is not None:  # None once taken as the reverse of an earlier pair
             associations.append(Association(
-                source=subject,
-                target=resource,
-                source_needs=additions[subject][resource],
-                target_needs=additions.get(resource, {}).pop(subject, frozenset()),
-            ))
+                subject, resource, needs, gained.pop((resource, subject), frozenset())))
 
     return replace(model, associations=tuple(associations))
 

@@ -36,9 +36,19 @@ extra_properties = st.dictionaries(
     st.sampled_from(["availability", "accountability"]) | names, levels, max_size=2)
 
 
+# A parent name no asset has: drawn names are at most four characters long.
+UNDECLARED_PARENT = "Undeclared"
+
+
 @st.composite
-def asset_models(draw, max_assets: int = 6, with_parents: bool = False) -> AssetModel:
-    """A structurally valid model: unique names, legal needs, acyclic parents."""
+def asset_models(draw, max_assets: int = 6, with_parents: bool = False,
+                 free_parents: bool = False) -> AssetModel:
+    """A model with unique names and legal needs.
+
+    with_parents keeps it structurally valid, with acyclic parents.
+    free_parents instead draws any parent at all: a later asset, the
+    asset itself, a cycle with tails, or UNDECLARED_PARENT.
+    """
     count = draw(st.integers(min_value=1, max_value=max_assets))
     asset_names = draw(st.lists(names, min_size=count, max_size=count, unique=True))
     matrix = default_matrix()
@@ -46,7 +56,9 @@ def asset_models(draw, max_assets: int = 6, with_parents: bool = False) -> Asset
     for i in range(count):
         kind = draw(kinds)
         parent = None
-        if with_parents:
+        if free_parents:
+            parent = draw(st.none() | st.sampled_from(asset_names + [UNDECLARED_PARENT]))
+        elif with_parents:
             # Parents always point at earlier assets of the same kind, so
             # chains can never cycle.
             candidates = [a.name for a in assets if a.kind is kind]

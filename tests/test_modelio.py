@@ -135,6 +135,12 @@ class TestParse:
         ("\\ud83dA", "line 2, column 22: unpaired surrogate escape \\ud83d"),
         ("\\ude00\\ud83d", "line 2, column 22: unpaired surrogate escape \\ude00"),
         ("\\\\\\ud83d", "line 2, column 24: unpaired surrogate escape \\ud83d"),
+        # Raw surrogate code points, which a str document can hold.
+        ("\udc00", "line 2, column 22: unpaired surrogate U+DC00"),
+        ("A\ud83d", "line 2, column 23: unpaired surrogate U+D83D"),
+        # A raw one is found before the document is decoded, as bad UTF-8 is.
+        ("\\ud800\udc00", "line 2, column 28: unpaired surrogate U+DC00"),
+        ("\udfff\\ud800", "line 2, column 22: unpaired surrogate U+DFFF"),
     ])
     def test_surrogate_escape_location(self, escape, where):
         document = '{"version": 1,\n "goals": [{"name": "' + escape + '", "kind": "goal"}]}'
@@ -142,11 +148,22 @@ class TestParse:
             parse_model(document)
         assert str(info.value) == where
 
+    def test_raw_lone_surrogate_is_a_syntax_error(self):
+        document = ('{"version":1,"assets":[{"name":"A\ud800","kind":"system"},'
+                    '{"name":"B","kind":"system"}],"associations":[{"source":"A\ud800",'
+                    '"target":"B","sourceNeeds":["read"]}]}')
+        with pytest.raises(DocumentSyntaxError) as info:
+            parse_model(document)
+        assert str(info.value) == "line 1, column 34: unpaired surrogate U+D800"
+
     def test_surrogate_pair_and_escaped_backslash_accepted(self):
         # U+1F600 escaped as the writer escapes it, and a backslash then "ud800".
         document = ('{"version": 1, "goals": [{"name": "\\ud83d\\ude00", "kind": "goal"},'
                     ' {"name": "\\\\ud800", "kind": "goal"}]}')
         _, graph = parse_model(document)
+        assert [node.name for node in graph.nodes] == ["\U0001f600", "\\ud800"]
+        # The same character raw in a str document is not a surrogate.
+        _, graph = parse_model(document.replace("\\ud83d\\ude00", "\U0001f600"))
         assert [node.name for node in graph.nodes] == ["\U0001f600", "\\ud800"]
 
     def test_duplicate_needs_rejected(self):

@@ -226,7 +226,7 @@ def test_hierarchy_expansion_is_structurally_valid(model):
     assert check_structure(expand_hierarchy(model)) == []
 
 
-@given(asset_models(with_parents=True))
+@given(asset_models(free_parents=True))
 def test_hierarchy_expansion_matches_ancestor_closure(model):
     parent = {a.name: a.parent for a in model.assets}
     base = set(expand_needs(model))

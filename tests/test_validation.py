@@ -221,6 +221,41 @@ class TestExpandHierarchy:
         ]
 
 
+    def test_expanded_association_layout(self):
+        # Kid is declared before its parent Top and after Q.  Top's read of
+        # T merges onto the target end of T - Kid, whose multiplicities
+        # stay; Kid's new pairs follow resource declaration, not
+        # association order; A and B gain needs upon each other.
+        model = AssetModel(
+            assets=(
+                Asset("Q", AssetKind.SYSTEM),
+                Asset("Kid", AssetKind.SYSTEM, parent="Top"),
+                Asset("Top", AssetKind.SYSTEM),
+                Asset("PA", AssetKind.SYSTEM),
+                Asset("A", AssetKind.SYSTEM, parent="PA"),
+                Asset("PB", AssetKind.SYSTEM),
+                Asset("B", AssetKind.SYSTEM, parent="PB"),
+                Asset("T", AssetKind.SYSTEM),
+            ),
+            associations=(
+                Association("T", "Kid", frozenset({W}), source_multiplicity="1",
+                            target_multiplicity="*"),
+                Association("PA", "B", frozenset({R})),
+                Association("PB", "A", frozenset({W})),
+                Association("Top", "T", frozenset({R})),
+                Association("Top", "PB", frozenset({R})),
+                Association("Top", "Q", frozenset({X})),
+            ),
+        )
+        assert expand_hierarchy(model).associations == (
+            Association("T", "Kid", frozenset({W}), frozenset({R}), "1", "*"),
+            *model.associations[1:],
+            Association("Kid", "Q", frozenset({X})),
+            Association("Kid", "PB", frozenset({R})),
+            Association("A", "B", frozenset({R}), frozenset({W})),
+        )
+
+
 class TestValidateBranches:
     def test_low_resource_read_by_none_subject_is_read_up(self):
         model = _pair_model(subject_c=SecurityValue.NONE,
