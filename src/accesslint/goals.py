@@ -237,6 +237,10 @@ def lookup_statement(
     return graph.policy_index.get((subject, access, resource, permission))
 
 
+# The most paths trace returns; stacked diamonds double the count per level.
+MAX_TRACE_PATHS = 10_000
+
+
 def trace(graph: GoalGraph, statement: PolicyStatement) -> list[list[str]]:
     """Refinement paths from the statement's requirement up to every root.
 
@@ -244,6 +248,7 @@ def trace(graph: GoalGraph, statement: PolicyStatement) -> list[list[str]]:
     parent edges depth first, visiting parents in document order.  A
     requirement that is refined from nothing yields a single one-element
     path.  The walk keeps its own stack, so chains of any depth trace.
+    More than MAX_TRACE_PATHS paths raise ValueError.
     """
     parents = graph.parents
     paths: list[list[str]] = []
@@ -258,6 +263,9 @@ def trace(graph: GoalGraph, statement: PolicyStatement) -> list[list[str]]:
         ups = [p for p in parents.get(node, ()) if p not in path]
         if ups:
             pending.extend((p, depth + 1) for p in reversed(ups))
+        elif len(paths) == MAX_TRACE_PATHS:
+            raise ValueError(f"more than {MAX_TRACE_PATHS} refinement paths "
+                             f"from requirement {statement.requirement!r}")
         else:
             paths.append(list(path))
     return paths

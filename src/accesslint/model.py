@@ -82,37 +82,23 @@ class Association:
     target_multiplicity: str | None = None
 
 
-@dataclass(frozen=True)
-class AccessRuleMatrix:
-    """Which subject kinds may hold access needs upon which resource kinds."""
-
-    allowed: Mapping[tuple[AssetKind, AssetKind], bool]
-
-    def allows(self, subject: AssetKind, resource: AssetKind) -> bool:
-        return self.allowed[(subject, resource)]
-
-
-def default_matrix() -> AccessRuleMatrix:
-    """Built-in access-rule matrix.
+def default_matrix() -> dict[tuple[AssetKind, AssetKind], bool]:
+    """Built-in access-rule matrix, keyed by (subject kind, resource kind).
 
     People may access anything; system and information assets may access
     system and information assets but never people.  Individual cells can
-    be overridden per model document.
+    be overridden per model document.  Each call returns a new dict.
     """
-    allowed = {}
-    for subject in AssetKind:
-        for resource in AssetKind:
-            allowed[(subject, resource)] = (
-                subject is AssetKind.PEOPLE or resource is not AssetKind.PEOPLE
-            )
-    return AccessRuleMatrix(allowed)
+    people = AssetKind.PEOPLE
+    return {(subject, resource): subject is people or resource is not people
+            for subject in AssetKind for resource in AssetKind}
 
 
 @dataclass(frozen=True)
 class AssetModel:
     assets: tuple[Asset, ...] = ()
     associations: tuple[Association, ...] = ()
-    matrix: AccessRuleMatrix = field(default_factory=default_matrix)
+    matrix: Mapping[tuple[AssetKind, AssetKind], bool] = field(default_factory=default_matrix)
 
 
 @dataclass(frozen=True)
@@ -242,7 +228,7 @@ def check_structure(model: AssetModel) -> list[ModelError]:
                 continue
             subject_kind = by_name[subject].kind
             resource_kind = by_name[resource].kind
-            if not model.matrix.allows(subject_kind, resource_kind):
+            if not model.matrix[(subject_kind, resource_kind)]:
                 errors.append(ModelError(
                     "MatrixViolation", where,
                     f"{subject_kind.value} asset {subject!r} may not hold access "

@@ -2,9 +2,9 @@
 
 A model document is UTF-8 JSON with top-level keys
 {version, assets, associations, goals, refinements, policy, matrixOverride}.
-The parser is deliberately strict: unknown keys anywhere are hard errors
-with the offending path named, because a silently ignored typo in a
-security model is worse than a parse failure.  The per-record schema
+The parser is deliberately strict: unknown and repeated keys anywhere are
+hard errors with the offending path named, because a silently ignored typo
+in a security model is worse than a parse failure.  The per-record schema
 lives in one table, _RECORDS, read by one generic reader.
 
 Serialization is canonical, exactly json.dumps(document, indent=2,
@@ -34,7 +34,6 @@ from .goals import (
 )
 from .model import (
     AccessNeed,
-    AccessRuleMatrix,
     Asset,
     AssetKind,
     AssetModel,
@@ -94,10 +93,35 @@ class _Bad(Exception):
         self.reason = reason
 
 
+# _pairs stores an object's first repeated key under this key, which no JSON
+# text can spell; the reader of the object reports it before any other fault.
+_REPEATED = object()
+
+
+def _pairs(pairs: list[tuple[str, Any]]) -> dict:
+    """json's object_pairs_hook: a dict, marked under _REPEATED if a key repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                obj[_REPEATED] = key
+                break
+            seen.add(key)
+    return obj
+
+
+def _repeated(obj: dict) -> None:
+    if _REPEATED in obj:
+        key = obj[_REPEATED]
+        raise _Bad(f".{key}", f"duplicate key {key!r}")
+
+
 def _object_keys(obj: Any, keys: frozenset[str]) -> None:
     if type(obj) is not dict:
         raise _Bad("", f"expected an object, got {type(obj).__name__}")
     if not keys.issuperset(obj):
+        _repeated(obj)
         key = next(key for key in obj if key not in keys)
         raise _Bad(f".{key}", f"unknown key {key!r}")
 
@@ -135,6 +159,7 @@ _multiplicity, _ = _choice({m: m for m in MULTIPLICITIES}, "multiplicity",
 def _levels(value: Any) -> dict[str, SecurityValue]:
     if type(value) is not dict:
         raise _Bad("", f"expected an object, got {type(value).__name__}")
+    _repeated(value)
     levels = {}
     for prop, raw in value.items():
         try:
@@ -343,7 +368,7 @@ def parse_model(document: bytes | str, *, check: bool = True) -> tuple[AssetMode
             raise DocumentSyntaxError(f"line {at.lineno}, column {at.colno}",
                                       f"unpaired surrogate U+{ord(document[exc.start]):04X}")
     try:
-        root = json.loads(document)
+        root = json.loads(document, object_pairs_hook=_pairs)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(
             f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
@@ -373,19 +398,17 @@ def parse_model(document: bytes | str, *, check: bool = True) -> tuple[AssetMode
     goals = tuple(_records(root, "goals"))
     refinements = tuple(_records(root, "refinements"))
     policy = tuple(_records(root, "policy"))
-    allowed = dict(default_matrix().allowed)
-    seen: set[tuple[AssetKind, AssetKind]] = set()
+    overrides = {}
     for i, entry in enumerate(_records(root, "matrixOverride")):
         subject, resource = cell = entry.subject, entry.resource
-        if cell in seen:
+        if cell in overrides:
             raise SchemaError(
                 f"$.matrixOverride[{i}]",
                 f"duplicate override for ({subject.value}, {resource.value})")
-        seen.add(cell)
-        allowed[cell] = entry.allowed
+        overrides[cell] = entry.allowed
 
     model = AssetModel(assets=assets, associations=associations,
-                       matrix=AccessRuleMatrix(allowed))
+                       matrix={**default_matrix(), **overrides})
     graph = GoalGraph(nodes=goals, refinements=refinements, policy=policy)
 
     if check:
@@ -404,23 +427,31 @@ def serialize_model(model: AssetModel, graph: GoalGraph) -> str:
     (m, g); serializing what parse_model returned reproduces the
     canonical bytes exactly.
     """
-    base = default_matrix().allowed
-    allowed = model.matrix.allowed
     sections = {
         "assets": model.assets, "associations": model.associations,
         "goals": graph.nodes, "refinements": graph.refinements, "policy": graph.policy,
         "matrixOverride": [
-            SimpleNamespace(subject=subject, resource=resource,
-                            allowed=allowed[(subject, resource)])
-            for subject in AssetKind
-            for resource in AssetKind
-            if allowed[(subject, resource)] != base[(subject, resource)]
+            SimpleNamespace(subject=cell[0], resource=cell[1], allowed=model.matrix[cell])
+            for cell, default in default_matrix().items()
+            if model.matrix[cell] != default
         ],
     }
     members = [(section, _write_records(records, _LAYOUTS[section]))
                for section, records in sections.items() if records]
     members.append(("version", str(DOCUMENT_VERSION)))
     return _object(members, "") + "\n"
+
+
+def printable(text: str) -> str:
+    """text with each character str.isprintable() rejects as its backslash escape.
+
+    Names reach diagnostics and report lines as written, so a newline in
+    one would otherwise split a line in two.
+    """
+    if text.isprintable():
+        return text
+    return "".join(c if c.isprintable() else c.encode("unicode_escape").decode()
+                   for c in text)
 
 
 def render_report(report: ValidationReport, format: str = "text") -> str:
@@ -441,7 +472,7 @@ def render_report(report: ValidationReport, format: str = "text") -> str:
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")
 
-    lines = [f"{w.kind.value}: {w.triple}" for w in report.warnings]
+    lines = [printable(f"{w.kind.value}: {w.triple}") for w in report.warnings]
     if lines:
         lines.append("")
     flags = report.rule_results

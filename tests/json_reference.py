@@ -94,13 +94,13 @@ def document(model: AssetModel, graph: GoalGraph) -> dict:
             }
             for s in graph.policy
         ]
-    base = default_matrix().allowed
+    base = default_matrix()
     overrides = [
         {"subject": subject.value, "resource": resource.value,
-         "allowed": model.matrix.allowed[(subject, resource)]}
+         "allowed": model.matrix[(subject, resource)]}
         for subject in AssetKind
         for resource in AssetKind
-        if model.matrix.allowed[(subject, resource)] != base[(subject, resource)]
+        if model.matrix[(subject, resource)] != base[(subject, resource)]
     ]
     if overrides:
         document["matrixOverride"] = overrides

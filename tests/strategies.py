@@ -80,9 +80,9 @@ def asset_models(draw, max_assets: int = 6, with_parents: bool = False,
     for i, j in chosen:
         source, target = assets[i], assets[j]
         source_needs = (draw(need_sets)
-                        if matrix.allows(source.kind, target.kind) else frozenset())
+                        if matrix[(source.kind, target.kind)] else frozenset())
         target_needs = (draw(need_sets)
-                        if matrix.allows(target.kind, source.kind) else frozenset())
+                        if matrix[(target.kind, source.kind)] else frozenset())
         associations.append(Association(
             source=source.name,
             target=target.name,

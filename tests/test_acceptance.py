@@ -193,10 +193,10 @@ def _random_pair(rng: random.Random):
             source, target = assets[i], assets[j]
             source_needs = frozenset(
                 n for n in AccessNeed
-                if matrix.allows(source.kind, target.kind) and rng.random() < 0.5)
+                if matrix[(source.kind, target.kind)] and rng.random() < 0.5)
             target_needs = frozenset(
                 n for n in AccessNeed
-                if matrix.allows(target.kind, source.kind) and rng.random() < 0.3)
+                if matrix[(target.kind, source.kind)] and rng.random() < 0.3)
             associations.append(Association(
                 source.name, target.name, source_needs, target_needs))
     statements = []

@@ -243,6 +243,81 @@ def test_unpaired_surrogate_escape_exits_two(capsys, data_dir, command):
     assert err == "error: line 1, column 34: unpaired surrogate escape \\ud800\n"
 
 
+class TestOneLinePerDiagnostic:
+    """Names reach diagnostics as written; a non-printable character is escaped."""
+
+    @staticmethod
+    def _write(tmp_path, document) -> str:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        return str(path)
+
+    def test_unknown_key_with_a_newline(self, capsys, tmp_path):
+        path = self._write(tmp_path, {"version": 1, "bogus\nkey": 1})
+        code, out, err = run(capsys, "check", path)
+        assert code == 2
+        assert out == ""
+        assert err == "error: $.bogus\\nkey: unknown key 'bogus\\nkey'\n"
+
+    def test_forged_cycle_finding(self, capsys, tmp_path):
+        path = self._write(tmp_path, {
+            "version": 1,
+            "goals": [{"name": "G\nerror: forged", "kind": "goal"},
+                      {"name": "H", "kind": "goal"}],
+            "refinements": [{"parent": "G\nerror: forged", "child": "H"},
+                            {"parent": "H", "child": "G\nerror: forged"}],
+        })
+        cycle = ("CyclicRefinement: refinement cycle: "
+                 "G\\nerror: forged -> H -> G\\nerror: forged")
+        code, _, err = run(capsys, "check", path)
+        assert code == 2
+        assert err == cycle + "\n"
+        code, out, err = run(capsys, "validate", path)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: G\\nerror: forged: 1 structural error(s), first: {cycle}\n"
+
+    def test_inheritance_cycle_with_control_characters(self, capsys, tmp_path):
+        path = self._write(tmp_path, {"version": 1, "assets": [
+            {"name": "A\r\u001b[2K\u2028", "kind": "system", "parent": "B"},
+            {"name": "B", "kind": "system", "parent": "A\r\u001b[2K\u2028"}]})
+        code, _, err = run(capsys, "check", path)
+        assert code == 2
+        assert err == ("CyclicInheritance: inheritance cycle: "
+                       "A\\r\\x1b[2K\\u2028 -> B -> A\\r\\x1b[2K\\u2028\n")
+
+    def test_report_warning_cannot_forge_summary_rows(self, capsys, tmp_path):
+        name = "Mission Data\nSimple Security Property  N\n*-Property  N"
+        path = self._write(tmp_path, {
+            "version": 1,
+            "assets": [{"name": name, "kind": "information"},
+                       {"name": "Log", "kind": "information"}],
+            "associations": [{"source": name, "target": "Log", "sourceNeeds": ["read"]}],
+        })
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 1 + 1 + 5
+        assert lines[0] == ("undefined_access: Mission Data\\nSimple Security Property  N"
+                            "\\n*-Property  N --read--> Log")
+
+    def test_printable_names_pass_unchanged(self, capsys, tmp_path):
+        path = self._write(tmp_path, {
+            "version": 1,
+            "assets": [{"name": "Café", "kind": "information"},
+                       {"name": "Menu", "kind": "information"}],
+            "associations": [{"source": "Café", "target": "Menu", "sourceNeeds": ["read"]}],
+            "goals": [{"name": "Crème", "kind": "requirement"}],
+        })
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 1
+        assert out.splitlines()[0] == "undefined_access: Café --read--> Menu"
+        code, _, err = run(capsys, "check", path)
+        assert code == 0
+        assert err == ("warning: RequirementWithoutPolicy: requirement 'Crème' "
+                       "owns no policy statement\n")
+
+
 def test_unknown_flag_is_a_usage_error(capsys, pyramid_path):
     with pytest.raises(SystemExit) as info:
         main(["validate", pyramid_path, "--frobnicate"])

@@ -6,6 +6,7 @@ import pytest
 
 from accesslint.fixtures import load_fixture
 from accesslint.goals import (
+    MAX_TRACE_PATHS,
     Goal,
     GoalGraph,
     GoalKind,
@@ -240,6 +241,40 @@ class TestTrace:
             policy=(_statement(),),
         )
         assert trace(graph, graph.policy[0]) == [["R"] + names[-2::-1]]
+
+    @staticmethod
+    def _stacked_diamonds(count: int) -> GoalGraph:
+        # Level i: goal T{i} refines into L{i} and R{i}, both of which
+        # refine into T{i+1}; the bottom one is the requirement R.
+        tops = [f"T{i}" for i in range(count)] + ["R"]
+        refinements = []
+        for i in range(count):
+            for side in (f"L{i}", f"R{i}"):
+                refinements += [Refinement(tops[i], side), Refinement(side, tops[i + 1])]
+        sides = [f"{s}{i}" for i in range(count) for s in "LR"]
+        return GoalGraph(
+            nodes=tuple(Goal(n, GoalKind.GOAL) for n in tops[:-1] + sides)
+            + (Goal("R", REQ),),
+            refinements=tuple(refinements),
+            policy=(_statement(),),
+        )
+
+    def test_thirteen_stacked_diamonds_trace_every_path_in_order(self):
+        graph = self._stacked_diamonds(13)
+
+        def paths_up(node):  # depth first, parents in document order
+            ups = graph.parents.get(node, [])
+            return [[node] + path for up in ups for path in paths_up(up)] or [[node]]
+
+        paths = trace(graph, graph.policy[0])
+        assert len(paths) == 8192 <= MAX_TRACE_PATHS
+        assert paths == paths_up("R")
+
+    def test_fourteen_stacked_diamonds_raise(self):
+        graph = self._stacked_diamonds(14)
+        with pytest.raises(ValueError) as info:
+            trace(graph, graph.policy[0])
+        assert str(info.value) == "more than 10000 refinement paths from requirement 'R'"
 
     def test_every_consecutive_pair_is_a_refinement_edge(self):
         _, graph = load_fixture("pyramid")

@@ -4,7 +4,6 @@ import pytest
 
 from accesslint.model import (
     AccessNeed,
-    AccessRuleMatrix,
     Asset,
     AssetKind,
     AssetModel,
@@ -13,6 +12,7 @@ from accesslint.model import (
     check_structure,
     default_matrix,
 )
+from accesslint.modelio import parse_model
 
 N, L, M, H = (SecurityValue.NONE, SecurityValue.LOW,
               SecurityValue.MEDIUM, SecurityValue.HIGH)
@@ -26,20 +26,39 @@ class TestCompareLevels:
 
 class TestDefaultMatrix:
     def test_information_never_accesses_people(self):
-        assert default_matrix().allows(AssetKind.INFORMATION, AssetKind.PEOPLE) is False
+        assert default_matrix()[(AssetKind.INFORMATION, AssetKind.PEOPLE)] is False
 
     def test_information_accesses_information(self):
-        assert default_matrix().allows(AssetKind.INFORMATION, AssetKind.INFORMATION) is True
+        assert default_matrix()[(AssetKind.INFORMATION, AssetKind.INFORMATION)] is True
 
     def test_people_access_information(self):
-        assert default_matrix().allows(AssetKind.PEOPLE, AssetKind.INFORMATION) is True
+        assert default_matrix()[(AssetKind.PEOPLE, AssetKind.INFORMATION)] is True
 
     def test_system_never_accesses_people(self):
-        assert default_matrix().allows(AssetKind.SYSTEM, AssetKind.PEOPLE) is False
+        assert default_matrix()[(AssetKind.SYSTEM, AssetKind.PEOPLE)] is False
 
     def test_people_access_everything(self):
         for resource in AssetKind:
-            assert default_matrix().allows(AssetKind.PEOPLE, resource) is True
+            assert default_matrix()[(AssetKind.PEOPLE, resource)] is True
+
+    def test_each_call_returns_a_new_dict(self):
+        first, second = default_matrix(), default_matrix()
+        assert first == second
+        assert first is not second
+        first[(AssetKind.PEOPLE, AssetKind.PEOPLE)] = False
+        assert default_matrix() == second
+
+    def test_model_default_is_the_default_matrix(self):
+        assert AssetModel().matrix == default_matrix()
+        assert AssetModel().matrix is not AssetModel().matrix
+
+    def test_parsed_models_share_no_matrix(self):
+        document = '{"version": 1}'
+        first, _ = parse_model(document)
+        second, _ = parse_model(document)
+        first.matrix[(AssetKind.PEOPLE, AssetKind.PEOPLE)] = False
+        assert second.matrix == default_matrix()
+        assert default_matrix()[(AssetKind.PEOPLE, AssetKind.PEOPLE)] is True
 
 
 def _works_diary() -> AssetModel:
@@ -188,7 +207,7 @@ class TestCheckStructure:
         assert check_structure(model) == check_structure(model)
 
     def test_override_matrix_tightens_rules(self):
-        cells = dict(default_matrix().allowed)
+        cells = default_matrix()
         cells[(AssetKind.PEOPLE, AssetKind.PEOPLE)] = False
         model = AssetModel(
             assets=(
@@ -199,7 +218,7 @@ class TestCheckStructure:
                 Association("Alice", "Bob",
                             source_needs=frozenset({AccessNeed.INTERACT})),
             ),
-            matrix=AccessRuleMatrix(cells),
+            matrix=cells,
         )
         assert [e.code for e in check_structure(model)] == ["MatrixViolation"]
 
@@ -209,11 +228,11 @@ class TestCheckStructure:
         by_name = {a.name: a for a in model.assets}
         for assoc in model.associations:
             if assoc.source_needs:
-                assert model.matrix.allows(
-                    by_name[assoc.source].kind, by_name[assoc.target].kind)
+                assert model.matrix[
+                    (by_name[assoc.source].kind, by_name[assoc.target].kind)]
             if assoc.target_needs:
-                assert model.matrix.allows(
-                    by_name[assoc.target].kind, by_name[assoc.source].kind)
+                assert model.matrix[
+                    (by_name[assoc.target].kind, by_name[assoc.source].kind)]
 
 
 def test_model_error_string_includes_code():

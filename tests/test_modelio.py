@@ -8,7 +8,6 @@ from accesslint.fixtures import fixture_text, load_fixture
 from accesslint.goals import Goal, GoalGraph, GoalKind
 from accesslint.model import (
     AccessNeed,
-    AccessRuleMatrix,
     Asset,
     AssetKind,
     AssetModel,
@@ -218,7 +217,7 @@ class TestParse:
             ],
         )
         model, _ = parse_model(document)
-        assert model.matrix.allows(AssetKind.INFORMATION, AssetKind.PEOPLE)
+        assert model.matrix[(AssetKind.INFORMATION, AssetKind.PEOPLE)]
 
     def test_matrix_override_duplicate_cell_rejected(self):
         document = _doc(matrixOverride=[
@@ -280,11 +279,44 @@ _OVERRIDE = {"subject": "people", "resource": "people", "allowed": False}
      "associations[0].sourceNeeds: expected a list, got str"),
     ({"matrixOverride": [dict(_OVERRIDE, allowed=1)]},
      "$.matrixOverride[0].allowed: expected a boolean"),
+    # Repeated keys cannot be put in a dict, so these documents are text.
+    ('{"version": 1, "policy": [{"requirement": "R", "subject": "A", "access": "read",'
+     ' "resource": "A", "permission": "deny", "permission": "allow"}]}',
+     "policy[0].permission: duplicate key 'permission'"),
+    ('{"version": 1, "assets": [], "version": 1}', "$.version: duplicate key 'version'"),
+    ('{"version": 1, "assets": [{"name": "A", "kind": "system", "extraProperties":'
+     ' {"availability": "low", "availability": "high"}}]}',
+     "assets[0].extraProperties.availability: duplicate key 'availability'"),
+    ('{"version": 1, "matrixOverride": [{"subject": "people", "resource": "people",'
+     ' "allowed": false, "allowed": true}]}',
+     "$.matrixOverride[0].allowed: duplicate key 'allowed'"),
+    # A repeat is the object's first fault, whatever else is wrong with it,
+    # and the first key repeated is named.
+    ('{"version": 1, "assets": [{"colour": "red", "kind": "bogus", "name": "A",'
+     ' "kind": "system", "name": "B", "colour": "blue"}]}',
+     "assets[0].kind: duplicate key 'kind'"),
+    # An earlier record's fault still comes first.
+    ('{"version": 1, "assets": [{"name": "A", "kind": "bogus"},'
+     ' {"name": "B", "kind": "system", "kind": "system"}]}',
+     "assets[0].kind: invalid asset kind 'bogus', expected one of: information, people, "
+     "system"),
+    # Where no object belongs, an object with a repeated key is still an object.
+    ('{"version": 1, "associations": [{"source": "A", "target": "B",'
+     ' "sourceNeeds": {"read": 1, "read": 2}}]}',
+     "associations[0].sourceNeeds: expected a list, got dict"),
 ])
 def test_first_fault_wins_with_exact_text(document, message):
+    if isinstance(document, dict):
+        document = json.dumps({"version": 1, **document})
     with pytest.raises(SchemaError) as info:
-        parse_model(json.dumps({"version": 1, **document}))
+        parse_model(document)
     assert str(info.value) == message
+
+
+def test_syntax_error_wins_over_duplicate_key():
+    with pytest.raises(DocumentSyntaxError) as info:
+        parse_model('{"version": 1, "version": 1, "assets": [}')
+    assert str(info.value) == "line 1, column 41: Expecting value"
 
 
 # Documents pinned to their exact bytes, one record shape each.
@@ -363,10 +395,10 @@ EXACT_DOCUMENTS = {
   "version": 1
 }
 """),
-    "matrix-override": (AssetModel(matrix=AccessRuleMatrix({
-        **default_matrix().allowed,
+    "matrix-override": (AssetModel(matrix={
+        **default_matrix(),
         (AssetKind.PEOPLE, AssetKind.PEOPLE): False,
-        (AssetKind.SYSTEM, AssetKind.PEOPLE): True})), GoalGraph(), """{
+        (AssetKind.SYSTEM, AssetKind.PEOPLE): True}), GoalGraph(), """{
   "matrixOverride": [
     {
       "allowed": true,
