@@ -139,29 +139,28 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
 
     seen_edges: set[tuple[str, str]] = set()
     for ref in graph.refinements:
-        where = f"refinement {ref.parent!r} <- {ref.child!r}"
-        resolved = True
-        for endpoint in (ref.parent, ref.child):
+        edge = parent, child = ref.parent, ref.child
+        resolved = parent in by_name and child in by_name
+        for endpoint in () if resolved else edge:
             if endpoint not in by_name:
                 errors.append(ModelError(
-                    "UnknownGoal", where,
+                    "UnknownGoal", f"refinement {parent!r} <- {child!r}",
                     f"refinement references unknown goal {endpoint!r}",
                 ))
-                resolved = False
-        if (ref.parent, ref.child) in seen_edges:
+        if edge in seen_edges:
             errors.append(ModelError(
-                "DuplicateRefinement", where,
-                f"refinement {ref.parent!r} <- {ref.child!r} appears more than once",
+                "DuplicateRefinement", f"refinement {parent!r} <- {child!r}",
+                f"refinement {parent!r} <- {child!r} appears more than once",
             ))
             continue
-        seen_edges.add((ref.parent, ref.child))
+        seen_edges.add(edge)
         if not resolved:
             continue
-        if (by_name[ref.parent].kind is GoalKind.REQUIREMENT
-                and by_name[ref.child].kind is GoalKind.GOAL):
+        if (by_name[parent].kind is GoalKind.REQUIREMENT
+                and by_name[child].kind is GoalKind.GOAL):
             errors.append(ModelError(
-                "RequirementAboveGoal", where,
-                f"requirement {ref.parent!r} cannot be refined by goal {ref.child!r}",
+                "RequirementAboveGoal", f"refinement {parent!r} <- {child!r}",
+                f"requirement {parent!r} cannot be refined by goal {child!r}",
             ))
 
     for members in _refinement_cycles(graph):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
 
 class SecurityValue(IntEnum):
@@ -118,10 +118,13 @@ class ModelError:
         return f"{self.code}: {self.message}"
 
 
-def index_names(items: Iterable[Any], noun: str, empty_code: str,
+def index_names(items: Sequence[Any], noun: str, empty_code: str,
                 duplicate_code: str) -> tuple[dict[str, Any], list[ModelError]]:
     """Map each name to its first declaration; report empty and repeated names."""
-    by_name: dict[str, Any] = {}
+    by_name: dict[str, Any] = {item.name: item for item in items}
+    if len(by_name) == len(items) and all(by_name):
+        return by_name, []
+    by_name = {}
     errors: list[ModelError] = []
     for item in items:
         if not item.name:
@@ -193,36 +196,35 @@ def check_structure(model: AssetModel) -> list[ModelError]:
                 "inheritance cycle: " + " -> ".join(members + [members[0]]),
             ))
 
-    seen_pairs: set[frozenset[str]] = set()
+    # Each association claims its pair of names both ways round.
+    seen_pairs: set[tuple[str, str]] = set()
     for assoc in model.associations:
-        where = f"association {assoc.source!r} - {assoc.target!r}"
-        resolved = True
-        for endpoint in (assoc.source, assoc.target):
+        pair = source, target = assoc.source, assoc.target
+        resolved = source in by_name and target in by_name
+        for endpoint in () if resolved else pair:
             if endpoint not in by_name:
                 errors.append(ModelError(
-                    "UnknownAsset", where,
+                    "UnknownAsset", f"association {source!r} - {target!r}",
                     f"association end references unknown asset {endpoint!r}",
                 ))
-                resolved = False
-        if assoc.source == assoc.target:
+        if source == target:
             errors.append(ModelError(
-                "SelfAssociation", where,
-                f"asset {assoc.source!r} cannot be associated with itself",
+                "SelfAssociation", f"association {source!r} - {target!r}",
+                f"asset {source!r} cannot be associated with itself",
             ))
             continue
-        pair = frozenset((assoc.source, assoc.target))
         if pair in seen_pairs:
             errors.append(ModelError(
-                "DuplicateAssociation", where,
-                f"more than one association between {assoc.source!r} and {assoc.target!r}",
+                "DuplicateAssociation", f"association {source!r} - {target!r}",
+                f"more than one association between {source!r} and {target!r}",
             ))
             continue
-        seen_pairs.add(pair)
+        seen_pairs.update((pair, (target, source)))
         if not resolved:
             continue
         for subject, resource, needs in (
-            (assoc.source, assoc.target, assoc.source_needs),
-            (assoc.target, assoc.source, assoc.target_needs),
+            (source, target, assoc.source_needs),
+            (target, source, assoc.target_needs),
         ):
             if not needs:
                 continue
@@ -230,7 +232,7 @@ def check_structure(model: AssetModel) -> list[ModelError]:
             resource_kind = by_name[resource].kind
             if not model.matrix[(subject_kind, resource_kind)]:
                 errors.append(ModelError(
-                    "MatrixViolation", where,
+                    "MatrixViolation", f"association {source!r} - {target!r}",
                     f"{subject_kind.value} asset {subject!r} may not hold access "
                     f"needs upon {resource_kind.value} asset {resource!r}",
                 ))

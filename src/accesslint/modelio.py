@@ -5,7 +5,7 @@ A model document is UTF-8 JSON with top-level keys
 The parser is deliberately strict: unknown and repeated keys anywhere are
 hard errors with the offending path named, because a silently ignored typo
 in a security model is worse than a parse failure.  The per-record schema
-lives in one table, _RECORDS, read by one generic reader.
+lives in one table, _RECORDS, read by columns or, at any fault, by records.
 
 Serialization is canonical, exactly json.dumps(document, indent=2,
 sort_keys=True) plus a newline (non-ASCII escaped as \\uXXXX), so re-saving
@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import combinations
+from dataclasses import MISSING, fields as class_fields
+from functools import partial
+from itertools import permutations, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from types import SimpleNamespace
@@ -117,35 +119,46 @@ def _repeated(obj: dict) -> None:
         raise _Bad(f".{key}", f"duplicate key {key!r}")
 
 
+# Readers take one field's values, from one record or a whole section, and
+# return them read; at a bad value they raise _Bad, exact for a lone value.
+_EXPECTED = {str: "expected a string, got {}", list: "expected a list, got {}",
+             dict: "expected an object, got {}", bool: "expected a boolean"}
+
+
+def _typed(values: list, kind: type) -> list:
+    for value in values:
+        if type(value) is not kind:
+            raise _Bad("", _EXPECTED[kind].format(type(value).__name__))
+    return values
+
+
 def _object_keys(obj: Any, keys: frozenset[str]) -> None:
-    if type(obj) is not dict:
-        raise _Bad("", f"expected an object, got {type(obj).__name__}")
+    _typed([obj], dict)
     if not keys.issuperset(obj):
         _repeated(obj)
         key = next(key for key in obj if key not in keys)
         raise _Bad(f".{key}", f"unknown key {key!r}")
 
 
-def _string(value: Any) -> str:
-    if type(value) is not str:
-        raise _Bad("", f"expected a string, got {type(value).__name__}")
-    return value
+_strings, _booleans = partial(_typed, kind=str), partial(_typed, kind=bool)
 
 
-def _name(value: Any) -> str:
-    if not _string(value):
+def _names(values: list) -> list:
+    if not all(_strings(values)):
         raise _Bad("", "asset name must be nonempty")
-    return value
+    return values
 
 
 def _choice(table: dict, what: str, expected: str | None = None):
-    """Reader for a string that must be one of table's keys, and its writer."""
+    """Reader for strings that must be keys of table, and its writer."""
     expected = expected or ", ".join(sorted(table))
 
-    def read(value: Any):
-        if _string(value) not in table:
-            raise _Bad("", f"invalid {what} {value!r}, expected one of: {expected}")
-        return table[value]
+    def read(values: list) -> list:
+        try:
+            return list(map(table.__getitem__, values))
+        except (KeyError, TypeError):
+            value = next(value for value in _strings(values) if value not in table)
+            raise _Bad("", f"invalid {what} {value!r}, expected one of: {expected}") from None
     return read, {value: _quote(key) for key, value in table.items()}.__getitem__
 
 
@@ -156,38 +169,37 @@ _multiplicity, _ = _choice({m: m for m in MULTIPLICITIES}, "multiplicity",
                            ", ".join(repr(m) for m in MULTIPLICITIES))
 
 
-def _levels(value: Any) -> dict[str, SecurityValue]:
-    if type(value) is not dict:
-        raise _Bad("", f"expected an object, got {type(value).__name__}")
-    _repeated(value)
-    levels = {}
-    for prop, raw in value.items():
-        try:
-            levels[prop] = _level(raw)
-        except _Bad as bad:
-            raise _Bad(f".{prop}", bad.reason) from None
-    return levels
+def _levels(values: list) -> list:
+    for value in _typed(values, dict):
+        _repeated(value)
+        for prop, raw in value.items():
+            try:
+                _level([raw])
+            except _Bad as bad:
+                raise _Bad(f".{prop}", bad.reason) from None
+    return [{prop: _LEVEL_NAMES[raw] for prop, raw in value.items()} for value in values]
 
 
-def _needs(value: Any) -> frozenset[AccessNeed]:
-    if type(value) is not list:
-        raise _Bad("", f"expected a list, got {type(value).__name__}")
-    needs = []
-    for i, item in enumerate(value):
-        try:
-            needs.append(_need(item))
-        except _Bad as bad:
-            raise _Bad(f"[{i}]", bad.reason) from None
-    unique = frozenset(needs)
-    if len(unique) != len(needs):
-        raise _Bad("", "access needs listed more than once")
-    return unique
+# Each need list the reader accepts, as its set (a repeat is not a key); the
+# writer lists a set as the first such list, in declaration order, or omits it.
+_NEED_SETS = {order: frozenset(map(_NEED_NAMES.__getitem__, order))
+              for size in range(len(_NEED_NAMES) + 1)
+              for order in permutations(_NEED_NAMES, size)}
+_NEED_LISTS = {needs: "[" + ",".join(f"\n        {_quote(n)}" for n in order) + "\n      ]"
+               if order else None for order, needs in reversed(_NEED_SETS.items())}
 
 
-def _boolean(value: Any) -> bool:
-    if type(value) is not bool:
-        raise _Bad("", "expected a boolean")
-    return value
+def _needs(values: list) -> list:
+    try:
+        return [_NEED_SETS[tuple(value)] for value in _typed(values, list)]
+    except (KeyError, TypeError):
+        for value in values:
+            for i, item in enumerate(value):
+                try:
+                    _need([item])
+                except _Bad as bad:
+                    raise _Bad(f"[{i}]", bad.reason) from None
+        raise _Bad("", "access needs listed more than once") from None
 
 
 # Writers give a field's canonical JSON text at record depth (members six
@@ -214,54 +226,51 @@ def _level_map(levels: dict) -> str | None:
     return _object(pairs, "      ") if pairs else None
 
 
-# Every need set, listed in declaration order; the empty set is omitted.
-_NEED_LISTS = {
-    frozenset(chosen): "[" + ",".join(f"\n        {_need_text(n)}" for n in chosen)
-    + "\n      ]" if chosen else None
-    for size in range(len(AccessNeed) + 1)
-    for chosen in combinations(AccessNeed, size)
-}
-
-
-# The per-record schema: section -> (class built with cls(**values), required
-# keys, (json key, attribute, reader, writer) in the order the fields are
-# checked).  An absent optional key takes the class's default.
+# The per-record schema: section -> (class, required keys, (json key, attribute,
+# reader, writer)).  A model section is read by columns; the error path reads a
+# record at a time, fields in this order.  Absent keys take the class default.
 _RECORDS = {
     "assets": (Asset, ("name", "kind"), (
-        ("name", "name", _name, _quote),
+        ("name", "name", _names, _quote),
         ("kind", "kind", _asset_kind, _kind_text),
         ("confidentiality", "confidentiality", _level, _level_text),
         ("integrity", "integrity", _level, _level_text),
         ("extraProperties", "extra_properties", _levels, _level_map),
-        ("parent", "parent", _string, _optional))),
+        ("parent", "parent", _strings, _optional))),
     "associations": (Association, ("source", "target"), (
         ("sourceMultiplicity", "source_multiplicity", _multiplicity, _optional),
         ("targetMultiplicity", "target_multiplicity", _multiplicity, _optional),
-        ("source", "source", _string, _quote),
-        ("target", "target", _string, _quote),
+        ("source", "source", _strings, _quote),
+        ("target", "target", _strings, _quote),
         ("sourceNeeds", "source_needs", _needs, _NEED_LISTS.__getitem__),
         ("targetNeeds", "target_needs", _needs, _NEED_LISTS.__getitem__))),
     "goals": (Goal, ("name", "kind"), (
-        ("definition", "definition", _string, _nonempty),
-        ("name", "name", _string, _quote),
+        ("definition", "definition", _strings, _nonempty),
+        ("name", "name", _strings, _quote),
         ("kind", "kind", *_choice(_GOAL_KIND_NAMES, "goal kind")))),
     "refinements": (Refinement, ("parent", "child"), (
-        ("parent", "parent", _string, _quote),
-        ("child", "child", _string, _quote))),
+        ("parent", "parent", _strings, _quote),
+        ("child", "child", _strings, _quote))),
     "policy": (PolicyStatement,
                ("requirement", "subject", "access", "resource", "permission"), (
-        ("requirement", "requirement", _string, _quote),
-        ("subject", "subject", _string, _quote),
+        ("requirement", "requirement", _strings, _quote),
+        ("subject", "subject", _strings, _quote),
         ("access", "access", _need, _need_text),
-        ("resource", "resource", _string, _quote),
+        ("resource", "resource", _strings, _quote),
         ("permission", "permission", *_choice(_PERMISSION_NAMES, "permission")))),
     "matrixOverride": (SimpleNamespace, ("subject", "resource", "allowed"), (
         ("subject", "subject", _asset_kind, _kind_text),
         ("resource", "resource", _asset_kind, _kind_text),
-        ("allowed", "allowed", _boolean, _json_bool))),
+        ("allowed", "allowed", _booleans, _json_bool))),
 }
 _RECORD_KEYS = {section: frozenset(key for key, *_ in fields)
                 for section, (_, _, fields) in _RECORDS.items()}
+# Model sections by column: (json key, reader, default()) per field in class order.
+_COLUMNS = {section: [(key, read, spec.default_factory if spec.default is MISSING
+                       else repeat(spec.default).__next__)
+                      for spec in class_fields(cls)
+                      for key, attribute, read, _ in fields if attribute == spec.name]
+            for section, (cls, _, fields) in _RECORDS.items() if cls is not SimpleNamespace}
 
 
 def _layout(fields) -> tuple:
@@ -299,7 +308,7 @@ def _record(obj: Any, section: str) -> Any:
     try:
         for key, attribute, read, _ in fields:
             if key in obj:
-                values[attribute] = read(obj[key])
+                values[attribute] = read([obj[key]])[0]
     except _Bad as bad:
         raise _Bad(f".{key}{bad.suffix}", bad.reason) from None
     return cls(**values)
@@ -310,6 +319,21 @@ def _records(root: dict, section: str):
     items = root.get(section, [])
     if type(items) is not list:
         raise SchemaError(f"$.{section}", f"expected a list, got {type(items).__name__}")
+    if section in _COLUMNS and all(type(obj) is dict for obj in items) and all(
+            map(_RECORD_KEYS[section].issuperset, items)):
+        try:
+            columns = []
+            for key, read, default in _COLUMNS[section]:
+                values = read([obj[key] for obj in items if key in obj])
+                if len(values) < len(items):
+                    values = iter(values)
+                    values = [next(values) if key in obj else default() for obj in items]
+                columns.append(values)
+        except (_Bad, TypeError):  # TypeError: a required key is absent, MISSING called
+            pass
+        else:
+            yield from map(_RECORDS[section][0], *columns)
+            return
     try:
         for i, obj in enumerate(items):
             yield _record(obj, section)
@@ -443,14 +467,14 @@ def serialize_model(model: AssetModel, graph: GoalGraph) -> str:
 
 
 def printable(text: str) -> str:
-    """text with each character str.isprintable() rejects as its backslash escape.
+    """text with each backslash and each character str.isprintable() rejects escaped.
 
-    Names reach diagnostics and report lines as written, so a newline in
-    one would otherwise split a line in two.
+    Names reach diagnostics and report lines as written.  Escaped, a newline
+    in one cannot split a line, nor a name that spells \\n pass for it.
     """
-    if text.isprintable():
+    if text.isprintable() and "\\" not in text:
         return text
-    return "".join(c if c.isprintable() else c.encode("unicode_escape").decode()
+    return "".join(c if c.isprintable() and c != "\\" else c.encode("unicode_escape").decode()
                    for c in text)
 
 

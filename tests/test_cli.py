@@ -240,11 +240,11 @@ def test_unpaired_surrogate_escape_exits_two(capsys, data_dir, command):
     code, out, err = run(capsys, *command, str(data_dir / "surrogate.json"))
     assert code == 2
     assert out == ""
-    assert err == "error: line 1, column 34: unpaired surrogate escape \\ud800\n"
+    assert err == "error: line 1, column 34: unpaired surrogate escape \\\\ud800\n"
 
 
 class TestOneLinePerDiagnostic:
-    """Names reach diagnostics as written; a non-printable character is escaped."""
+    """Names reach diagnostics as written; a backslash or non-printable character is escaped."""
 
     @staticmethod
     def _write(tmp_path, document) -> str:
@@ -257,7 +257,7 @@ class TestOneLinePerDiagnostic:
         code, out, err = run(capsys, "check", path)
         assert code == 2
         assert out == ""
-        assert err == "error: $.bogus\\nkey: unknown key 'bogus\\nkey'\n"
+        assert err == "error: $.bogus\\nkey: unknown key 'bogus\\\\nkey'\n"
 
     def test_forged_cycle_finding(self, capsys, tmp_path):
         path = self._write(tmp_path, {
@@ -300,6 +300,20 @@ class TestOneLinePerDiagnostic:
         assert len(lines) == 1 + 1 + 5
         assert lines[0] == ("undefined_access: Mission Data\\nSimple Security Property  N"
                             "\\n*-Property  N --read--> Log")
+
+    def test_backslash_is_told_from_an_escape(self, capsys, tmp_path):
+        newline, backslash = "G\nH", "G\\nH"
+        path = self._write(tmp_path, {
+            "version": 1,
+            "goals": [{"name": newline, "kind": "goal"},
+                      {"name": backslash, "kind": "goal"}],
+            "refinements": [{"parent": newline, "child": newline},
+                            {"parent": backslash, "child": backslash}],
+        })
+        code, _, err = run(capsys, "check", path)
+        assert code == 2
+        assert err == ("CyclicRefinement: refinement cycle: G\\nH -> G\\nH\n"
+                       "CyclicRefinement: refinement cycle: G\\\\nH -> G\\\\nH\n")
 
     def test_printable_names_pass_unchanged(self, capsys, tmp_path):
         path = self._write(tmp_path, {

@@ -1,9 +1,13 @@
 """Document parsing, canonical serialization, and report rendering."""
 
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from accesslint import modelio
 from accesslint.fixtures import fixture_text, load_fixture
 from accesslint.goals import Goal, GoalGraph, GoalKind
 from accesslint.model import (
@@ -304,6 +308,22 @@ _OVERRIDE = {"subject": "people", "resource": "people", "allowed": False}
     ('{"version": 1, "associations": [{"source": "A", "target": "B",'
      ' "sourceNeeds": {"read": 1, "read": 2}}]}',
      "associations[0].sourceNeeds: expected a list, got dict"),
+    # Where a later record fails a test of the whole column first, the
+    # earlier record's fault is still the one named.
+    ({"assets": [dict(_ASSET, parent=1), {"name": "", "kind": "system"}]},
+     "assets[0].parent: expected a string, got int"),
+    ({"policy": [{"requirement": "R", "subject": "A", "access": "execute",
+                  "resource": "A", "permission": "allow"},
+                 {"requirement": "R", "subject": "A", "access": "read", "resource": "A"}]},
+     "policy[0].access: invalid access need 'execute', "
+     "expected one of: interact, read, write"),
+    ({"associations": [{"source": "A", "target": 2},
+                       {"source": "A", "target": "B", "sourceNeeds": ["read", "read"]}]},
+     "associations[0].target: expected a string, got int"),
+    ({"assets": [dict(_ASSET, extraProperties={"availability": "huge"}),
+                 {"name": "B", "kind": "system", "colour": "red"}]},
+     "assets[0].extraProperties.availability: invalid security level 'huge', "
+     "expected one of: high, low, medium, none"),
 ])
 def test_first_fault_wins_with_exact_text(document, message):
     if isinstance(document, dict):
@@ -317,6 +337,113 @@ def test_syntax_error_wins_over_duplicate_key():
     with pytest.raises(DocumentSyntaxError) as info:
         parse_model('{"version": 1, "version": 1, "assets": [}')
     assert str(info.value) == "line 1, column 41: Expecting value"
+
+
+def test_absent_extra_properties_are_not_shared():
+    model, _ = parse_model(_doc())
+    first, second = model.assets
+    assert first.extra_properties == second.extra_properties == {}
+    assert first.extra_properties is not second.extra_properties
+
+
+def _field_types(records) -> list:
+    return [[type(getattr(record, f.name)) for f in fields(record)] for record in records]
+
+
+@pytest.mark.parametrize("source", ["pyramid", "works-diary", "chain.json"])
+def test_column_pass_builds_the_row_readers_records(source, data_dir):
+    """The records parse_model returns are the ones the row reader builds."""
+    text = fixture_text(source) if source in ("pyramid", "works-diary") else (
+        (data_dir / source).read_text(encoding="utf-8"))
+    model, graph = parse_model(text)
+    root = json.loads(text)
+    for section, records in (("assets", model.assets), ("associations", model.associations),
+                             ("goals", graph.nodes), ("refinements", graph.refinements),
+                             ("policy", graph.policy)):
+        by_row = tuple(modelio._record(obj, section) for obj in root.get(section, []))
+        assert records == by_row
+        assert _field_types(records) == _field_types(by_row)
+    assert all(type(a.source_needs) is frozenset is type(a.target_needs)
+               for a in model.associations)
+    if source != "chain.json":
+        assert all(asset.parent is None for asset in model.assets)
+
+
+_names = st.sampled_from(["A", "B", "C"])
+_needs = st.lists(st.sampled_from(["read", "write", "interact"]), max_size=3, unique=True)
+# section -> (required keys, optional keys), each with a strategy of legal values.
+_LEGAL = {
+    "assets": ({"name": _names, "kind": st.sampled_from(["system", "information", "people"])},
+               {"confidentiality": st.sampled_from(["none", "high"]),
+                "integrity": st.sampled_from(["low", "medium"]),
+                "extraProperties": st.dictionaries(st.sampled_from(["availability", "cost"]),
+                                                   st.sampled_from(["none", "low"]), max_size=2),
+                "parent": _names}),
+    "associations": ({"source": _names, "target": _names},
+                     {"sourceNeeds": _needs, "targetNeeds": _needs,
+                      "sourceMultiplicity": st.sampled_from(["1", "*"]),
+                      "targetMultiplicity": st.sampled_from(["0..1", "1..*"])}),
+    "goals": ({"name": st.sampled_from(["G", ""]), "kind": st.sampled_from(["goal", "requirement"])},
+              {"definition": st.sampled_from(["", "Keep it"])}),
+    "refinements": ({"parent": _names, "child": _names}, {}),
+    "policy": ({"requirement": _names, "subject": _names, "resource": _names,
+                "access": st.sampled_from(["read", "interact"]),
+                "permission": st.sampled_from(["allow", "deny"])}, {}),
+}
+# A value no field of any record accepts, or one only some fields accept.
+# An empty string or object iterates like an empty list of needs.
+_junk = st.one_of(
+    st.none(), st.booleans(), st.integers(0, 1), st.just(""), st.just({}),
+    st.sampled_from(["bogus", "read", "low", "1"]),
+    st.lists(st.one_of(st.sampled_from(["read", "bogus"]), st.integers(0, 1), st.just([])),
+             max_size=3),
+    st.dictionaries(st.sampled_from(["availability", "low", "read"]),
+                    st.one_of(st.sampled_from(["low", "huge"]), st.integers(0, 1)), max_size=2))
+
+
+@st.composite
+def _sections(draw):
+    """A section name and its list, where about one record in four is spoiled."""
+    section = draw(st.sampled_from(sorted(_LEGAL)))
+    required, optional = _LEGAL[section]
+    items = []
+    for _ in range(draw(st.integers(0, 4))):
+        record = draw(st.fixed_dictionaries(required, optional=optional))
+        spoil = draw(st.integers(0, 11))
+        key = draw(st.sampled_from([*required, *optional, "colour"]))
+        if spoil < 2:
+            record[key] = draw(_junk)
+        elif spoil == 2:
+            record.pop(key, None)
+        elif spoil == 3:  # the key repeats, as json.loads marks it
+            record = modelio._pairs([*record.items(), (key, draw(_junk))])
+        items.append(draw(_junk) if spoil == 4 else record)
+    return section, items
+
+
+# Needs as an object iterate like a list; a null is not an absent key.
+@example(("associations", [{"source": "A", "target": "B", "sourceNeeds": {"read": 1}}]))
+@example(("associations", [{"source": "A", "target": "B", "targetMultiplicity": None}]))
+@example(("assets", [{"name": "A", "kind": "system", "parent": None}]))
+@settings(max_examples=400)
+@given(_sections())
+def test_column_pass_reads_as_the_row_reader(case):
+    section, items = case
+    root = {"version": 1, section: items}
+    expected = []
+    for i, obj in enumerate(items):  # the row reader, one record at a time
+        try:
+            expected.append(modelio._record(obj, section))
+        except modelio._Bad as bad:
+            with pytest.raises(SchemaError) as info:
+                tuple(modelio._records(root, section))
+            assert str(info.value) == f"{section}[{i}]{bad.suffix}: {bad.reason}"
+            return
+    records = tuple(modelio._records(root, section))
+    assert records == tuple(expected)
+    assert _field_types(records) == _field_types(expected)
+    if section == "assets":
+        assert len({id(a.extra_properties) for a in records}) == len(records)
 
 
 # Documents pinned to their exact bytes, one record shape each.
