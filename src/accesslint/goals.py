@@ -16,11 +16,13 @@ from .model import AccessNeed, AssetModel, ModelError, index_names
 
 
 class GoalKind(Enum):
+    __hash__ = object.__hash__  # as model.AssetKind
     GOAL = "goal"
     REQUIREMENT = "requirement"
 
 
 class Permission(Enum):
+    __hash__ = object.__hash__
     ALLOW = "allow"
     DENY = "deny"
 

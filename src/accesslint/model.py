@@ -28,12 +28,14 @@ class SecurityValue(IntEnum):
 
 
 class AssetKind(Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
     SYSTEM = "system"
     INFORMATION = "information"
     PEOPLE = "people"
 
 
 class AccessNeed(Enum):
+    __hash__ = object.__hash__
     READ = "read"
     WRITE = "write"
     INTERACT = "interact"

@@ -46,7 +46,7 @@ from .model import (
     check_structure,
     default_matrix,
 )
-from .validation import RULE_RESULTS, ValidationReport, WarningKind
+from .validation import RULE_RESULTS, TEXT, ValidationReport, WarningKind
 
 DOCUMENT_VERSION = 1
 
@@ -496,7 +496,12 @@ def render_report(report: ValidationReport, format: str = "text") -> str:
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")
 
-    lines = [printable(f"{w.kind.value}: {w.triple}") for w in report.warnings]
+    # Each line is f"{kind}: {triple}", with AccessTriple.__str__ spelled out.
+    lines = [f"{TEXT[kind]}: {subject} --{TEXT[access]}--> {resource}"
+             for kind, (subject, access, resource) in report.warnings]
+    joined = "".join(lines)
+    if not joined.isprintable() or "\\" in joined:
+        lines = list(map(printable, lines))
     if lines:
         lines.append("")
     flags = report.rule_results

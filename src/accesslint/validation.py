@@ -22,9 +22,12 @@ read-down.  Interact needs never participate in level checks.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
+from operator import attrgetter
+from typing import NamedTuple
 
 from .goals import GoalGraph, Permission
 from .model import (ACCESS_ORDER, AccessNeed, Asset, AssetModel, Association,
@@ -32,6 +35,7 @@ from .model import (ACCESS_ORDER, AccessNeed, Asset, AssetModel, Association,
 
 
 class WarningKind(Enum):
+    __hash__ = object.__hash__  # as model.AssetKind
     UNDEFINED_ACCESS = "undefined_access"
     UNAUTHORISED_ACCESS = "unauthorised_access"
     NO_READ_UP = "no_read_up"
@@ -40,16 +44,19 @@ class WarningKind(Enum):
     NO_READ_DOWN = "no_read_down"
 
 
-@dataclass(frozen=True)
-class AccessTriple:
-    """A single-need access requirement of subject upon resource."""
+# The text of each need and warning kind, read without Enum's value descriptor.
+TEXT: dict[Enum, str] = {m: m.value for enum in (AccessNeed, WarningKind) for m in enum}
+
+
+class AccessTriple(NamedTuple):
+    """A single-need access requirement of subject upon resource, equal to its plain tuple."""
 
     subject: str
     access: AccessNeed
     resource: str
 
     def __str__(self) -> str:
-        return f"{self.subject} --{self.access.value}--> {self.resource}"
+        return f"{self.subject} --{TEXT[self.access]}--> {self.resource}"
 
 
 _MESSAGE_PREFIX = {
@@ -62,8 +69,7 @@ _MESSAGE_PREFIX = {
 }
 
 
-@dataclass(frozen=True)
-class AccessWarning:
+class AccessWarning(NamedTuple):
     kind: WarningKind
     triple: AccessTriple
 
@@ -88,15 +94,19 @@ class ValidationReport:
 
     @cached_property
     def summary(self) -> dict[WarningKind, int]:
-        counts = {kind: 0 for kind in WarningKind}
-        for warning in self.warnings:
-            counts[warning.kind] += 1
-        return counts
+        counts = Counter(map(attrgetter("kind"), self.warnings))
+        return {kind: counts[kind] for kind in WarningKind}
 
     @property
     def rule_results(self) -> dict[str, bool]:
         counts = self.summary
         return {key: counts[kind] > 0 for key, _, kind in RULE_RESULTS}
+
+
+_NEEDS = tuple(ACCESS_ORDER)  # rank -> need
+# Records from one tuple of values, in C: NamedTuple's own __new__ is a Python call.
+_triple = partial(tuple.__new__, AccessTriple)
+_warning = partial(tuple.__new__, AccessWarning)
 
 
 def expand_needs(model: AssetModel) -> list[AccessTriple]:
@@ -105,14 +115,14 @@ def expand_needs(model: AssetModel) -> list[AccessTriple]:
     Output is sorted by subject name, then resource name, then
     read < write < interact, so repeated runs enumerate identically.
     """
-    triples: list[AccessTriple] = []
+    rows = []
     for assoc in model.associations:
         for need in assoc.source_needs:
-            triples.append(AccessTriple(assoc.source, need, assoc.target))
+            rows.append((assoc.source, assoc.target, ACCESS_ORDER[need]))
         for need in assoc.target_needs:
-            triples.append(AccessTriple(assoc.target, need, assoc.source))
-    triples.sort(key=lambda t: (t.subject, t.resource, ACCESS_ORDER[t.access]))
-    return triples
+            rows.append((assoc.target, assoc.source, ACCESS_ORDER[need]))
+    rows.sort()
+    return [_triple((subject, _NEEDS[rank], resource)) for subject, resource, rank in rows]
 
 
 _Needs = dict[str, frozenset[AccessNeed]]
@@ -213,22 +223,22 @@ def validate_access(model: AssetModel, graph: GoalGraph) -> ValidationReport:
     warnings: list[AccessWarning] = []
 
     for triple in expand_needs(model):
-        if (triple.subject, triple.access, triple.resource, Permission.ALLOW) in index:
+        if triple + (Permission.ALLOW,) in index:
             subject = assets[triple.subject]
             resource = assets[triple.resource]
             if triple.access is AccessNeed.READ:
                 if resource.confidentiality > subject.confidentiality:
-                    warnings.append(AccessWarning(WarningKind.NO_READ_UP, triple))
+                    warnings.append(_warning((WarningKind.NO_READ_UP, triple)))
                 if subject.integrity > resource.integrity:
-                    warnings.append(AccessWarning(WarningKind.NO_READ_DOWN, triple))
+                    warnings.append(_warning((WarningKind.NO_READ_DOWN, triple)))
             elif triple.access is AccessNeed.WRITE:
                 if subject.confidentiality > resource.confidentiality:
-                    warnings.append(AccessWarning(WarningKind.NO_WRITE_DOWN, triple))
+                    warnings.append(_warning((WarningKind.NO_WRITE_DOWN, triple)))
                 if resource.integrity > subject.integrity:
-                    warnings.append(AccessWarning(WarningKind.NO_WRITE_UP, triple))
-        elif (triple.subject, triple.access, triple.resource, Permission.DENY) in index:
-            warnings.append(AccessWarning(WarningKind.UNAUTHORISED_ACCESS, triple))
+                    warnings.append(_warning((WarningKind.NO_WRITE_UP, triple)))
+        elif triple + (Permission.DENY,) in index:
+            warnings.append(_warning((WarningKind.UNAUTHORISED_ACCESS, triple)))
         else:
-            warnings.append(AccessWarning(WarningKind.UNDEFINED_ACCESS, triple))
+            warnings.append(_warning((WarningKind.UNDEFINED_ACCESS, triple)))
 
     return ValidationReport(tuple(warnings))

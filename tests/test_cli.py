@@ -1,9 +1,14 @@
 """Exit codes, stream separation, and the four subcommands."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import accesslint
 from accesslint.cli import main
 from accesslint.fixtures import fixture_text
 
@@ -301,6 +306,25 @@ class TestOneLinePerDiagnostic:
         assert lines[0] == ("undefined_access: Mission Data\\nSimple Security Property  N"
                             "\\n*-Property  N --read--> Log")
 
+    @pytest.mark.parametrize("subject, resource, line", [
+        ("Back\\slash", "Log", "undefined_access: Back\\\\slash --read--> Log"),
+        ("Zed", "Log\a", "undefined_access: Zed --read--> Log\\x07"),
+    ])
+    def test_report_escapes_a_line_after_plain_ones(self, capsys, tmp_path,
+                                                     subject, resource, line):
+        path = self._write(tmp_path, {
+            "version": 1,
+            "assets": [{"name": name, "kind": "information"}
+                       for name in ("Able", "Dog", subject, resource)],
+            "associations": [{"source": "Able", "target": "Dog", "sourceNeeds": ["read"]},
+                             {"source": subject, "target": resource, "sourceNeeds": ["read"]}],
+        })
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[:3] == ["undefined_access: Able --read--> Dog", line, ""]
+        assert len(lines) == 2 + 1 + 5
+
     def test_backslash_is_told_from_an_escape(self, capsys, tmp_path):
         newline, backslash = "G\nH", "G\\nH"
         path = self._write(tmp_path, {
@@ -342,3 +366,28 @@ def test_unknown_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("document", ["pyramid", "works-diary", "chain"])
+def test_output_bytes_do_not_depend_on_the_process(tmp_path, data_dir, document):
+    """Enum members hash by identity, so need sets iterate in an order that moves
+    with memory layout; the hash seed and the allocator move it between processes."""
+    if document == "chain":
+        path = str(data_dir / "chain.json")
+    else:
+        path = str(tmp_path / f"{document}.json")
+        pathlib.Path(path).write_text(fixture_text(document), encoding="utf-8")
+    src = str(pathlib.Path(accesslint.__file__).parent.parent)
+    commands = (["validate"], ["validate", "--format", "json"],
+                ["validate", "--expand-inheritance"],
+                ["export", "--view", "asset"], ["export", "--view", "goal"])
+    first, second = (
+        [subprocess.run([sys.executable, "-m", "accesslint.cli", *command, path],
+                        capture_output=True, env=dict(os.environ, PYTHONPATH=src, **env),
+                        check=False)
+         for command in commands]
+        for env in ({"PYTHONHASHSEED": "0"}, {"PYTHONHASHSEED": "1", "PYTHONMALLOC": "malloc"}))
+    for one, other in zip(first, second):
+        assert one.stdout and one.stdout == other.stdout
+        assert one.stderr == other.stderr == b""
+        assert one.returncode == other.returncode

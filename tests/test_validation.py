@@ -1,4 +1,7 @@
-"""Need expansion, inheritance expansion, and the validation branches."""
+"""Need expansion, inheritance expansion, the validation branches, and the records."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -14,6 +17,8 @@ from accesslint.model import (
 )
 from accesslint.validation import (
     AccessTriple,
+    AccessWarning,
+    ValidationReport,
     WarningKind,
     expand_hierarchy,
     expand_needs,
@@ -344,3 +349,57 @@ class TestValidateBranches:
             "integrityStar": False,
             "absentPolicies": True,
         }
+
+
+class TestRecordContract:
+    """Triples and warnings are tuples; the five plain enums hash by identity."""
+
+    triple = AccessTriple("Works Diary", R, "Diary Event")
+    warning = AccessWarning(WarningKind.NO_READ_UP, triple)
+
+    def test_equal_records_hash_equal_and_key_dicts(self):
+        twin = AccessWarning(WarningKind.NO_READ_UP, AccessTriple("Works Diary", R, "Diary Event"))
+        assert twin == self.warning and hash(twin) == hash(self.warning)
+        assert twin.triple is not self.triple and hash(twin.triple) == hash(self.triple)
+        table = {self.warning: 1, self.triple: 2}
+        assert table[twin] == 1 and table[twin.triple] == 2
+        assert AccessTriple("Works Diary", W, "Diary Event") not in table
+
+    def test_records_equal_the_plain_tuples_of_their_values(self):
+        assert self.triple == ("Works Diary", R, "Diary Event")
+        assert self.warning == (WarningKind.NO_READ_UP, ("Works Diary", R, "Diary Event"))
+        assert hash(self.triple) == hash(("Works Diary", R, "Diary Event"))
+        assert self.triple + (Permission.ALLOW,) == ("Works Diary", R, "Diary Event",
+                                                     Permission.ALLOW)
+
+    def test_texts_are_pinned(self):
+        assert str(self.triple) == "Works Diary --read--> Diary Event"
+        assert self.warning.message == (
+            "Potential no read-up violation: Works Diary --read--> Diary Event")
+        assert repr(self.triple) == ("AccessTriple(subject='Works Diary', "
+                                     "access=<AccessNeed.READ: 'read'>, resource='Diary Event')")
+        assert repr(self.warning) == (
+            "AccessWarning(kind=<WarningKind.NO_READ_UP: 'no_read_up'>, "
+            f"triple={self.triple!r})")
+
+    def test_records_are_immutable_and_copied_with_replace(self):
+        with pytest.raises(AttributeError):
+            self.triple.subject = "Other"
+        with pytest.raises(TypeError):
+            AccessWarning(WarningKind.NO_READ_UP, self.triple, "message")
+        assert self.triple._replace(access=W) == ("Works Diary", W, "Diary Event")
+
+    def test_summary_counts_every_kind_in_declaration_order(self):
+        undefined = AccessWarning(WarningKind.UNDEFINED_ACCESS, self.triple)
+        summary = ValidationReport((undefined, self.warning, undefined)).summary
+        assert list(summary) == list(WarningKind)
+        assert summary[WarningKind.UNDEFINED_ACCESS] == 2
+        assert summary[WarningKind.NO_READ_UP] == 1
+        assert sum(summary.values()) == 3
+
+    @pytest.mark.parametrize("enum", [AssetKind, AccessNeed, GoalKind, Permission, WarningKind])
+    def test_enums_hash_by_identity_and_survive_copies(self, enum):
+        for member in enum:
+            assert type(member).__hash__ is object.__hash__
+            assert pickle.loads(pickle.dumps(member)) is member
+            assert copy.deepcopy(member) is member
