@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
-from .goals import GoalGraph, GoalKind
-from .model import AccessNeed, AssetModel
+from itertools import combinations
 
-# Conventional one-letter adornments used on association ends.
-_SHORT = {AccessNeed.READ: "r", AccessNeed.WRITE: "w", AccessNeed.INTERACT: "x"}
+from .goals import GoalGraph, GoalKind
+from .model import AccessNeed, AssetKind, AssetModel, SecurityValue
+
+# Texts built once, not per item through Enum's descriptors.  A need set's
+# adornment lists the conventional letters of its needs in declaration order.
+_ADORNMENT = {frozenset(need for need, _ in pairs): ",".join(letter for _, letter in pairs)
+              for size in range(4) for pairs in combinations(zip(AccessNeed, "rwx"), size)}
+_KIND_TEXT = {kind: f"[{kind.value}]" for kind in AssetKind}
+_LEVEL_TEXT = {level: level.name.lower() for level in SecurityValue}
+_SHAPE = {GoalKind.GOAL: "parallelogram", GoalKind.REQUIREMENT: "box"}
 
 VIEWS = ("asset", "goal")
 
@@ -16,26 +23,21 @@ def _label(*lines: str) -> str:
     return '"' + "\\n".join(escaped) + '"'
 
 
-def _adornment(needs: frozenset[AccessNeed]) -> str:
-    return ",".join(_SHORT[n] for n in AccessNeed if n in needs)
-
-
 def _asset_view(model: AssetModel) -> list[str]:
     lines = ["digraph assets {", "  node [shape=box];"]
     for asset in model.assets:
         label = _label(
             asset.name,
-            f"[{asset.kind.value}]",
-            f"C: {asset.confidentiality.name.lower()}"
-            f"  I: {asset.integrity.name.lower()}",
+            _KIND_TEXT[asset.kind],
+            f"C: {_LEVEL_TEXT[asset.confidentiality]}  I: {_LEVEL_TEXT[asset.integrity]}",
         )
         lines.append(f"  {_label(asset.name)} [label={label}];")
     for assoc in model.associations:
         attrs = ["dir=none"]
         if assoc.source_needs:
-            attrs.append(f"taillabel={_label(_adornment(assoc.source_needs))}")
+            attrs.append(f"taillabel={_label(_ADORNMENT[assoc.source_needs])}")
         if assoc.target_needs:
-            attrs.append(f"headlabel={_label(_adornment(assoc.target_needs))}")
+            attrs.append(f"headlabel={_label(_ADORNMENT[assoc.target_needs])}")
         lines.append(
             f"  {_label(assoc.source)} -> {_label(assoc.target)} "
             f"[{', '.join(attrs)}];")
@@ -46,8 +48,7 @@ def _asset_view(model: AssetModel) -> list[str]:
 def _goal_view(graph: GoalGraph) -> list[str]:
     lines = ["digraph goals {"]
     for node in graph.nodes:
-        shape = "parallelogram" if node.kind is GoalKind.GOAL else "box"
-        lines.append(f"  {_label(node.name)} [shape={shape}];")
+        lines.append(f"  {_label(node.name)} [shape={_SHAPE[node.kind]}];")
     for ref in graph.refinements:
         lines.append(f"  {_label(ref.child)} -> {_label(ref.parent)};")
     lines.append("}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .model import AccessNeed, AssetModel, ModelError, index_names
 
@@ -27,15 +28,17 @@ class Permission(Enum):
     DENY = "deny"
 
 
-@dataclass(frozen=True)
-class Goal:
+# Members bound once: on Python 3.10 and 3.11, Enum.MEMBER goes through EnumType.__getattr__.
+_GOAL, _REQUIREMENT = GoalKind
+
+
+class Goal(NamedTuple):
     name: str
     kind: GoalKind
     definition: str = ""
 
 
-@dataclass(frozen=True)
-class Refinement:
+class Refinement(NamedTuple):
     """An edge stating that child contributes to satisfying parent."""
 
     parent: str
@@ -158,8 +161,7 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
         seen_edges.add(edge)
         if not resolved:
             continue
-        if (by_name[parent].kind is GoalKind.REQUIREMENT
-                and by_name[child].kind is GoalKind.GOAL):
+        if by_name[parent].kind is _REQUIREMENT and by_name[child].kind is _GOAL:
             errors.append(ModelError(
                 "RequirementAboveGoal", f"refinement {parent!r} <- {child!r}",
                 f"requirement {parent!r} cannot be refined by goal {child!r}",
@@ -178,7 +180,7 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
                 "UnknownRequirement", _policy_where(stmt),
                 f"policy statement references unknown requirement {stmt.requirement!r}",
             ))
-        elif owner.kind is not GoalKind.REQUIREMENT:
+        elif owner.kind is not _REQUIREMENT:
             errors.append(ModelError(
                 "NotARequirement", _policy_where(stmt),
                 f"policy statement is owned by {stmt.requirement!r}, which is a goal, "
@@ -215,9 +217,7 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
     refined = {ref.parent for ref in graph.refinements}
     owning = {stmt.requirement for stmt in graph.policy}
     for node in by_name.values():
-        if (node.kind is GoalKind.REQUIREMENT
-                and node.name not in owning
-                and node.name not in refined):
+        if node.kind is _REQUIREMENT and node.name not in owning and node.name not in refined:
             errors.append(ModelError(
                 "RequirementWithoutPolicy", node.name,
                 f"requirement {node.name!r} owns no policy statement",

@@ -7,15 +7,16 @@ be adorned with the access needs (read, write, interact) one asset has
 upon the other.  Which asset kinds may act as subjects on which resource
 kinds is governed by an access-rule matrix.
 
-Records are frozen dataclasses whose dict fields nothing here mutates;
-the checks are pure functions that return error lists rather than raising.
+Associations and findings are NamedTuples; assets and the model are frozen
+dataclasses whose dict fields nothing here mutates.  The checks are pure
+functions that return error lists rather than raising.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
 
 class SecurityValue(IntEnum):
@@ -66,8 +67,7 @@ class Asset:
     parent: str | None = None
 
 
-@dataclass(frozen=True)
-class Association:
+class Association(NamedTuple):
     """A link between two assets with per-end access-need sets.
 
     source_needs are the needs the source asset has upon the target;
@@ -103,8 +103,7 @@ class AssetModel:
     matrix: Mapping[tuple[AssetKind, AssetKind], bool] = field(default_factory=default_matrix)
 
 
-@dataclass(frozen=True)
-class ModelError:
+class ModelError(NamedTuple):
     """A structural finding: which rule was violated, by which element.
 
     severity "error" findings make a model invalid; "warning" findings
@@ -200,8 +199,8 @@ def check_structure(model: AssetModel) -> list[ModelError]:
 
     # Each association claims its pair of names both ways round.
     seen_pairs: set[tuple[str, str]] = set()
-    for assoc in model.associations:
-        pair = source, target = assoc.source, assoc.target
+    for source, target, source_needs, target_needs, _, _ in model.associations:
+        pair = (source, target)
         resolved = source in by_name and target in by_name
         for endpoint in () if resolved else pair:
             if endpoint not in by_name:
@@ -224,10 +223,8 @@ def check_structure(model: AssetModel) -> list[ModelError]:
         seen_pairs.update((pair, (target, source)))
         if not resolved:
             continue
-        for subject, resource, needs in (
-            (source, target, assoc.source_needs),
-            (target, source, assoc.target_needs),
-        ):
+        for subject, resource, needs in ((source, target, source_needs),
+                                         (target, source, target_needs)):
             if not needs:
                 continue
             subject_kind = by_name[subject].kind

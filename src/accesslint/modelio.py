@@ -46,7 +46,7 @@ from .model import (
     check_structure,
     default_matrix,
 )
-from .validation import RULE_RESULTS, TEXT, ValidationReport, WarningKind
+from .validation import _MESSAGE_PREFIX, RULE_RESULTS, TEXT, ValidationReport, WarningKind
 
 DOCUMENT_VERSION = 1
 
@@ -226,6 +226,15 @@ def _level_map(levels: dict) -> str | None:
     return _object(pairs, "      ") if pairs else None
 
 
+def _defaults(cls: type) -> dict[str, Any]:
+    """Field -> default() of a NamedTuple or dataclass, in class order; MISSING if required."""
+    if issubclass(cls, tuple):
+        return {name: repeat(cls._field_defaults[name]).__next__
+                if name in cls._field_defaults else MISSING for name in cls._fields}
+    return {spec.name: spec.default_factory if spec.default is MISSING
+            else repeat(spec.default).__next__ for spec in class_fields(cls)}
+
+
 # The per-record schema: section -> (class, required keys, (json key, attribute,
 # reader, writer)).  A model section is read by columns; the error path reads a
 # record at a time, fields in this order.  Absent keys take the class default.
@@ -266,16 +275,15 @@ _RECORDS = {
 _RECORD_KEYS = {section: frozenset(key for key, *_ in fields)
                 for section, (_, _, fields) in _RECORDS.items()}
 # Model sections by column: (json key, reader, default()) per field in class order.
-_COLUMNS = {section: [(key, read, spec.default_factory if spec.default is MISSING
-                       else repeat(spec.default).__next__)
-                      for spec in class_fields(cls)
-                      for key, attribute, read, _ in fields if attribute == spec.name]
+_COLUMNS = {section: [(key, read, default) for name, default in _defaults(cls).items()
+                      for key, attribute, read, _ in fields if attribute == name]
             for section, (cls, _, fields) in _RECORDS.items() if cls is not SimpleNamespace}
 
 
 def _layout(fields) -> tuple:
-    """(member prefix, getter, writer) per field, in sorted-key order."""
-    return tuple((f"\n      {_quote(key)}: ", attrgetter(attribute), write)
+    """(member prefix, column of the records' values, writer) per field, by sorted key."""
+    return tuple((f"\n      {_quote(key)}: ", attribute if callable(attribute)
+                  else partial(map, attrgetter(attribute)), write)
                  for key, attribute, *_, write in sorted(fields))
 
 
@@ -285,7 +293,9 @@ _WARNING_LAYOUT = _layout((
     ("subject", "triple.subject", _quote),
     ("access", "triple.access", _need_text),
     ("resource", "triple.resource", _quote),
-    ("message", "message", _quote)))
+    ("message", lambda warnings: [  # AccessWarning.message, spelled out
+        f"{_MESSAGE_PREFIX[kind]}: {subject} --{TEXT[access]}--> {resource}"
+        for kind, (subject, access, resource) in warnings], _quote)))
 
 
 def _write_records(records, layout: tuple) -> str:
@@ -293,7 +303,7 @@ def _write_records(records, layout: tuple) -> str:
     if not records:
         return "[]"
     columns = [[None if text is None else prefix + text
-                for text in map(write, map(get, records))] for prefix, get, write in layout]
+                for text in map(write, column(records))] for prefix, column, write in layout]
     rows = (",".join(filter(None, row)) for row in zip(*columns))
     return "[\n    {" + "\n    },\n    {".join(rows) + "\n    }\n  ]"
 
@@ -332,7 +342,9 @@ def _records(root: dict, section: str):
         except (_Bad, TypeError):  # TypeError: a required key is absent, MISSING called
             pass
         else:
-            yield from map(_RECORDS[section][0], *columns)
+            cls = _RECORDS[section][0]  # a NamedTuple is built in C
+            yield from (map(partial(tuple.__new__, cls), zip(*columns))
+                        if issubclass(cls, tuple) else map(cls, *columns))
             return
     try:
         for i, obj in enumerate(items):

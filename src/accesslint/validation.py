@@ -107,6 +107,12 @@ _NEEDS = tuple(ACCESS_ORDER)  # rank -> need
 # Records from one tuple of values, in C: NamedTuple's own __new__ is a Python call.
 _triple = partial(tuple.__new__, AccessTriple)
 _warning = partial(tuple.__new__, AccessWarning)
+_association = partial(tuple.__new__, Association)
+# Members bound once, as goals binds GoalKind's.
+_READ, _WRITE = AccessNeed.READ, AccessNeed.WRITE
+_ALLOW, _DENY = (Permission.ALLOW,), (Permission.DENY,)
+(_UNDEFINED_ACCESS, _UNAUTHORISED_ACCESS, _NO_READ_UP, _NO_WRITE_DOWN, _NO_WRITE_UP,
+ _NO_READ_DOWN) = WarningKind
 
 
 def expand_needs(model: AssetModel) -> list[AccessTriple]:
@@ -116,11 +122,11 @@ def expand_needs(model: AssetModel) -> list[AccessTriple]:
     read < write < interact, so repeated runs enumerate identically.
     """
     rows = []
-    for assoc in model.associations:
-        for need in assoc.source_needs:
-            rows.append((assoc.source, assoc.target, ACCESS_ORDER[need]))
-        for need in assoc.target_needs:
-            rows.append((assoc.target, assoc.source, ACCESS_ORDER[need]))
+    for source, target, source_needs, target_needs, _, _ in model.associations:
+        for need in source_needs:
+            rows.append((source, target, ACCESS_ORDER[need]))
+        for need in target_needs:
+            rows.append((target, source, ACCESS_ORDER[need]))
     rows.sort()
     return [_triple((subject, _NEEDS[rank], resource)) for subject, resource, rank in rows]
 
@@ -175,36 +181,33 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
     doc_order = {a.name: i for i, a in enumerate(model.assets)}
 
     subject_needs: dict[str, _Needs] = {}
-    for assoc in model.associations:
-        for subject, resource, needs in (
-            (assoc.source, assoc.target, assoc.source_needs),
-            (assoc.target, assoc.source, assoc.target_needs),
-        ):
+    for source, target, source_needs, target_needs, _, _ in model.associations:
+        for subject, resource, needs in ((source, target, source_needs),
+                                         (target, source, target_needs)):
             if needs:
                 by_resource = subject_needs.setdefault(subject, {})
                 by_resource[resource] = by_resource.get(resource, frozenset()) | needs
 
     inherited_by = _ancestor_needs(model.assets, subject_needs)
-    gained = {(asset.name, resource): needs
-              for asset in model.assets
-              for resource, needs in inherited_by[asset.name].items()
-              if resource != asset.name}
+    # In order of subject then resource declaration, the order new associations take.
+    gained = {(name, resource): held[resource]
+              for name in doc_order for held in (inherited_by[name],)
+              for resource in sorted(held, key=doc_order.__getitem__) if resource != name}
 
     associations: list[Association] = []
     for assoc in model.associations:
         extra_source = gained.pop((assoc.source, assoc.target), frozenset())
         extra_target = gained.pop((assoc.target, assoc.source), frozenset())
         if extra_source or extra_target:
-            assoc = replace(assoc, source_needs=assoc.source_needs | extra_source,
-                            target_needs=assoc.target_needs | extra_target)
+            assoc = assoc._replace(source_needs=assoc.source_needs | extra_source,
+                                   target_needs=assoc.target_needs | extra_target)
         associations.append(assoc)
 
-    for subject, resource in sorted(
-            gained, key=lambda pair: (doc_order[pair[0]], doc_order[pair[1]])):
+    for subject, resource in list(gained):
         needs = gained.pop((subject, resource), None)
         if needs is not None:  # None once taken as the reverse of an earlier pair
-            associations.append(Association(
-                subject, resource, needs, gained.pop((resource, subject), frozenset())))
+            reverse = gained.pop((resource, subject), frozenset())
+            associations.append(_association((subject, resource, needs, reverse, None, None)))
 
     return replace(model, associations=tuple(associations))
 
@@ -223,22 +226,22 @@ def validate_access(model: AssetModel, graph: GoalGraph) -> ValidationReport:
     warnings: list[AccessWarning] = []
 
     for triple in expand_needs(model):
-        if triple + (Permission.ALLOW,) in index:
-            subject = assets[triple.subject]
-            resource = assets[triple.resource]
-            if triple.access is AccessNeed.READ:
+        if triple + _ALLOW in index:
+            subject_name, access, resource_name = triple
+            subject, resource = assets[subject_name], assets[resource_name]
+            if access is _READ:
                 if resource.confidentiality > subject.confidentiality:
-                    warnings.append(_warning((WarningKind.NO_READ_UP, triple)))
+                    warnings.append(_warning((_NO_READ_UP, triple)))
                 if subject.integrity > resource.integrity:
-                    warnings.append(_warning((WarningKind.NO_READ_DOWN, triple)))
-            elif triple.access is AccessNeed.WRITE:
+                    warnings.append(_warning((_NO_READ_DOWN, triple)))
+            elif access is _WRITE:
                 if subject.confidentiality > resource.confidentiality:
-                    warnings.append(_warning((WarningKind.NO_WRITE_DOWN, triple)))
+                    warnings.append(_warning((_NO_WRITE_DOWN, triple)))
                 if resource.integrity > subject.integrity:
-                    warnings.append(_warning((WarningKind.NO_WRITE_UP, triple)))
-        elif triple + (Permission.DENY,) in index:
-            warnings.append(_warning((WarningKind.UNAUTHORISED_ACCESS, triple)))
+                    warnings.append(_warning((_NO_WRITE_UP, triple)))
+        elif triple + _DENY in index:
+            warnings.append(_warning((_UNAUTHORISED_ACCESS, triple)))
         else:
-            warnings.append(_warning((WarningKind.UNDEFINED_ACCESS, triple)))
+            warnings.append(_warning((_UNDEFINED_ACCESS, triple)))
 
     return ValidationReport(tuple(warnings))

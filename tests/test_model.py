@@ -2,12 +2,14 @@
 
 import pytest
 
+from accesslint.goals import Goal, GoalKind, Refinement
 from accesslint.model import (
     AccessNeed,
     Asset,
     AssetKind,
     AssetModel,
     Association,
+    ModelError,
     SecurityValue,
     check_structure,
     default_matrix,
@@ -252,3 +254,24 @@ def test_multiplicities_are_documentation_only():
         ),
     )
     assert check_structure(model) == []
+
+
+@pytest.mark.parametrize("record, values", [
+    (Association("A", "B", frozenset({AccessNeed.READ})),
+     ("A", "B", frozenset({AccessNeed.READ}), frozenset(), None, None)),
+    (Goal("G", GoalKind.GOAL), ("G", GoalKind.GOAL, "")),
+    (Refinement("G", "R"), ("G", "R")),
+    (ModelError("UnknownAsset", "A", "unknown"), ("UnknownAsset", "A", "unknown", "error")),
+], ids=lambda value: type(value).__name__)
+def test_records_are_named_tuples(record, values):
+    """Each record equals the plain tuple of its values, and hashes as it does."""
+    assert record == values and tuple(record) == values
+    assert hash(record) == hash(values) and {record: 1}[values] == 1
+    first = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, first, "Other")
+    with pytest.raises(AttributeError):
+        record.colour = "red"
+    copied = record._replace(**{first: "Other"})
+    assert type(copied) is type(record) and copied == ("Other", *values[1:])
+    assert record == values

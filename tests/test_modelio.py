@@ -1,7 +1,7 @@
 """Document parsing, canonical serialization, and report rendering."""
 
+import inspect
 import json
-from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from accesslint import modelio
 from accesslint.fixtures import fixture_text, load_fixture
-from accesslint.goals import Goal, GoalGraph, GoalKind
+from accesslint.goals import Goal, GoalGraph, GoalKind, Refinement
 from accesslint.model import (
     AccessNeed,
     Asset,
@@ -347,7 +347,9 @@ def test_absent_extra_properties_are_not_shared():
 
 
 def _field_types(records) -> list:
-    return [[type(getattr(record, f.name)) for f in fields(record)] for record in records]
+    # The constructor's parameters name the fields of a NamedTuple and a dataclass alike.
+    return [[type(getattr(record, name)) for name in inspect.signature(type(record)).parameters]
+            for record in records]
 
 
 @pytest.mark.parametrize("source", ["pyramid", "works-diary", "chain.json"])
@@ -367,6 +369,19 @@ def test_column_pass_builds_the_row_readers_records(source, data_dir):
                for a in model.associations)
     if source != "chain.json":
         assert all(asset.parent is None for asset in model.assets)
+
+
+@pytest.mark.parametrize("source", ["pyramid", "works-diary", "chain.json"])
+def test_column_pass_builds_whole_named_tuples(source, data_dir):
+    """Records built through tuple.__new__ are exactly their class, with every field."""
+    text = fixture_text(source) if source in ("pyramid", "works-diary") else (
+        (data_dir / source).read_text(encoding="utf-8"))
+    model, graph = parse_model(text)
+    for cls, records in ((Association, model.associations), (Goal, graph.nodes),
+                         (Refinement, graph.refinements)):
+        for record in records:
+            assert type(record) is cls and len(record) == len(cls._fields)
+            assert record == cls(*record)
 
 
 _names = st.sampled_from(["A", "B", "C"])

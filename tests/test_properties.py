@@ -199,6 +199,18 @@ def test_writer_matches_json_dumps(pair, cells):
         json_reference.document(model, graph))
 
 
+@given(models_with_graphs(with_parents=True))
+def test_records_are_built_whole(pair):
+    """Parsed and inherited records are exactly their class, with every field."""
+    model, graph = parse_model(serialize_model(*pair))
+    expanded = expand_hierarchy(model)
+    for cls, records in ((Association, model.associations + expanded.associations),
+                         (Goal, graph.nodes), (Refinement, graph.refinements)):
+        for record in records:
+            assert type(record) is cls and len(record) == len(cls._fields)
+            assert record == cls(*record)
+
+
 @given(asset_models(with_parents=True))
 def test_hierarchy_expansion_only_adds_triples(model):
     base = set(expand_needs(model))

@@ -15,6 +15,7 @@ from accesslint.model import (
     Association,
     SecurityValue,
 )
+from accesslint.modelio import parse_model
 from accesslint.validation import (
     AccessTriple,
     AccessWarning,
@@ -225,6 +226,15 @@ class TestExpandHierarchy:
             for subject in ("A", "B", "T") for access in (R, W)
         ]
 
+
+    def test_gained_associations_are_whole_records(self, data_dir):
+        for model in (_chain_model(),
+                      parse_model((data_dir / "chain.json").read_bytes())[0]):
+            expanded = expand_hierarchy(model).associations
+            assert len(expanded) > len(model.associations)
+            for assoc in expanded:  # a plain or a short tuple fails
+                assert type(assoc) is Association and len(assoc) == 6
+                assert assoc == type(assoc)(*assoc)
 
     def test_expanded_association_layout(self):
         # Kid is declared before its parent Top and after Q.  Top's read of
