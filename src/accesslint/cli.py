@@ -4,8 +4,8 @@ Four subcommands: validate (run the full access check and print a
 report), check (structural checks only), export (DOT renderings), and
 fixture (write a bundled example document).  Exit codes are stable for
 pipeline use: 0 clean, 1 validation produced warnings, 2 the input
-could not be processed.  Diagnostics go to stderr, one line each, with
-non-printable characters escaped; payloads go to stdout or --out.
+could not be processed.  Diagnostics go to stderr, one line each, as the
+library built them, names already escaped; payloads go to stdout or --out.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import sys
 from .dot import VIEWS, export_dot
 from .fixtures import FIXTURE_NAMES, fixture_text
 from .goals import check_goal_structure
-from .model import check_structure
-from .modelio import ParseError, parse_model, printable, render_report
+from .model import check_structure, quote
+from .modelio import ParseError, parse_model, render_report
 from .validation import expand_hierarchy, validate_access
 
 EXIT_OK = 0
@@ -26,7 +26,7 @@ EXIT_ERROR = 2
 
 
 def _fail(message: str) -> int:
-    print(f"error: {printable(message)}", file=sys.stderr)
+    print(f"error: {message}", file=sys.stderr)
     return EXIT_ERROR
 
 
@@ -59,9 +59,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for finding in findings:
         if finding.severity == "error":
             failed = True
-            print(printable(str(finding)), file=sys.stderr)
+            print(finding, file=sys.stderr)
         else:
-            print(f"warning: {printable(str(finding))}", file=sys.stderr)
+            print(f"warning: {finding}", file=sys.stderr)
     return EXIT_ERROR if failed else EXIT_OK
 
 
@@ -74,7 +74,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_fixture(args: argparse.Namespace) -> int:
     if args.name not in FIXTURE_NAMES:
         known = ", ".join(FIXTURE_NAMES)
-        return _fail(f"unknown fixture {args.name!r}, expected one of: {known}")
+        return _fail(f"unknown fixture {quote(args.name)}, expected one of: {known}")
     _write(fixture_text(args.name), args.out)
     return EXIT_OK
 

@@ -13,7 +13,7 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from .model import AccessNeed, AssetModel, ModelError, index_names
+from .model import AccessNeed, AssetModel, ModelError, index_names, printable, quote
 
 
 class GoalKind(Enum):
@@ -127,7 +127,7 @@ def _refinement_cycles(graph: GoalGraph) -> list[list[str]]:
 
 
 def _policy_where(stmt: PolicyStatement) -> str:
-    return (f"policy {stmt.subject!r} {stmt.access.value} {stmt.resource!r} "
+    return (f"policy {quote(stmt.subject)} {stmt.access.value} {quote(stmt.resource)} "
             f"{stmt.permission.value}")
 
 
@@ -149,13 +149,13 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
         for endpoint in () if resolved else edge:
             if endpoint not in by_name:
                 errors.append(ModelError(
-                    "UnknownGoal", f"refinement {parent!r} <- {child!r}",
-                    f"refinement references unknown goal {endpoint!r}",
+                    "UnknownGoal", f"refinement {quote(parent)} <- {quote(child)}",
+                    f"refinement references unknown goal {quote(endpoint)}",
                 ))
         if edge in seen_edges:
             errors.append(ModelError(
-                "DuplicateRefinement", f"refinement {parent!r} <- {child!r}",
-                f"refinement {parent!r} <- {child!r} appears more than once",
+                "DuplicateRefinement", f"refinement {quote(parent)} <- {quote(child)}",
+                f"refinement {quote(parent)} <- {quote(child)} appears more than once",
             ))
             continue
         seen_edges.add(edge)
@@ -163,14 +163,14 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
             continue
         if by_name[parent].kind is _REQUIREMENT and by_name[child].kind is _GOAL:
             errors.append(ModelError(
-                "RequirementAboveGoal", f"refinement {parent!r} <- {child!r}",
-                f"requirement {parent!r} cannot be refined by goal {child!r}",
+                "RequirementAboveGoal", f"refinement {quote(parent)} <- {quote(child)}",
+                f"requirement {quote(parent)} cannot be refined by goal {quote(child)}",
             ))
 
     for members in _refinement_cycles(graph):
         errors.append(ModelError(
-            "CyclicRefinement", members[0],
-            "refinement cycle: " + " -> ".join(members + [members[0]]),
+            "CyclicRefinement", printable(members[0]),
+            "refinement cycle: " + " -> ".join(map(printable, members + [members[0]])),
         ))
 
     for stmt in graph.policy:
@@ -178,19 +178,19 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
         if owner is None:
             errors.append(ModelError(
                 "UnknownRequirement", _policy_where(stmt),
-                f"policy statement references unknown requirement {stmt.requirement!r}",
+                "policy statement references unknown requirement " + quote(stmt.requirement),
             ))
         elif owner.kind is not _REQUIREMENT:
             errors.append(ModelError(
                 "NotARequirement", _policy_where(stmt),
-                f"policy statement is owned by {stmt.requirement!r}, which is a goal, "
+                f"policy statement is owned by {quote(stmt.requirement)}, which is a goal, "
                 "not a requirement",
             ))
         for endpoint in (stmt.subject, stmt.resource):
             if endpoint not in asset_names:
                 errors.append(ModelError(
                     "UnknownAsset", _policy_where(stmt),
-                    f"policy statement references unknown asset {endpoint!r}",
+                    f"policy statement references unknown asset {quote(endpoint)}",
                 ))
 
     # A statement is a duplicate unless it is the first of its kind.  Past
@@ -202,13 +202,13 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
         if index[interaction + (stmt.permission,)] is not stmt:
             errors.append(ModelError(
                 "DuplicateStatement", _policy_where(stmt),
-                f"statement ({stmt.subject!r}, {stmt.access.value}, {stmt.resource!r}, "
-                f"{stmt.permission.value}) is declared more than once",
+                f"statement ({quote(stmt.subject)}, {stmt.access.value}, "
+                f"{quote(stmt.resource)}, {stmt.permission.value}) is declared more than once",
             ))
         elif interaction in seen_interactions:
             errors.append(ModelError(
                 "ConflictingPermission", _policy_where(stmt),
-                f"({stmt.subject!r}, {stmt.access.value}, {stmt.resource!r}) is "
+                f"({quote(stmt.subject)}, {stmt.access.value}, {quote(stmt.resource)}) is "
                 "both allowed and denied",
             ))
         else:
@@ -219,8 +219,8 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
     for node in by_name.values():
         if node.kind is _REQUIREMENT and node.name not in owning and node.name not in refined:
             errors.append(ModelError(
-                "RequirementWithoutPolicy", node.name,
-                f"requirement {node.name!r} owns no policy statement",
+                "RequirementWithoutPolicy", printable(node.name),
+                f"requirement {quote(node.name)} owns no policy statement",
                 severity="warning",
             ))
 
@@ -266,7 +266,7 @@ def trace(graph: GoalGraph, statement: PolicyStatement) -> list[list[str]]:
             pending.extend((p, depth + 1) for p in reversed(ups))
         elif len(paths) == MAX_TRACE_PATHS:
             raise ValueError(f"more than {MAX_TRACE_PATHS} refinement paths "
-                             f"from requirement {statement.requirement!r}")
+                             f"from requirement {quote(statement.requirement)}")
         else:
             paths.append(list(path))
     return paths

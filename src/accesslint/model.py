@@ -103,6 +103,21 @@ class AssetModel:
     matrix: Mapping[tuple[AssetKind, AssetKind], bool] = field(default_factory=default_matrix)
 
 
+def printable(text: str) -> str:
+    """text with each backslash and each character str.isprintable() rejects escaped.
+
+    Names reach diagnostics and report lines as written.  Escaped, a newline
+    in one cannot split a line, nor a name that spells \\n pass for it.
+    """
+    return "".join(c if c.isprintable() and c != "\\" else c.encode("unicode_escape").decode()
+                   for c in text)
+
+
+def quote(name: str) -> str:
+    """name as a diagnostic shows it: printable, in single quotes, with ' as \\'."""
+    return "'" + printable(name).replace("'", "\\'") + "'"
+
+
 class ModelError(NamedTuple):
     """A structural finding: which rule was violated, by which element.
 
@@ -133,8 +148,8 @@ def index_names(items: Sequence[Any], noun: str, empty_code: str,
                 empty_code, f"<unnamed {noun}>", f"{noun} has an empty name"))
         elif item.name in by_name:
             errors.append(ModelError(
-                duplicate_code, item.name,
-                f"{noun} name {item.name!r} is declared more than once"))
+                duplicate_code, printable(item.name),
+                f"{noun} name {quote(item.name)} is declared more than once"))
         else:
             by_name[item.name] = item
     return by_name, errors
@@ -178,20 +193,20 @@ def check_structure(model: AssetModel) -> list[ModelError]:
         parent = by_name.get(asset.parent)
         if parent is None:
             errors.append(ModelError(
-                "UnknownParent", asset.name,
-                f"asset {asset.name!r} names unknown parent {asset.parent!r}",
+                "UnknownParent", printable(asset.name),
+                f"asset {quote(asset.name)} names unknown parent {quote(asset.parent)}",
             ))
         elif parent.kind is not asset.kind:
             errors.append(ModelError(
-                "ParentKindMismatch", asset.name,
-                f"asset {asset.name!r} ({asset.kind.value}) cannot inherit from "
-                f"{parent.name!r} ({parent.kind.value})",
+                "ParentKindMismatch", printable(asset.name),
+                f"asset {quote(asset.name)} ({asset.kind.value}) cannot inherit from "
+                f"{quote(parent.name)} ({parent.kind.value})",
             ))
 
     order = {a.name: i for i, a in enumerate(model.assets)}
     for trail, _, closed in parent_walks(model.assets):
         if closed is not None:
-            members = sorted(trail[closed:], key=order.__getitem__)
+            members = list(map(printable, sorted(trail[closed:], key=order.__getitem__)))
             errors.append(ModelError(
                 "CyclicInheritance", members[0],
                 "inheritance cycle: " + " -> ".join(members + [members[0]]),
@@ -205,19 +220,19 @@ def check_structure(model: AssetModel) -> list[ModelError]:
         for endpoint in () if resolved else pair:
             if endpoint not in by_name:
                 errors.append(ModelError(
-                    "UnknownAsset", f"association {source!r} - {target!r}",
-                    f"association end references unknown asset {endpoint!r}",
+                    "UnknownAsset", f"association {quote(source)} - {quote(target)}",
+                    f"association end references unknown asset {quote(endpoint)}",
                 ))
         if source == target:
             errors.append(ModelError(
-                "SelfAssociation", f"association {source!r} - {target!r}",
-                f"asset {source!r} cannot be associated with itself",
+                "SelfAssociation", f"association {quote(source)} - {quote(target)}",
+                f"asset {quote(source)} cannot be associated with itself",
             ))
             continue
         if pair in seen_pairs:
             errors.append(ModelError(
-                "DuplicateAssociation", f"association {source!r} - {target!r}",
-                f"more than one association between {source!r} and {target!r}",
+                "DuplicateAssociation", f"association {quote(source)} - {quote(target)}",
+                f"more than one association between {quote(source)} and {quote(target)}",
             ))
             continue
         seen_pairs.update((pair, (target, source)))
@@ -231,9 +246,9 @@ def check_structure(model: AssetModel) -> list[ModelError]:
             resource_kind = by_name[resource].kind
             if not model.matrix[(subject_kind, resource_kind)]:
                 errors.append(ModelError(
-                    "MatrixViolation", f"association {source!r} - {target!r}",
-                    f"{subject_kind.value} asset {subject!r} may not hold access "
-                    f"needs upon {resource_kind.value} asset {resource!r}",
+                    "MatrixViolation", f"association {quote(source)} - {quote(target)}",
+                    f"{subject_kind.value} asset {quote(subject)} may not hold access "
+                    f"needs upon {resource_kind.value} asset {quote(resource)}",
                 ))
 
     return errors

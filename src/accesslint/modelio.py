@@ -45,6 +45,8 @@ from .model import (
     SecurityValue,
     check_structure,
     default_matrix,
+    printable,
+    quote,
 )
 from .validation import _MESSAGE_PREFIX, RULE_RESULTS, TEXT, ValidationReport, WarningKind
 
@@ -116,7 +118,7 @@ def _pairs(pairs: list[tuple[str, Any]]) -> dict:
 def _repeated(obj: dict) -> None:
     if _REPEATED in obj:
         key = obj[_REPEATED]
-        raise _Bad(f".{key}", f"duplicate key {key!r}")
+        raise _Bad(f".{printable(key)}", f"duplicate key {quote(key)}")
 
 
 # Readers take one field's values, from one record or a whole section, and
@@ -137,7 +139,7 @@ def _object_keys(obj: Any, keys: frozenset[str]) -> None:
     if not keys.issuperset(obj):
         _repeated(obj)
         key = next(key for key in obj if key not in keys)
-        raise _Bad(f".{key}", f"unknown key {key!r}")
+        raise _Bad(f".{printable(key)}", f"unknown key {quote(key)}")
 
 
 _strings, _booleans = partial(_typed, kind=str), partial(_typed, kind=bool)
@@ -158,7 +160,7 @@ def _choice(table: dict, what: str, expected: str | None = None):
             return list(map(table.__getitem__, values))
         except (KeyError, TypeError):
             value = next(value for value in _strings(values) if value not in table)
-            raise _Bad("", f"invalid {what} {value!r}, expected one of: {expected}") from None
+            raise _Bad("", f"invalid {what} {quote(value)}, expected one of: {expected}") from None
     return read, {value: _quote(key) for key, value in table.items()}.__getitem__
 
 
@@ -166,7 +168,7 @@ _level, _level_text = _choice(_LEVEL_NAMES, "security level")
 _asset_kind, _kind_text = _choice(_KIND_NAMES, "asset kind")
 _need, _need_text = _choice(_NEED_NAMES, "access need")
 _multiplicity, _ = _choice({m: m for m in MULTIPLICITIES}, "multiplicity",
-                           ", ".join(repr(m) for m in MULTIPLICITIES))
+                           ", ".join(map(quote, MULTIPLICITIES)))
 
 
 def _levels(values: list) -> list:
@@ -176,7 +178,7 @@ def _levels(values: list) -> list:
             try:
                 _level([raw])
             except _Bad as bad:
-                raise _Bad(f".{prop}", bad.reason) from None
+                raise _Bad(f".{printable(prop)}", bad.reason) from None
     return [{prop: _LEVEL_NAMES[raw] for prop, raw in value.items()} for value in values]
 
 
@@ -313,7 +315,7 @@ def _record(obj: Any, section: str) -> Any:
     _object_keys(obj, _RECORD_KEYS[section])
     for key in required:
         if key not in obj:
-            raise _Bad("", f"missing required key {key!r}")
+            raise _Bad("", f"missing required key {quote(key)}")
     values = {}
     try:
         for key, attribute, read, _ in fields:
@@ -476,18 +478,6 @@ def serialize_model(model: AssetModel, graph: GoalGraph) -> str:
                for section, records in sections.items() if records]
     members.append(("version", str(DOCUMENT_VERSION)))
     return _object(members, "") + "\n"
-
-
-def printable(text: str) -> str:
-    """text with each backslash and each character str.isprintable() rejects escaped.
-
-    Names reach diagnostics and report lines as written.  Escaped, a newline
-    in one cannot split a line, nor a name that spells \\n pass for it.
-    """
-    if text.isprintable() and "\\" not in text:
-        return text
-    return "".join(c if c.isprintable() and c != "\\" else c.encode("unicode_escape").decode()
-                   for c in text)
 
 
 def render_report(report: ValidationReport, format: str = "text") -> str:

@@ -11,6 +11,16 @@ import pytest
 import accesslint
 from accesslint.cli import main
 from accesslint.fixtures import fixture_text
+from accesslint.goals import (
+    GoalGraph,
+    Permission,
+    PolicyStatement,
+    Refinement,
+    check_goal_structure,
+    trace,
+)
+from accesslint.model import AccessNeed, check_structure
+from accesslint.modelio import ParseError, parse_model
 
 
 def run(capsys, *argv):
@@ -60,6 +70,11 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(tmp_path / "nope.json"))
         assert code == 2
         assert err.startswith("error:")
+        # The OSError text quotes its file name through repr: one line.
+        path = str(tmp_path / "no\\pe\n.json")
+        code, _, err = run(capsys, "validate", path)
+        assert code == 2
+        assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
 
     def test_out_flag_writes_file_and_keeps_stdout_clean(
             self, capsys, pyramid_path, tmp_path):
@@ -144,6 +159,10 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(tmp_path / "nope.json"))
         assert code == 2
         assert err.startswith("error:")
+        path = str(tmp_path / "no\\pe\n.json")
+        code, _, err = run(capsys, "check", path)
+        assert code == 2
+        assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
 
     def test_over_long_integer_literal_exits_two(self, capsys, tmp_path):
         path = tmp_path / "long.json"
@@ -245,7 +264,117 @@ def test_unpaired_surrogate_escape_exits_two(capsys, data_dir, command):
     code, out, err = run(capsys, *command, str(data_dir / "surrogate.json"))
     assert code == 2
     assert out == ""
-    assert err == "error: line 1, column 34: unpaired surrogate escape \\\\ud800\n"
+    assert err == "error: line 1, column 34: unpaired surrogate escape \\ud800\n"
+
+
+# One name holding a quote, a backslash, a newline and an escape character;
+# a diagnostic shows it bare as SHOWN and quoted as QUOTED, escaped once.
+HOSTILE = "it's\\\n\x1b"
+SHOWN = r"it's\\\n\x1b"
+QUOTED = r"'it\'s\\\n\x1b'"
+SYSTEM = {"name": "A", "kind": "system"}
+INFORMATION = {"name": "B", "kind": "information"}
+
+
+def _policy(subject=HOSTILE, permission="allow", requirement="R"):
+    return {"requirement": requirement, "subject": subject, "access": "read",
+            "resource": "B", "permission": permission}
+
+
+# (document, code, where, message): each document yields this one finding.
+_FINDINGS = [
+    ({"assets": [{"name": HOSTILE, "kind": "system"}] * 2}, "DuplicateAssetName",
+     SHOWN, f"asset name {QUOTED} is declared more than once"),
+    ({"assets": [{"name": HOSTILE, "kind": "system", "parent": "Ghost"}]}, "UnknownParent",
+     SHOWN, f"asset {QUOTED} names unknown parent 'Ghost'"),
+    ({"assets": [SYSTEM, {"name": HOSTILE, "kind": "information", "parent": "A"}]},
+     "ParentKindMismatch", SHOWN,
+     f"asset {QUOTED} (information) cannot inherit from 'A' (system)"),
+    ({"assets": [{"name": HOSTILE, "kind": "system", "parent": HOSTILE}]},
+     "CyclicInheritance", SHOWN, f"inheritance cycle: {SHOWN} -> {SHOWN}"),
+    ({"assets": [SYSTEM], "associations": [{"source": "A", "target": HOSTILE}]},
+     "UnknownAsset", f"association 'A' - {QUOTED}",
+     f"association end references unknown asset {QUOTED}"),
+    ({"assets": [{"name": HOSTILE, "kind": "system"}],
+      "associations": [{"source": HOSTILE, "target": HOSTILE}]},
+     "SelfAssociation", f"association {QUOTED} - {QUOTED}",
+     f"asset {QUOTED} cannot be associated with itself"),
+    ({"assets": [SYSTEM, {"name": HOSTILE, "kind": "system"}],
+      "associations": [{"source": HOSTILE, "target": "A"}, {"source": "A", "target": HOSTILE}]},
+     "DuplicateAssociation", f"association 'A' - {QUOTED}",
+     f"more than one association between 'A' and {QUOTED}"),
+    ({"assets": [{"name": HOSTILE, "kind": "system"}, {"name": "P", "kind": "people"}],
+      "associations": [{"source": HOSTILE, "target": "P", "sourceNeeds": ["read"]}]},
+     "MatrixViolation", f"association {QUOTED} - 'P'",
+     f"system asset {QUOTED} may not hold access needs upon people asset 'P'"),
+    ({"goals": [{"name": HOSTILE, "kind": "goal"}] * 2}, "DuplicateGoalName",
+     SHOWN, f"goal name {QUOTED} is declared more than once"),
+    ({"goals": [{"name": "G", "kind": "goal"}],
+      "refinements": [{"parent": "G", "child": HOSTILE}]},
+     "UnknownGoal", f"refinement 'G' <- {QUOTED}", f"refinement references unknown goal {QUOTED}"),
+    ({"goals": [{"name": HOSTILE, "kind": "goal"}, {"name": "G", "kind": "goal"}],
+      "refinements": [{"parent": HOSTILE, "child": "G"}] * 2},
+     "DuplicateRefinement", f"refinement {QUOTED} <- 'G'",
+     f"refinement {QUOTED} <- 'G' appears more than once"),
+    ({"goals": [{"name": HOSTILE, "kind": "requirement"}, {"name": "G", "kind": "goal"}],
+      "refinements": [{"parent": HOSTILE, "child": "G"}]},
+     "RequirementAboveGoal", f"refinement {QUOTED} <- 'G'",
+     f"requirement {QUOTED} cannot be refined by goal 'G'"),
+    ({"goals": [{"name": HOSTILE, "kind": "goal"}],
+      "refinements": [{"parent": HOSTILE, "child": HOSTILE}]},
+     "CyclicRefinement", SHOWN, f"refinement cycle: {SHOWN} -> {SHOWN}"),
+    ({"assets": [SYSTEM, INFORMATION], "policy": [_policy("A", requirement=HOSTILE)]},
+     "UnknownRequirement", "policy 'A' read 'B' allow",
+     f"policy statement references unknown requirement {QUOTED}"),
+    ({"assets": [SYSTEM, INFORMATION], "goals": [{"name": HOSTILE, "kind": "goal"}],
+      "policy": [_policy("A", requirement=HOSTILE)]},
+     "NotARequirement", "policy 'A' read 'B' allow",
+     f"policy statement is owned by {QUOTED}, which is a goal, not a requirement"),
+    ({"assets": [INFORMATION], "goals": [{"name": "R", "kind": "requirement"}],
+      "policy": [_policy()]},
+     "UnknownAsset", f"policy {QUOTED} read 'B' allow",
+     f"policy statement references unknown asset {QUOTED}"),
+    ({"assets": [{"name": HOSTILE, "kind": "system"}, INFORMATION],
+      "goals": [{"name": "R", "kind": "requirement"}], "policy": [_policy()] * 2},
+     "DuplicateStatement", f"policy {QUOTED} read 'B' allow",
+     f"statement ({QUOTED}, read, 'B', allow) is declared more than once"),
+    ({"assets": [{"name": HOSTILE, "kind": "system"}, INFORMATION],
+      "goals": [{"name": "R", "kind": "requirement"}],
+      "policy": [_policy(), _policy(permission="deny")]},
+     "ConflictingPermission", f"policy {QUOTED} read 'B' deny",
+     f"({QUOTED}, read, 'B') is both allowed and denied"),
+    ({"goals": [{"name": HOSTILE, "kind": "requirement"}]}, "RequirementWithoutPolicy",
+     SHOWN, f"requirement {QUOTED} owns no policy statement"),
+]
+
+# (document text, location, reason) of a ParseError.
+_PARSE_ERRORS = [
+    pytest.param(json.dumps({"version": 1, HOSTILE: 1}),
+                 f"$.{SHOWN}", f"unknown key {QUOTED}", id="unknown-key"),
+    pytest.param(json.dumps({"version": 1, "assets": [{**SYSTEM, HOSTILE: 1}]}),
+                 f"assets[0].{SHOWN}", f"unknown key {QUOTED}", id="unknown-record-key"),
+    pytest.param('{"version": 1, %s: 1, %s: 2}' % ((json.dumps(HOSTILE),) * 2),
+                 f"$.{SHOWN}", f"duplicate key {QUOTED}", id="duplicate-key"),
+    pytest.param(json.dumps({"version": 1, "assets": [{"name": HOSTILE}]}),
+                 "assets[0]", "missing required key 'kind'", id="missing-key"),
+    pytest.param(json.dumps({"version": 1, "assets": [{"name": "A", "kind": HOSTILE}]}),
+                 "assets[0].kind",
+                 f"invalid asset kind {QUOTED}, expected one of: information, people, system",
+                 id="asset-kind"),
+    pytest.param(json.dumps({"version": 1, "associations": [
+                     {"source": "A", "target": "B", "sourceMultiplicity": HOSTILE}]}),
+                 "associations[0].sourceMultiplicity",
+                 f"invalid multiplicity {QUOTED}, expected one of: '1', '0..1', '1..*', '*'",
+                 id="multiplicity"),
+    pytest.param(json.dumps({"version": 1, "assets": [
+                     {**SYSTEM, "extraProperties": {HOSTILE: "bogus"}}]}),
+                 f"assets[0].extraProperties.{SHOWN}",
+                 "invalid security level 'bogus', expected one of: high, low, medium, none",
+                 id="extra-property"),
+    # json's own text names no document string; its backslash is printed as is.
+    pytest.param('{"version": 1, "a\\q": 1}', "line 1, column 18", "Invalid \\escape",
+                 id="json-message"),
+]
 
 
 class TestOneLinePerDiagnostic:
@@ -262,7 +391,51 @@ class TestOneLinePerDiagnostic:
         code, out, err = run(capsys, "check", path)
         assert code == 2
         assert out == ""
-        assert err == "error: $.bogus\\nkey: unknown key 'bogus\\\\nkey'\n"
+        assert err == "error: $.bogus\\nkey: unknown key 'bogus\\nkey'\n"
+
+    @pytest.mark.parametrize("document, code, where, message", _FINDINGS,
+                             ids=[case[1] for case in _FINDINGS])
+    def test_finding_escapes_each_name_once(self, capsys, tmp_path,
+                                            document, code, where, message):
+        model, graph = parse_model(json.dumps({"version": 1, **document}), check=False)
+        findings = check_structure(model) + check_goal_structure(graph, model)
+        assert [(f.code, f.where, f.message) for f in findings] == [(code, where, message)]
+        assert str(findings[0]) == f"{code}: {message}"
+        path = self._write(tmp_path, {"version": 1, **document})
+        if findings[0].severity == "warning":
+            assert run(capsys, "check", path) == (0, "", f"warning: {code}: {message}\n")
+            assert run(capsys, "validate", path)[0] == 0
+        else:
+            assert run(capsys, "check", path) == (2, "", f"{code}: {message}\n")
+            assert run(capsys, "validate", path) == (
+                2, "", f"error: {where}: 1 structural error(s), first: {code}: {message}\n")
+
+    @pytest.mark.parametrize("text, location, reason", _PARSE_ERRORS)
+    def test_parse_error_escapes_each_name_once(self, capsys, tmp_path,
+                                                text, location, reason):
+        with pytest.raises(ParseError) as info:
+            parse_model(text)
+        assert (info.value.location, info.value.reason) == (location, reason)
+        assert str(info.value) == f"{location}: {reason}"
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        for command in ("check", "validate"):
+            assert run(capsys, command, str(path)) == (2, "", f"error: {location}: {reason}\n")
+
+    def test_trace_limit_escapes_the_requirement_once(self):
+        # Fourteen stacked diamonds above the requirement: 2**14 paths.
+        tops = [f"T{i}" for i in range(14)] + [HOSTILE]
+        graph = GoalGraph(refinements=tuple(
+            Refinement(*edge) for i in range(14) for side in (f"L{i}", f"R{i}")
+            for edge in ((tops[i], side), (side, tops[i + 1]))))
+        statement = PolicyStatement(HOSTILE, "A", AccessNeed.READ, "B", Permission.ALLOW)
+        with pytest.raises(ValueError) as info:
+            trace(graph, statement)
+        assert str(info.value) == f"more than 10000 refinement paths from requirement {QUOTED}"
+
+    def test_unknown_fixture_name_is_escaped_once(self, capsys):
+        assert run(capsys, "fixture", "--name", HOSTILE) == (
+            2, "", f"error: unknown fixture {QUOTED}, expected one of: pyramid, works-diary\n")
 
     def test_forged_cycle_finding(self, capsys, tmp_path):
         path = self._write(tmp_path, {
