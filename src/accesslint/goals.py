@@ -138,8 +138,7 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
     policy statement and are not refined further are reported at warning
     severity: they may legitimately cover concerns other than access.
     """
-    by_name, errors = index_names(
-        graph.nodes, "goal", "EmptyGoalName", "DuplicateGoalName")
+    by_name, errors = index_names(graph.nodes, "goal")
     asset_names = {a.name for a in model.assets}
 
     seen_edges: set[tuple[str, str]] = set()

@@ -134,9 +134,8 @@ class ModelError(NamedTuple):
         return f"{self.code}: {self.message}"
 
 
-def index_names(items: Sequence[Any], noun: str, empty_code: str,
-                duplicate_code: str) -> tuple[dict[str, Any], list[ModelError]]:
-    """Map each name to its first declaration; report empty and repeated names."""
+def index_names(items: Sequence[Any], noun: str) -> tuple[dict[str, Any], list[ModelError]]:
+    """Map each name to its first declaration; report Empty<Noun>Name, Duplicate<Noun>Name."""
     by_name: dict[str, Any] = {item.name: item for item in items}
     if len(by_name) == len(items) and all(by_name):
         return by_name, []
@@ -145,10 +144,10 @@ def index_names(items: Sequence[Any], noun: str, empty_code: str,
     for item in items:
         if not item.name:
             errors.append(ModelError(
-                empty_code, f"<unnamed {noun}>", f"{noun} has an empty name"))
+                f"Empty{noun.title()}Name", f"<unnamed {noun}>", f"{noun} has an empty name"))
         elif item.name in by_name:
             errors.append(ModelError(
-                duplicate_code, printable(item.name),
+                f"Duplicate{noun.title()}Name", printable(item.name),
                 f"{noun} name {quote(item.name)} is declared more than once"))
         else:
             by_name[item.name] = item
@@ -184,8 +183,7 @@ def check_structure(model: AssetModel) -> list[ModelError]:
     Findings come out in document order so identical inputs always yield
     identical error lists.
     """
-    by_name, errors = index_names(
-        model.assets, "asset", "EmptyAssetName", "DuplicateAssetName")
+    by_name, errors = index_names(model.assets, "asset")
 
     for asset in model.assets:
         if asset.parent is None or asset.name not in by_name:

@@ -5,7 +5,8 @@ A model document is UTF-8 JSON with top-level keys
 The parser is deliberately strict: unknown and repeated keys anywhere are
 hard errors with the offending path named, because a silently ignored typo
 in a security model is worse than a parse failure.  The per-record schema
-lives in one table, _RECORDS, read by columns or, at any fault, by records.
+lives in one table, _RECORDS, read by columns or, at any fault, by records; a
+key is required where its record class gives the field no default.
 
 Serialization is canonical, exactly json.dumps(document, indent=2,
 sort_keys=True) plus a newline (non-ASCII escaped as \\uXXXX), so re-saving
@@ -22,8 +23,7 @@ from functools import partial
 from itertools import permutations, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
-from types import SimpleNamespace
-from typing import Any
+from typing import Any, NamedTuple
 
 from .goals import (
     Goal,
@@ -237,49 +237,55 @@ def _defaults(cls: type) -> dict[str, Any]:
             else repeat(spec.default).__next__ for spec in class_fields(cls)}
 
 
-# The per-record schema: section -> (class, required keys, (json key, attribute,
-# reader, writer)).  A model section is read by columns; the error path reads a
-# record at a time, fields in this order.  Absent keys take the class default.
+class _Override(NamedTuple):  # a matrixOverride entry: one matrix cell and its value
+    subject: AssetKind
+    resource: AssetKind
+    allowed: bool
+
+
+# The per-record schema: section -> (class, (json key, attribute, reader, writer)).
+# A section is read by columns; the error path reads a record at a time, fields in
+# this order.  A key whose field has no class default is required; others default.
 _RECORDS = {
-    "assets": (Asset, ("name", "kind"), (
+    "assets": (Asset, (
         ("name", "name", _names, _quote),
         ("kind", "kind", _asset_kind, _kind_text),
         ("confidentiality", "confidentiality", _level, _level_text),
         ("integrity", "integrity", _level, _level_text),
         ("extraProperties", "extra_properties", _levels, _level_map),
         ("parent", "parent", _strings, _optional))),
-    "associations": (Association, ("source", "target"), (
+    "associations": (Association, (
         ("sourceMultiplicity", "source_multiplicity", _multiplicity, _optional),
         ("targetMultiplicity", "target_multiplicity", _multiplicity, _optional),
         ("source", "source", _strings, _quote),
         ("target", "target", _strings, _quote),
         ("sourceNeeds", "source_needs", _needs, _NEED_LISTS.__getitem__),
         ("targetNeeds", "target_needs", _needs, _NEED_LISTS.__getitem__))),
-    "goals": (Goal, ("name", "kind"), (
+    "goals": (Goal, (
         ("definition", "definition", _strings, _nonempty),
         ("name", "name", _strings, _quote),
         ("kind", "kind", *_choice(_GOAL_KIND_NAMES, "goal kind")))),
-    "refinements": (Refinement, ("parent", "child"), (
+    "refinements": (Refinement, (
         ("parent", "parent", _strings, _quote),
         ("child", "child", _strings, _quote))),
-    "policy": (PolicyStatement,
-               ("requirement", "subject", "access", "resource", "permission"), (
+    "policy": (PolicyStatement, (
         ("requirement", "requirement", _strings, _quote),
         ("subject", "subject", _strings, _quote),
         ("access", "access", _need, _need_text),
         ("resource", "resource", _strings, _quote),
         ("permission", "permission", *_choice(_PERMISSION_NAMES, "permission")))),
-    "matrixOverride": (SimpleNamespace, ("subject", "resource", "allowed"), (
+    "matrixOverride": (_Override, (
         ("subject", "subject", _asset_kind, _kind_text),
         ("resource", "resource", _asset_kind, _kind_text),
         ("allowed", "allowed", _booleans, _json_bool))),
 }
+_TOP_KEYS = frozenset(("version", *_RECORDS))
 _RECORD_KEYS = {section: frozenset(key for key, *_ in fields)
-                for section, (_, _, fields) in _RECORDS.items()}
-# Model sections by column: (json key, reader, default()) per field in class order.
+                for section, (_, fields) in _RECORDS.items()}
+# Sections by column: (json key, reader, default() or MISSING if required) in class order.
 _COLUMNS = {section: [(key, read, default) for name, default in _defaults(cls).items()
                       for key, attribute, read, _ in fields if attribute == name]
-            for section, (cls, _, fields) in _RECORDS.items() if cls is not SimpleNamespace}
+            for section, (cls, fields) in _RECORDS.items()}
 
 
 def _layout(fields) -> tuple:
@@ -289,7 +295,7 @@ def _layout(fields) -> tuple:
                  for key, attribute, *_, write in sorted(fields))
 
 
-_LAYOUTS = {section: _layout(fields) for section, (_, _, fields) in _RECORDS.items()}
+_LAYOUTS = {section: _layout(fields) for section, (_, fields) in _RECORDS.items()}
 _WARNING_LAYOUT = _layout((
     ("kind", "kind", {kind: _quote(kind.value) for kind in WarningKind}.__getitem__),
     ("subject", "triple.subject", _quote),
@@ -311,10 +317,10 @@ def _write_records(records, layout: tuple) -> str:
 
 
 def _record(obj: Any, section: str) -> Any:
-    cls, required, fields = _RECORDS[section]
+    cls, fields = _RECORDS[section]
     _object_keys(obj, _RECORD_KEYS[section])
-    for key in required:
-        if key not in obj:
+    for key, _, default in _COLUMNS[section]:
+        if default is MISSING and key not in obj:
             raise _Bad("", f"missing required key {quote(key)}")
     values = {}
     try:
@@ -331,17 +337,19 @@ def _records(root: dict, section: str):
     items = root.get(section, [])
     if type(items) is not list:
         raise SchemaError(f"$.{section}", f"expected a list, got {type(items).__name__}")
-    if section in _COLUMNS and all(type(obj) is dict for obj in items) and all(
+    if all(type(obj) is dict for obj in items) and all(
             map(_RECORD_KEYS[section].issuperset, items)):
-        try:
+        try:  # at any fault, the row reader below finds the first and names it
             columns = []
             for key, read, default in _COLUMNS[section]:
                 values = read([obj[key] for obj in items if key in obj])
                 if len(values) < len(items):
+                    if default is MISSING:
+                        raise _Bad("", "missing required key")
                     values = iter(values)
                     values = [next(values) if key in obj else default() for obj in items]
                 columns.append(values)
-        except (_Bad, TypeError):  # TypeError: a required key is absent, MISSING called
+        except _Bad:
             pass
         else:
             cls = _RECORDS[section][0]  # a NamedTuple is built in C
@@ -377,10 +385,6 @@ def _reject_unpaired_surrogates(document: str) -> None:
             column = pos - document.rfind("\n", 0, pos)
             raise DocumentSyntaxError(f"line {line}, column {column}",
                                       f"unpaired surrogate escape \\{match[1]}")
-
-
-_TOP_KEYS = frozenset(("version", "assets", "associations", "goals", "refinements",
-                       "policy", "matrixOverride"))
 
 
 def parse_model(document: bytes | str, *, check: bool = True) -> tuple[AssetModel, GoalGraph]:
@@ -437,13 +441,12 @@ def parse_model(document: bytes | str, *, check: bool = True) -> tuple[AssetMode
     refinements = tuple(_records(root, "refinements"))
     policy = tuple(_records(root, "policy"))
     overrides = {}
-    for i, entry in enumerate(_records(root, "matrixOverride")):
-        subject, resource = cell = entry.subject, entry.resource
-        if cell in overrides:
+    for i, (subject, resource, allowed) in enumerate(_records(root, "matrixOverride")):
+        if (subject, resource) in overrides:
             raise SchemaError(
                 f"$.matrixOverride[{i}]",
                 f"duplicate override for ({subject.value}, {resource.value})")
-        overrides[cell] = entry.allowed
+        overrides[subject, resource] = allowed
 
     model = AssetModel(assets=assets, associations=associations,
                        matrix={**default_matrix(), **overrides})
@@ -469,8 +472,7 @@ def serialize_model(model: AssetModel, graph: GoalGraph) -> str:
         "assets": model.assets, "associations": model.associations,
         "goals": graph.nodes, "refinements": graph.refinements, "policy": graph.policy,
         "matrixOverride": [
-            SimpleNamespace(subject=cell[0], resource=cell[1], allowed=model.matrix[cell])
-            for cell, default in default_matrix().items()
+            _Override(*cell, model.matrix[cell]) for cell, default in default_matrix().items()
             if model.matrix[cell] != default
         ],
     }

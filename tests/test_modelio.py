@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -346,6 +347,45 @@ def test_absent_extra_properties_are_not_shared():
     assert first.extra_properties is not second.extra_properties
 
 
+# section -> (one record holding every key, its required keys, the parsed record,
+# the record built from its required fields alone); None where all are required.
+_ONE_RECORD = {
+    "assets": ({"name": "A", "kind": "system", "confidentiality": "high", "integrity": "low",
+                "extraProperties": {"cost": "low"}, "parent": "B"}, ("name", "kind"),
+               lambda model, graph: model.assets[0], Asset("A", AssetKind.SYSTEM)),
+    "associations": ({"source": "A", "target": "B", "sourceNeeds": ["read"],
+                      "targetNeeds": ["write"], "sourceMultiplicity": "1",
+                      "targetMultiplicity": "*"}, ("source", "target"),
+                     lambda model, graph: model.associations[0], Association("A", "B")),
+    "goals": ({"name": "G", "kind": "goal", "definition": "Keep it"}, ("name", "kind"),
+              lambda model, graph: graph.nodes[0], Goal("G", GoalKind.GOAL)),
+    "refinements": ({"parent": "G", "child": "R"}, ("parent", "child"), None, None),
+    "policy": ({"requirement": "R", "subject": "A", "access": "read", "resource": "B",
+                "permission": "allow"},
+               ("requirement", "subject", "access", "resource", "permission"), None, None),
+    "matrixOverride": (_OVERRIDE, ("subject", "resource", "allowed"), None, None),
+}
+
+
+@pytest.mark.parametrize("section, key", [
+    (section, key) for section, (record, *_) in _ONE_RECORD.items() for key in record])
+def test_each_key_is_required_or_takes_the_class_default(section, key):
+    record, required, parsed, minimal = _ONE_RECORD[section]
+    document = json.dumps({"version": 1, section: [{k: record[k] for k in record if k != key}]})
+    if key in required:
+        prefix = "$.matrixOverride" if section == "matrixOverride" else section
+        with pytest.raises(SchemaError) as info:
+            parse_model(document, check=False)
+        assert str(info.value) == f"{prefix}[0]: missing required key '{key}'"
+        return
+    attribute = re.sub("[A-Z]", lambda upper: "_" + upper[0].lower(), key)
+    full = getattr(parsed(*parse_model(json.dumps({"version": 1, section: [record]}),
+                                       check=False)), attribute)
+    value = getattr(parsed(*parse_model(document, check=False)), attribute)
+    default = getattr(minimal, attribute)
+    assert (value, type(value)) == (default, type(default)) != (full, type(full))
+
+
 def _field_types(records) -> list:
     # The constructor's parameters name the fields of a NamedTuple and a dataclass alike.
     return [[type(getattr(record, name)) for name in inspect.signature(type(record)).parameters]
@@ -404,6 +444,9 @@ _LEGAL = {
     "policy": ({"requirement": _names, "subject": _names, "resource": _names,
                 "access": st.sampled_from(["read", "interact"]),
                 "permission": st.sampled_from(["allow", "deny"])}, {}),
+    "matrixOverride": ({"subject": st.sampled_from(["system", "people"]),
+                        "resource": st.sampled_from(["information", "people"]),
+                        "allowed": st.booleans()}, {}),
 }
 # A value no field of any record accepts, or one only some fields accept.
 # An empty string or object iterates like an empty list of needs.
@@ -445,6 +488,7 @@ def _sections(draw):
 def test_column_pass_reads_as_the_row_reader(case):
     section, items = case
     root = {"version": 1, section: items}
+    prefix = "$.matrixOverride" if section == "matrixOverride" else section
     expected = []
     for i, obj in enumerate(items):  # the row reader, one record at a time
         try:
@@ -452,7 +496,7 @@ def test_column_pass_reads_as_the_row_reader(case):
         except modelio._Bad as bad:
             with pytest.raises(SchemaError) as info:
                 tuple(modelio._records(root, section))
-            assert str(info.value) == f"{section}[{i}]{bad.suffix}: {bad.reason}"
+            assert str(info.value) == f"{prefix}[{i}]{bad.suffix}: {bad.reason}"
             return
     records = tuple(modelio._records(root, section))
     assert records == tuple(expected)
