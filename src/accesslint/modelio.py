@@ -6,7 +6,8 @@ The parser is deliberately strict: unknown and repeated keys anywhere are
 hard errors with the offending path named, because a silently ignored typo
 in a security model is worse than a parse failure.  The per-record schema
 lives in one table, _RECORDS, read by columns or, at any fault, by records; a
-key is required where its record class gives the field no default.
+key is required where its record class gives the field no default.  A schema
+fault is located by its path below the document root, as in $.assets[2].kind.
 
 Serialization is canonical, exactly json.dumps(document, indent=2,
 sort_keys=True) plus a newline (non-ASCII escaped as \\uXXXX), so re-saving
@@ -62,7 +63,7 @@ _PERMISSION_NAMES = {perm.value: perm for perm in Permission}
 class ParseError(Exception):
     """A document could not be turned into a model.
 
-    location is a document path ("assets[2].kind") or a line reference
+    location is a document path ("$.assets[2].kind") or a line reference
     ("line 4, column 7"); every failure carries one.
     """
 
@@ -90,7 +91,7 @@ class SemanticError(ParseError):
 
 
 class _Bad(Exception):
-    """A record failed its schema; suffix is the path below the record."""
+    """A value failed the schema; suffix is its path below what was read, in the end below $."""
 
     def __init__(self, suffix: str, reason: str):
         self.suffix = suffix
@@ -333,10 +334,10 @@ def _record(obj: Any, section: str) -> Any:
 
 
 def _records(root: dict, section: str):
-    """Yield each record of a top-level list, raising SchemaError at the first bad one."""
+    """Yield each record of a top-level list; at the first bad one, _Bad with its path below $."""
     items = root.get(section, [])
     if type(items) is not list:
-        raise SchemaError(f"$.{section}", f"expected a list, got {type(items).__name__}")
+        raise _Bad(f".{section}", f"expected a list, got {type(items).__name__}")
     if all(type(obj) is dict for obj in items) and all(
             map(_RECORD_KEYS[section].issuperset, items)):
         try:  # at any fault, the row reader below finds the first and names it
@@ -360,10 +361,7 @@ def _records(root: dict, section: str):
         for i, obj in enumerate(items):
             yield _record(obj, section)
     except _Bad as bad:
-        # Only matrix entries carry the "$." prefix; locations are part of the
-        # stable error text that gates match on.
-        prefix = "$.matrixOverride" if section == "matrixOverride" else section
-        raise SchemaError(f"{prefix}[{i}]{bad.suffix}", bad.reason) from None
+        raise _Bad(f".{section}[{i}]{bad.suffix}", bad.reason) from None
 
 
 # One escape sequence: a surrogate pair, an unpaired half (group 1), or any other.
@@ -380,10 +378,8 @@ def _reject_unpaired_surrogates(document: str) -> None:
     """
     for match in _ESCAPE.finditer(document):
         if match[1]:
-            pos = match.start()
-            line = document.count("\n", 0, pos) + 1
-            column = pos - document.rfind("\n", 0, pos)
-            raise DocumentSyntaxError(f"line {line}, column {column}",
+            at = json.JSONDecodeError("", document, match.start())  # json's line, column
+            raise DocumentSyntaxError(f"line {at.lineno}, column {at.colno}",
                                       f"unpaired surrogate escape \\{match[1]}")
 
 
@@ -425,28 +421,25 @@ def parse_model(document: bytes | str, *, check: bool = True) -> tuple[AssetMode
 
     try:
         _object_keys(root, _TOP_KEYS)
+        if "version" not in root:
+            raise _Bad(".version", "missing required key 'version'")
+        version = root["version"]
+        if type(version) is not int or version != DOCUMENT_VERSION:
+            raise _Bad(".version", f"unsupported document version {version!r}, "
+                                   f"expected {DOCUMENT_VERSION}")
+        assets = tuple(_records(root, "assets"))
+        associations = tuple(_records(root, "associations"))
+        goals = tuple(_records(root, "goals"))
+        refinements = tuple(_records(root, "refinements"))
+        policy = tuple(_records(root, "policy"))
+        overrides = {}
+        for i, (subject, resource, allowed) in enumerate(_records(root, "matrixOverride")):
+            if (subject, resource) in overrides:
+                raise _Bad(f".matrixOverride[{i}]",
+                           f"duplicate override for ({subject.value}, {resource.value})")
+            overrides[subject, resource] = allowed
     except _Bad as bad:
-        raise SchemaError(f"${bad.suffix}", bad.reason) from None
-    if "version" not in root:
-        raise SchemaError("$.version", "missing required key 'version'")
-    version = root["version"]
-    if type(version) is not int or version != DOCUMENT_VERSION:
-        raise SchemaError(
-            "$.version",
-            f"unsupported document version {version!r}, expected {DOCUMENT_VERSION}")
-
-    assets = tuple(_records(root, "assets"))
-    associations = tuple(_records(root, "associations"))
-    goals = tuple(_records(root, "goals"))
-    refinements = tuple(_records(root, "refinements"))
-    policy = tuple(_records(root, "policy"))
-    overrides = {}
-    for i, (subject, resource, allowed) in enumerate(_records(root, "matrixOverride")):
-        if (subject, resource) in overrides:
-            raise SchemaError(
-                f"$.matrixOverride[{i}]",
-                f"duplicate override for ({subject.value}, {resource.value})")
-        overrides[subject, resource] = allowed
+        raise SchemaError("$" + bad.suffix, bad.reason) from None
 
     model = AssetModel(assets=assets, associations=associations,
                        matrix={**default_matrix(), **overrides})

@@ -352,23 +352,23 @@ _PARSE_ERRORS = [
     pytest.param(json.dumps({"version": 1, HOSTILE: 1}),
                  f"$.{SHOWN}", f"unknown key {QUOTED}", id="unknown-key"),
     pytest.param(json.dumps({"version": 1, "assets": [{**SYSTEM, HOSTILE: 1}]}),
-                 f"assets[0].{SHOWN}", f"unknown key {QUOTED}", id="unknown-record-key"),
+                 f"$.assets[0].{SHOWN}", f"unknown key {QUOTED}", id="unknown-record-key"),
     pytest.param('{"version": 1, %s: 1, %s: 2}' % ((json.dumps(HOSTILE),) * 2),
                  f"$.{SHOWN}", f"duplicate key {QUOTED}", id="duplicate-key"),
     pytest.param(json.dumps({"version": 1, "assets": [{"name": HOSTILE}]}),
-                 "assets[0]", "missing required key 'kind'", id="missing-key"),
+                 "$.assets[0]", "missing required key 'kind'", id="missing-key"),
     pytest.param(json.dumps({"version": 1, "assets": [{"name": "A", "kind": HOSTILE}]}),
-                 "assets[0].kind",
+                 "$.assets[0].kind",
                  f"invalid asset kind {QUOTED}, expected one of: information, people, system",
                  id="asset-kind"),
     pytest.param(json.dumps({"version": 1, "associations": [
                      {"source": "A", "target": "B", "sourceMultiplicity": HOSTILE}]}),
-                 "associations[0].sourceMultiplicity",
+                 "$.associations[0].sourceMultiplicity",
                  f"invalid multiplicity {QUOTED}, expected one of: '1', '0..1', '1..*', '*'",
                  id="multiplicity"),
     pytest.param(json.dumps({"version": 1, "assets": [
                      {**SYSTEM, "extraProperties": {HOSTILE: "bogus"}}]}),
-                 f"assets[0].extraProperties.{SHOWN}",
+                 f"$.assets[0].extraProperties.{SHOWN}",
                  "invalid security level 'bogus', expected one of: high, low, medium, none",
                  id="extra-property"),
     # json's own text names no document string; its backslash is printed as is.

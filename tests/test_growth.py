@@ -1,0 +1,98 @@
+"""No public stage does more Python-level work per unit than the document grows.
+
+Each stage runs on generated documents at sizes n, 2n, 4n and 8n (see
+documents.py) under sys.settrace, which counts the line events executed in
+accesslint's own source.  A unit of work is a document byte, an expanded
+triple or a warning: inheritance can make the triples grow faster than the
+document, and each one is work a stage must do.  A stage whose events per
+unit grow by more than GROWTH from n to 8n has a loop that is superlinear in
+its input.  Each shape keeps its mix of bytes and triples steady as it grows;
+where triples outgrow bytes, a linear stage's events per unit rise toward its
+cost per triple, which is several times its cost per byte.
+
+The count is deterministic, so the test does not depend on the host's speed.
+It sees only Python lines: work done inside one C call, such as a list.index
+or an `in` test on a list inside a loop, is not counted, and a loop hidden
+that way stays invisible.  trace is left out, because its path list is
+exponential by design and capped by MAX_TRACE_PATHS.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import sys
+
+import pytest
+
+import accesslint
+from accesslint import (
+    check_goal_structure,
+    check_structure,
+    expand_hierarchy,
+    expand_needs,
+    export_dot,
+    parse_model,
+    render_report,
+    serialize_model,
+    validate_access,
+)
+
+import documents
+
+SOURCE = str(pathlib.Path(accesslint.__file__).parent)
+# The most events per unit may grow from n to 8n: a stage quadratic in its
+# input grows by about 8 there, a linear one by about 1.
+GROWTH = 1.5
+
+
+def _line_events(stage, *args, **kwargs) -> tuple[int, object]:
+    """Line events executed in accesslint's source while stage runs, and its result."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def call(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(SOURCE) else None
+
+    before = sys.gettrace()
+    sys.settrace(call)
+    try:
+        result = stage(*args, **kwargs)
+    finally:
+        sys.settrace(before)
+    return count, result
+
+
+def _stages(text: str) -> tuple[int, dict[str, int]]:
+    """Units of work in one document, and the line events of each stage on it."""
+    events = {}
+    events["parse_model"], (model, graph) = _line_events(parse_model, text, check=False)
+    events["check_structure"], _ = _line_events(check_structure, model)
+    events["check_goal_structure"], _ = _line_events(check_goal_structure, graph, model)
+    events["expand_hierarchy"], expanded = _line_events(expand_hierarchy, model)
+    events["validate_access"], report = _line_events(validate_access, expanded, graph)
+    events["render_report text"], _ = _line_events(render_report, report, "text")
+    events["render_report json"], _ = _line_events(render_report, report, "json")
+    events["serialize_model"], _ = _line_events(serialize_model, model, graph)
+    events["export_dot asset"], _ = _line_events(export_dot, model, graph, "asset")
+    events["export_dot goal"], _ = _line_events(export_dot, model, graph, "goal")
+    units = len(text.encode("utf-8")) + len(expand_needs(expanded)) + len(report.warnings)
+    return units, events
+
+
+@pytest.mark.parametrize("shape", documents.SHAPES)
+def test_events_per_unit_of_work_stay_flat(shape):
+    build, n = documents.SHAPES[shape]
+    per_unit = {}  # stage -> events per unit at n, 2n, 4n, 8n
+    for size in (n, 2 * n, 4 * n, 8 * n):
+        units, events = _stages(json.dumps(build(size)))
+        for stage, count in events.items():
+            per_unit.setdefault(stage, []).append(count / units)
+    grown = {stage: ratios for stage, ratios in per_unit.items()
+             if max(ratios) > GROWTH * ratios[0]}
+    assert not grown, {stage: [round(r, 4) for r in ratios] for stage, ratios in grown.items()}

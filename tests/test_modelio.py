@@ -64,7 +64,7 @@ class TestParse:
         document = _doc(assets=[{"name": "A", "kind": "person"}], associations=[])
         with pytest.raises(SchemaError) as info:
             parse_model(document)
-        assert info.value.location == "assets[0].kind"
+        assert info.value.location == "$.assets[0].kind"
         for valid in ("system", "information", "people"):
             assert valid in str(info.value)
 
@@ -101,7 +101,7 @@ class TestParse:
         ], associations=[])
         with pytest.raises(SchemaError) as info:
             parse_model(document)
-        assert info.value.location.startswith("assets[0].")
+        assert info.value.location.startswith("$.assets[0].")
 
     def test_missing_version(self):
         with pytest.raises(SchemaError) as info:
@@ -177,7 +177,7 @@ class TestParse:
         ])
         with pytest.raises(SchemaError) as info:
             parse_model(document)
-        assert info.value.location == "associations[0].sourceNeeds"
+        assert info.value.location == "$.associations[0].sourceNeeds"
 
     def test_invalid_multiplicity(self):
         document = _doc(associations=[
@@ -186,7 +186,7 @@ class TestParse:
         ])
         with pytest.raises(SchemaError) as info:
             parse_model(document)
-        assert info.value.location == "associations[0].sourceMultiplicity"
+        assert info.value.location == "$.associations[0].sourceMultiplicity"
 
     def test_semantic_error_carries_findings(self):
         document = _doc(associations=[
@@ -251,6 +251,7 @@ _ASSET = {"name": "A", "kind": "system"}
 _OVERRIDE = {"subject": "people", "resource": "people", "allowed": False}
 
 
+# Each message is a location below the document root $, then the reason.
 @pytest.mark.parametrize("document, message", [
     ({"associations": [{"source": 1, "target": "A", "sourceMultiplicity": "2..5"}]},
      "associations[0].sourceMultiplicity: invalid multiplicity '2..5', "
@@ -258,7 +259,7 @@ _OVERRIDE = {"subject": "people", "resource": "people", "allowed": False}
     ({"goals": [{"name": 1, "kind": "goal", "definition": 2}]},
      "goals[0].definition: expected a string, got int"),
     ({"matrixOverride": [_OVERRIDE, _OVERRIDE, {"subject": "x"}]},
-     "$.matrixOverride[1]: duplicate override for (people, people)"),
+     "matrixOverride[1]: duplicate override for (people, people)"),
     ({"policy": [{"requirement": "R", "subject": "A", "access": "execute",
                   "resource": "A", "permission": "allow"}],
       "matrixOverride": [{"subject": "x", "resource": "people", "allowed": True}]},
@@ -274,7 +275,7 @@ _OVERRIDE = {"subject": "people", "resource": "people", "allowed": False}
      "assets[0].extraProperties.availability: invalid security level 'huge', "
      "expected one of: high, low, medium, none"),
     ({"refinements": [{"parent": 1}], "assets": {}},
-     "$.assets: expected a list, got dict"),
+     "assets: expected a list, got dict"),
     ({"assets": [[]]}, "assets[0]: expected an object, got list"),
     ({"assets": [{"name": "", "kind": "system"}]},
      "assets[0].name: asset name must be nonempty"),
@@ -283,18 +284,18 @@ _OVERRIDE = {"subject": "people", "resource": "people", "allowed": False}
     ({"associations": [{"source": "A", "target": "B", "sourceNeeds": "read"}]},
      "associations[0].sourceNeeds: expected a list, got str"),
     ({"matrixOverride": [dict(_OVERRIDE, allowed=1)]},
-     "$.matrixOverride[0].allowed: expected a boolean"),
+     "matrixOverride[0].allowed: expected a boolean"),
     # Repeated keys cannot be put in a dict, so these documents are text.
     ('{"version": 1, "policy": [{"requirement": "R", "subject": "A", "access": "read",'
      ' "resource": "A", "permission": "deny", "permission": "allow"}]}',
      "policy[0].permission: duplicate key 'permission'"),
-    ('{"version": 1, "assets": [], "version": 1}', "$.version: duplicate key 'version'"),
+    ('{"version": 1, "assets": [], "version": 1}', "version: duplicate key 'version'"),
     ('{"version": 1, "assets": [{"name": "A", "kind": "system", "extraProperties":'
      ' {"availability": "low", "availability": "high"}}]}',
      "assets[0].extraProperties.availability: duplicate key 'availability'"),
     ('{"version": 1, "matrixOverride": [{"subject": "people", "resource": "people",'
      ' "allowed": false, "allowed": true}]}',
-     "$.matrixOverride[0].allowed: duplicate key 'allowed'"),
+     "matrixOverride[0].allowed: duplicate key 'allowed'"),
     # A repeat is the object's first fault, whatever else is wrong with it,
     # and the first key repeated is named.
     ('{"version": 1, "assets": [{"colour": "red", "kind": "bogus", "name": "A",'
@@ -331,7 +332,7 @@ def test_first_fault_wins_with_exact_text(document, message):
         document = json.dumps({"version": 1, **document})
     with pytest.raises(SchemaError) as info:
         parse_model(document)
-    assert str(info.value) == message
+    assert str(info.value) == "$." + message
 
 
 def test_syntax_error_wins_over_duplicate_key():
@@ -373,10 +374,9 @@ def test_each_key_is_required_or_takes_the_class_default(section, key):
     record, required, parsed, minimal = _ONE_RECORD[section]
     document = json.dumps({"version": 1, section: [{k: record[k] for k in record if k != key}]})
     if key in required:
-        prefix = "$.matrixOverride" if section == "matrixOverride" else section
         with pytest.raises(SchemaError) as info:
             parse_model(document, check=False)
-        assert str(info.value) == f"{prefix}[0]: missing required key '{key}'"
+        assert str(info.value) == f"$.{section}[0]: missing required key '{key}'"
         return
     attribute = re.sub("[A-Z]", lambda upper: "_" + upper[0].lower(), key)
     full = getattr(parsed(*parse_model(json.dumps({"version": 1, section: [record]}),
@@ -479,6 +479,17 @@ def _sections(draw):
     return section, items
 
 
+def _json(value) -> str:
+    """JSON text of value; a record _pairs marked writes its repeated key twice."""
+    if type(value) is list:
+        return "[" + ", ".join(map(_json, value)) + "]"
+    if type(value) is dict and modelio._REPEATED in value:
+        key = value[modelio._REPEATED]
+        members = {k: v for k, v in value.items() if k is not modelio._REPEATED}
+        return f"{json.dumps(members)[:-1]}, {json.dumps(key)}: {json.dumps(value[key])}}}"
+    return json.dumps(value)
+
+
 # Needs as an object iterate like a list; a null is not an absent key.
 @example(("associations", [{"source": "A", "target": "B", "sourceNeeds": {"read": 1}}]))
 @example(("associations", [{"source": "A", "target": "B", "targetMultiplicity": None}]))
@@ -486,19 +497,38 @@ def _sections(draw):
 @settings(max_examples=400)
 @given(_sections())
 def test_column_pass_reads_as_the_row_reader(case):
+    """parse_model reads a section as the row reader does, and names its first fault."""
     section, items = case
-    root = {"version": 1, section: items}
-    prefix = "$.matrixOverride" if section == "matrixOverride" else section
-    expected = []
+    expected, fault, cells = [], None, set()
     for i, obj in enumerate(items):  # the row reader, one record at a time
         try:
-            expected.append(modelio._record(obj, section))
+            record = modelio._record(obj, section)
         except modelio._Bad as bad:
-            with pytest.raises(SchemaError) as info:
-                tuple(modelio._records(root, section))
-            assert str(info.value) == f"{prefix}[{i}]{bad.suffix}: {bad.reason}"
-            return
-    records = tuple(modelio._records(root, section))
+            fault = f"$.{section}[{i}]{bad.suffix}: {bad.reason}"
+            break
+        if section == "matrixOverride":  # parse_model reads overrides into one matrix
+            subject, resource, _ = record
+            if (subject, resource) in cells:
+                fault = (f"$.{section}[{i}]: duplicate override for "
+                         f"({subject.value}, {resource.value})")
+                break
+            cells.add((subject, resource))
+        expected.append(record)
+    document = f'{{"version": 1, {json.dumps(section)}: {_json(items)}}}'
+    if fault:
+        with pytest.raises(SchemaError) as info:
+            parse_model(document, check=False)
+        assert info.value.location.startswith("$")
+        assert str(info.value) == fault
+        return
+    model, graph = parse_model(document, check=False)
+    if section == "matrixOverride":
+        assert model.matrix == {**default_matrix(), **{(subject, resource): allowed
+                                                       for subject, resource, allowed in expected}}
+        assert all(type(allowed) is bool for allowed in model.matrix.values())
+        return
+    records = {"assets": model.assets, "associations": model.associations, "goals": graph.nodes,
+               "refinements": graph.refinements, "policy": graph.policy}[section]
     assert records == tuple(expected)
     assert _field_types(records) == _field_types(expected)
     if section == "assets":
