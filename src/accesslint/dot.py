@@ -69,5 +69,5 @@ def export_dot(model: AssetModel, graph: GoalGraph, view: str) -> str:
     elif view == "goal":
         lines = _goal_view(graph)
     else:
-        raise ValueError(f"unknown view {view!r}, expected one of: asset, goal")
+        raise ValueError(f"unknown view {view!r}, expected one of: {', '.join(VIEWS)}")
     return "\n".join(lines) + "\n"

@@ -63,8 +63,8 @@ _PERMISSION_NAMES = {perm.value: perm for perm in Permission}
 class ParseError(Exception):
     """A document could not be turned into a model.
 
-    location is a document path ("$.assets[2].kind") or a line reference
-    ("line 4, column 7"); every failure carries one.
+    location is a document path ("$.assets[2].kind"), a line reference
+    ("line 4, column 7") or a byte ("byte 12"); every failure carries one.
     """
 
     def __init__(self, location: str, message: str):
@@ -378,9 +378,8 @@ def _reject_unpaired_surrogates(document: str) -> None:
     """
     for match in _ESCAPE.finditer(document):
         if match[1]:
-            at = json.JSONDecodeError("", document, match.start())  # json's line, column
-            raise DocumentSyntaxError(f"line {at.lineno}, column {at.colno}",
-                                      f"unpaired surrogate escape \\{match[1]}")
+            raise json.JSONDecodeError(f"unpaired surrogate escape \\{match[1]}",
+                                       document, match.start())
 
 
 def parse_model(document: bytes | str, *, check: bool = True) -> tuple[AssetModel, GoalGraph]:
@@ -392,32 +391,28 @@ def parse_model(document: bytes | str, *, check: bool = True) -> tuple[AssetMode
     Pass check=False to obtain the raw structures and run the checks
     yourself (the CLI's check command does this to report all findings).
     """
-    if isinstance(document, bytes):
-        try:
+    try:  # a fault at a place in the text is a JSONDecodeError, for its line and column
+        if isinstance(document, bytes):
             document = document.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DocumentSyntaxError(
-                f"byte {exc.start}", "document is not valid UTF-8") from exc
-    elif not document.isascii():
-        try:  # a raw surrogate, which only a str can hold, has no UTF-8 encoding
-            document.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            at = json.JSONDecodeError("", document, exc.start)  # json's line, column
-            raise DocumentSyntaxError(f"line {at.lineno}, column {at.colno}",
-                                      f"unpaired surrogate U+{ord(document[exc.start]):04X}")
-    try:
+        elif not document.isascii():
+            try:  # a raw surrogate, which only a str can hold, has no UTF-8 encoding
+                document.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise json.JSONDecodeError(f"unpaired surrogate U+{ord(document[exc.start]):04X}",
+                                           document, exc.start) from None
         root = json.loads(document, object_pairs_hook=_pairs)
+        # Most documents hold no backslash, and a one-character test is far
+        # cheaper than a longer one.
+        if "\\" in document and ("\\ud" in document or "\\uD" in document):
+            _reject_unpaired_surrogates(document)
+    except UnicodeDecodeError as exc:
+        raise DocumentSyntaxError(f"byte {exc.start}", "document is not valid UTF-8") from exc
     except json.JSONDecodeError as exc:
-        raise DocumentSyntaxError(
-            f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
+        raise DocumentSyntaxError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
     except ValueError as exc:  # an int literal past the interpreter's digit limit
         raise DocumentSyntaxError("$", "integer literal is too long") from exc
     except RecursionError as exc:
         raise DocumentSyntaxError("$", "document is nested too deeply") from exc
-    # Most documents hold no backslash, and a one-character test is far
-    # cheaper than a longer one.
-    if "\\" in document and ("\\ud" in document or "\\uD" in document):
-        _reject_unpaired_surrogates(document)
 
     try:
         _object_keys(root, _TOP_KEYS)

@@ -87,6 +87,23 @@ def parent_chain(n: int) -> dict:
                      (), policy)
 
 
+def owned_needs_chain(n: int) -> dict:
+    """A chain of n assets, each reading a store of its own.
+
+    Each asset inherits its ancestors' reads, so the expanded triples grow
+    as n squared while the document grows as n.
+    """
+    chain = [_asset(f"Service {i}", "system", i, **({"parent": f"Service {i - 1}"} if i else {}))
+             for i in range(n)]
+    stores = [_asset(f"Store {i}", "information", i + 1) for i in range(n)]
+    associations = [{"source": f"Service {i}", "target": f"Store {i}", "sourceNeeds": ["read"]}
+                    for i in range(n)]
+    policy = [_statement("Reading", f"Service {i}", "read", f"Store {i}", "allow")
+              for i in range(0, n, 2)]
+    return _document(chain + stores, associations, [{"name": "Reading", "kind": "requirement"}],
+                     (), policy)
+
+
 # Two assets and one association, for the shapes that grow the goal graph.
 _PAIR = ([_asset("Client", "system", 3), _asset("Records", "information", 1)],
          [{"source": "Client", "target": "Records", "sourceNeeds": ["read", "write"]}])
@@ -132,6 +149,7 @@ def duplicate_statements(n: int) -> dict:
 SHAPES = {
     "wide": (wide, 40),
     "parent-chain": (parent_chain, 80),
+    "owned-needs-chain": (owned_needs_chain, 6),
     "refinement-chain": (refinement_chain, 80),
     "diamonds": (diamonds, 40),
     "duplicate-statements": (duplicate_statements, 100),

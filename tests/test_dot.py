@@ -92,8 +92,9 @@ def test_names_with_quotes_are_escaped():
 
 
 def test_unknown_view_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         export_dot(AssetModel(), GoalGraph(), "swimlane")
+    assert str(info.value) == "unknown view 'swimlane', expected one of: asset, goal"
 
 
 def test_deterministic():

@@ -2,13 +2,14 @@
 
 Each stage runs on generated documents at sizes n, 2n, 4n and 8n (see
 documents.py) under sys.settrace, which counts the line events executed in
-accesslint's own source.  A unit of work is a document byte, an expanded
-triple or a warning: inheritance can make the triples grow faster than the
-document, and each one is work a stage must do.  A stage whose events per
-unit grow by more than GROWTH from n to 8n has a loop that is superlinear in
-its input.  Each shape keeps its mix of bytes and triples steady as it grows;
-where triples outgrow bytes, a linear stage's events per unit rise toward its
-cost per triple, which is several times its cost per byte.
+accesslint's own source.  Each stage's unit of work is an item of what it is
+given: a document byte for parse_model and serialize_model, a record for the
+structure checks and the DOT views, a record or gained triple for
+expand_hierarchy, a triple or warning for validate_access, and a warning (or
+the rule summary) for the renders.  Inheritance can make the triples grow as
+the square of the document, so a unit shared by all stages would rise for a
+linear stage as the mix shifts.  A stage whose events per unit grow by more
+than GROWTH from n to 8n has a loop that is superlinear in its input.
 
 The count is deterministic, so the test does not depend on the host's speed.
 It sees only Python lines: work done inside one C call, such as a list.index
@@ -68,8 +69,8 @@ def _line_events(stage, *args, **kwargs) -> tuple[int, object]:
     return count, result
 
 
-def _stages(text: str) -> tuple[int, dict[str, int]]:
-    """Units of work in one document, and the line events of each stage on it."""
+def _per_unit(text: str) -> dict[str, float]:
+    """Each stage's line events on one document, per unit of the work it was given."""
     events = {}
     events["parse_model"], (model, graph) = _line_events(parse_model, text, check=False)
     events["check_structure"], _ = _line_events(check_structure, model)
@@ -81,8 +82,22 @@ def _stages(text: str) -> tuple[int, dict[str, int]]:
     events["serialize_model"], _ = _line_events(serialize_model, model, graph)
     events["export_dot asset"], _ = _line_events(export_dot, model, graph, "asset")
     events["export_dot goal"], _ = _line_events(export_dot, model, graph, "goal")
-    units = len(text.encode("utf-8")) + len(expand_needs(expanded)) + len(report.warnings)
-    return units, events
+    size = len(text.encode("utf-8"))
+    records = sum(map(len, (model.assets, model.associations, graph.nodes,
+                            graph.refinements, graph.policy)))
+    triples = len(expand_needs(expanded))
+    gained = triples - len(expand_needs(model))
+    warnings = len(report.warnings)
+    units = {
+        "parse_model": size, "serialize_model": size,
+        "check_structure": records, "check_goal_structure": records,
+        "export_dot asset": records, "export_dot goal": records,
+        "expand_hierarchy": records + gained,
+        "validate_access": triples + warnings,
+        # A report's rule summary is one unit, each warning another.
+        "render_report text": 1 + warnings, "render_report json": 1 + warnings,
+    }
+    return {stage: count / units[stage] for stage, count in events.items()}
 
 
 @pytest.mark.parametrize("shape", documents.SHAPES)
@@ -90,9 +105,8 @@ def test_events_per_unit_of_work_stay_flat(shape):
     build, n = documents.SHAPES[shape]
     per_unit = {}  # stage -> events per unit at n, 2n, 4n, 8n
     for size in (n, 2 * n, 4 * n, 8 * n):
-        units, events = _stages(json.dumps(build(size)))
-        for stage, count in events.items():
-            per_unit.setdefault(stage, []).append(count / units)
+        for stage, ratio in _per_unit(json.dumps(build(size))).items():
+            per_unit.setdefault(stage, []).append(ratio)
     grown = {stage: ratios for stage, ratios in per_unit.items()
              if max(ratios) > GROWTH * ratios[0]}
     assert not grown, {stage: [round(r, 4) for r in ratios] for stage, ratios in grown.items()}

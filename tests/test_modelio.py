@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from accesslint import modelio
+from accesslint import cli, modelio
 from accesslint.fixtures import fixture_text, load_fixture
 from accesslint.goals import Goal, GoalGraph, GoalKind, Refinement
 from accesslint.model import (
@@ -84,11 +84,14 @@ class TestParse:
     def test_malformed_json_reports_line(self):
         with pytest.raises(DocumentSyntaxError) as info:
             parse_model('{"version": 1,,}')
-        assert "line 1" in info.value.location
+        assert info.value.location == "line 1, column 15"
+        assert str(info.value) == (
+            "line 1, column 15: Expecting property name enclosed in double quotes")
 
     def test_not_utf8_rejected(self):
-        with pytest.raises(DocumentSyntaxError):
+        with pytest.raises(DocumentSyntaxError) as info:
             parse_model(b"\xff\xfe{}")
+        assert str(info.value) == "byte 0: document is not valid UTF-8"
 
     def test_unknown_top_level_key(self):
         with pytest.raises(SchemaError) as info:
@@ -142,7 +145,7 @@ class TestParse:
         # Raw surrogate code points, which a str document can hold.
         ("\udc00", "line 2, column 22: unpaired surrogate U+DC00"),
         ("A\ud83d", "line 2, column 23: unpaired surrogate U+D83D"),
-        # A raw one is found before the document is decoded, as bad UTF-8 is.
+        # A raw one is found before the JSON is read, as bad UTF-8 is.
         ("\\ud800\udc00", "line 2, column 28: unpaired surrogate U+DC00"),
         ("\udfff\\ud800", "line 2, column 22: unpaired surrogate U+DFFF"),
     ])
@@ -339,6 +342,50 @@ def test_syntax_error_wins_over_duplicate_key():
     with pytest.raises(DocumentSyntaxError) as info:
         parse_model('{"version": 1, "version": 1, "assets": [}')
     assert str(info.value) == "line 1, column 41: Expecting value"
+
+
+# Every kind of syntax fault, with its exact text.  Bad UTF-8 and a raw
+# surrogate are found before the JSON is read; an unpaired escape only after
+# json accepts the document.  Trailing commas are left out: Python 3.13 words
+# them differently from 3.10-3.12.
+SYNTAX_FAULTS = [
+    pytest.param(b"\xff{}", "byte 0: document is not valid UTF-8", id="bad-utf8"),
+    pytest.param(b'{"version": 1, "assets": [{"name": "A\xed\xa0\x80", "kind": "system"}]}',
+                 "byte 37: document is not valid UTF-8", id="encoded-surrogate"),
+    pytest.param(b"", "line 1, column 1: Expecting value", id="empty-bytes"),
+    pytest.param("", "line 1, column 1: Expecting value", id="empty-str"),
+    pytest.param(b'\xef\xbb\xbf{"version": 1}',
+                 "line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                 id="bom-bytes"),
+    pytest.param('\ufeff{"version": 1}',
+                 "line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                 id="bom-str"),
+    pytest.param(b'{"version": 1,\n "assets": [] "goals": []}',
+                 "line 2, column 15: Expecting ',' delimiter", id="missing-comma"),
+    pytest.param('{"version": 1,\n "goals": [{"name": "A\ud800", "kind": }]}',
+                 "line 2, column 23: unpaired surrogate U+D800", id="raw-surrogate-first"),
+    pytest.param('{"version": 1,\n "goals": [{"name": "A\\ud800", "kind": }]}',
+                 "line 2, column 40: Expecting value", id="syntax-before-escape"),
+]
+
+
+@pytest.mark.parametrize("document, message", SYNTAX_FAULTS)
+def test_syntax_fault_exact_text(document, message):
+    with pytest.raises(DocumentSyntaxError) as info:
+        parse_model(document)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("document, message",
+                         [case for case in SYNTAX_FAULTS if isinstance(case.values[0], bytes)])
+@pytest.mark.parametrize("command", [["validate"], ["check"], ["export", "--view", "asset"]])
+def test_syntax_fault_exact_text_through_cli(capsys, tmp_path, document, message, command):
+    path = tmp_path / "model.json"
+    path.write_bytes(document)
+    assert cli.main([command[0], str(path), *command[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_absent_extra_properties_are_not_shared():
