@@ -201,9 +201,10 @@ def check_structure(model: AssetModel) -> list[ModelError]:
                 f"{quote(parent.name)} ({parent.kind.value})",
             ))
 
-    order = {a.name: i for i, a in enumerate(model.assets)}
+    order = None  # name -> document position, built at the first cycle
     for trail, _, closed in parent_walks(model.assets):
         if closed is not None:
+            order = order or {a.name: i for i, a in enumerate(model.assets)}
             members = list(map(printable, sorted(trail[closed:], key=order.__getitem__)))
             errors.append(ModelError(
                 "CyclicInheritance", members[0],

@@ -5,9 +5,10 @@ A model document is UTF-8 JSON with top-level keys
 The parser is deliberately strict: unknown and repeated keys anywhere are
 hard errors with the offending path named, because a silently ignored typo
 in a security model is worse than a parse failure.  The per-record schema
-lives in one table, _RECORDS, read by columns or, at any fault, by records; a
-key is required where its record class gives the field no default.  A schema
-fault is located by its path below the document root, as in $.assets[2].kind.
+lives in one table, _RECORDS, read by columns; at a fault the same reader
+re-reads the section a record at a time to name the first.  A key is required
+where its record class gives the field no default.  A schema fault is located
+by its path below the document root, as in $.assets[2].kind.
 
 Serialization is canonical, exactly json.dumps(document, indent=2,
 sort_keys=True) plus a newline (non-ASCII escaped as \\uXXXX), so re-saving
@@ -245,8 +246,8 @@ class _Override(NamedTuple):  # a matrixOverride entry: one matrix cell and its 
 
 
 # The per-record schema: section -> (class, (json key, attribute, reader, writer)).
-# A section is read by columns; the error path reads a record at a time, fields in
-# this order.  A key whose field has no class default is required; others default.
+# A section is read by columns, values field by field in this order; at a fault it
+# is re-read a record at a time.  A key whose field has no class default is required.
 _RECORDS = {
     "assets": (Asset, (
         ("name", "name", _names, _quote),
@@ -283,9 +284,9 @@ _RECORDS = {
 _TOP_KEYS = frozenset(("version", *_RECORDS))
 _RECORD_KEYS = {section: frozenset(key for key, *_ in fields)
                 for section, (_, fields) in _RECORDS.items()}
-# Sections by column: (json key, reader, default() or MISSING if required) in class order.
-_COLUMNS = {section: [(key, read, default) for name, default in _defaults(cls).items()
-                      for key, attribute, read, _ in fields if attribute == name]
+# Sections by column: (json key, default() or MISSING if required) in class order.
+_COLUMNS = {section: [(key, default) for name, default in _defaults(cls).items()
+                      for key, attribute, *_ in fields if attribute == name]
             for section, (cls, fields) in _RECORDS.items()}
 
 
@@ -317,20 +318,33 @@ def _write_records(records, layout: tuple) -> str:
     return "[\n    {" + "\n    },\n    {".join(rows) + "\n    }\n  ]"
 
 
-def _record(obj: Any, section: str) -> Any:
+def _read(items: list, section: str):
+    """The records of a list, read a column at a time; at a fault, _Bad.
+
+    For a one-record list the fault is exact, the first of: the record's keys,
+    then its required keys in class order, then its values in _RECORDS order.
+    """
     cls, fields = _RECORDS[section]
-    _object_keys(obj, _RECORD_KEYS[section])
-    for key, _, default in _COLUMNS[section]:
-        if default is MISSING and key not in obj:
+    keys = _RECORD_KEYS[section]
+    if not (all(type(obj) is dict for obj in items) and all(map(keys.issuperset, items))):
+        for obj in items:
+            _object_keys(obj, keys)
+    columns = {}  # json key -> the values present, in class order
+    for key, default in _COLUMNS[section]:
+        columns[key] = [obj[key] for obj in items if key in obj]
+        if default is MISSING and len(columns[key]) < len(items):
             raise _Bad("", f"missing required key {quote(key)}")
-    values = {}
     try:
-        for key, attribute, read, _ in fields:
-            if key in obj:
-                values[attribute] = read([obj[key]])[0]
+        for key, _, read, _ in fields:
+            columns[key] = read(columns[key])
     except _Bad as bad:
         raise _Bad(f".{key}{bad.suffix}", bad.reason) from None
-    return cls(**values)
+    for key, default in _COLUMNS[section]:
+        if len(columns[key]) < len(items):
+            values = iter(columns[key])
+            columns[key] = [next(values) if key in obj else default() for obj in items]
+    return (map(partial(tuple.__new__, cls), zip(*columns.values()))  # a NamedTuple, in C
+            if issubclass(cls, tuple) else map(cls, *columns.values()))
 
 
 def _records(root: dict, section: str):
@@ -338,30 +352,14 @@ def _records(root: dict, section: str):
     items = root.get(section, [])
     if type(items) is not list:
         raise _Bad(f".{section}", f"expected a list, got {type(items).__name__}")
-    if all(type(obj) is dict for obj in items) and all(
-            map(_RECORD_KEYS[section].issuperset, items)):
-        try:  # at any fault, the row reader below finds the first and names it
-            columns = []
-            for key, read, default in _COLUMNS[section]:
-                values = read([obj[key] for obj in items if key in obj])
-                if len(values) < len(items):
-                    if default is MISSING:
-                        raise _Bad("", "missing required key")
-                    values = iter(values)
-                    values = [next(values) if key in obj else default() for obj in items]
-                columns.append(values)
-        except _Bad:
-            pass
-        else:
-            cls = _RECORDS[section][0]  # a NamedTuple is built in C
-            yield from (map(partial(tuple.__new__, cls), zip(*columns))
-                        if issubclass(cls, tuple) else map(cls, *columns))
-            return
     try:
+        yield from _read(items, section)
+    except _Bad:  # yield a record at a time up to the first bad one, and name its fault
         for i, obj in enumerate(items):
-            yield _record(obj, section)
-    except _Bad as bad:
-        raise _Bad(f".{section}[{i}]{bad.suffix}", bad.reason) from None
+            try:
+                yield from _read([obj], section)
+            except _Bad as bad:
+                raise _Bad(f".{section}[{i}]{bad.suffix}", bad.reason) from None
 
 
 # One escape sequence: a surrogate pair, an unpaired half (group 1), or any other.

@@ -1,0 +1,261 @@
+"""Differential run of the accesslint CLI on two source trees.
+
+    python tests/differential.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are the `src` directories of two checkouts.  The
+script builds one set of documents:
+
+- the bundled fixtures and every document in tests/data;
+- the seed-1 benchmark documents that perfbench/gen.py builds for the
+  four workloads (300 ci-fleet, 5 enterprise-audit, 5 deep-hierarchy and
+  the policy-churn base);
+- MUTATIONS mutations of the small ones, drawn from SEED, each with 1-3
+  edits: junk values, dropped, unknown and repeated keys, duplicated and
+  dropped records, and records with several faults at once.  Size and
+  seed are fixed, so a run can be cited by them.
+
+Each document goes through six CLI commands (validate as text, as JSON
+and with --expand-inheritance, check, and export of both views), run
+in-process in one child interpreter per tree.  Every case whose exit
+code, stdout or stderr differs between the trees is printed, followed by
+a summary; the exit status is 1 if any case differs, else 0.
+
+The file name keeps it out of pytest's collection; it is a tool, not a test.
+"""
+
+from __future__ import annotations
+
+import argparse
+import copy
+import hashlib
+import io
+import json
+import random
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
+MUTATIONS = 3000
+COMMANDS = {
+    "validate": ["validate"],
+    "validate-json": ["validate", "--format", "json"],
+    "validate-expand": ["validate", "--expand-inheritance"],
+    "check": ["check"],
+    "export-asset": ["export", "--view", "asset"],
+    "export-goal": ["export", "--view", "goal"],
+}
+# The keys of each record section, as the document schema names them.
+KEYS = {
+    "assets": ("name", "kind", "confidentiality", "integrity", "extraProperties", "parent"),
+    "associations": ("source", "target", "sourceNeeds", "targetNeeds",
+                     "sourceMultiplicity", "targetMultiplicity"),
+    "goals": ("name", "kind", "definition"),
+    "refinements": ("parent", "child"),
+    "policy": ("requirement", "subject", "access", "resource", "permission"),
+    "matrixOverride": ("subject", "resource", "allowed"),
+}
+KINDS = ("system", "information", "people")
+JUNK = (
+    None, True, False, 0, 1, -1, 2.5, 10 ** 30, "", "bogus", "read", "write", "interact",
+    "none", "low", "high", "1", "0..1", "many", "*", "system", "people", "goal",
+    "requirement", "wish", "allow", "deny", "é", "a\nb", "it's", [], ["read"],
+    ["read", "read"], ["write", "bogus"], [1], [[]], {}, {"availability": "huge"},
+    {"cost": 1}, {"availability": "low"}, {"read": 1},
+)
+UNKNOWN_KEYS = ("colour", "Name", "kind ", "source_needs", "", "version", "assets")
+
+
+def _junk(rng: random.Random):
+    """A fresh copy of a junk value, so that no edit changes JUNK itself."""
+    return copy.deepcopy(rng.choice(JUNK))
+
+
+class Pairs(list):
+    """An object as its (key, value) members, so that a key may repeat."""
+
+
+def dump(value) -> str:
+    """JSON text of value, writing a Pairs object member by member."""
+    if isinstance(value, Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {dump(v)}" for k, v in value) + "}"
+    if type(value) is dict:
+        return dump(Pairs(value.items()))
+    if type(value) is list:
+        return "[" + ", ".join(map(dump, value)) + "]"
+    return json.dumps(value)
+
+
+def _records(rng: random.Random, data: dict) -> tuple[str, list]:
+    """A record section of data to edit, holding at least one record."""
+    sections = [s for s in KEYS if type(data.get(s)) is list and data[s]]
+    if not sections:
+        data["goals"] = [{"name": "G", "kind": "goal"}]
+        sections = ["goals"]
+    section = rng.choice(sections)
+    return section, data[section]
+
+
+def _edit_record(rng: random.Random, section: str, record, edit: str):
+    """record with one fault of the kind edit; a record that is no object is replaced."""
+    if type(record) not in (dict, Pairs):
+        return _junk(rng) if edit == "junk" else dict.fromkeys(KEYS[section][:2], "A")
+    pairs = Pairs(record.items() if type(record) is dict else record)
+    keys = [k for k, _ in pairs]
+    if edit == "junk":
+        key = rng.choice(sorted({*keys, *KEYS[section]}))
+        pairs = Pairs((k, v) for k, v in pairs if k != key)
+        pairs.insert(rng.randint(0, len(pairs)), (key, _junk(rng)))
+    elif edit == "drop-key" and pairs:
+        del pairs[rng.randrange(len(pairs))]
+    elif edit == "unknown-key":
+        pairs.insert(rng.randint(0, len(pairs)), (rng.choice(UNKNOWN_KEYS), _junk(rng)))
+    elif edit == "repeat-key":
+        key = rng.choice(keys or KEYS[section])
+        value = dict(pairs).get(key) if rng.random() < 0.5 else _junk(rng)
+        pairs.insert(rng.randint(0, len(pairs)), (key, value))
+    return pairs
+
+
+def mutate(rng: random.Random, data: dict) -> dict:
+    """data with 1-3 seeded edits."""
+    if rng.random() < 0.25:  # most documents hold no override, so add some to spoil
+        data["matrixOverride"] = [
+            {"subject": rng.choice(KINDS), "resource": rng.choice(KINDS),
+             "allowed": rng.random() < 0.5} for _ in range(rng.randint(1, 3))]
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.choice(("junk", "drop-key", "unknown-key", "repeat-key",
+                           "dup-record", "drop-record", "multi-fault", "top-level"))
+        section, items = _records(rng, data)
+        i = rng.randrange(len(items))
+        if edit == "dup-record":
+            items.insert(rng.randint(0, len(items)), items[i])
+        elif edit == "drop-record":
+            del items[i]
+        elif edit == "multi-fault":
+            for fault in rng.choices(("junk", "junk", "drop-key", "unknown-key", "repeat-key"),
+                                     k=rng.randint(2, 3)):
+                items[i] = _edit_record(rng, section, items[i], fault)
+        elif edit == "top-level":
+            target = rng.choice(("version", "section", "record", "unknown"))
+            if target == "version":
+                data["version"] = _junk(rng)
+            elif target == "section":
+                data[section] = _junk(rng)
+            elif target == "record":
+                items[i] = _junk(rng)
+            else:
+                data[rng.choice(UNKNOWN_KEYS)] = _junk(rng)
+        else:
+            items[i] = _edit_record(rng, section, items[i], edit)
+    return data
+
+
+def documents() -> dict[str, str]:
+    """Document name -> text, in a fixed order."""
+    docs = {}
+    for path in sorted((ROOT / "src" / "accesslint" / "data").glob("*.json")):
+        docs[f"fixture/{path.name}"] = path.read_text(encoding="utf-8")
+    for path in sorted((ROOT / "tests" / "data").glob("*.json")):
+        docs[f"data/{path.name}"] = path.read_text(encoding="utf-8")
+    bases = list(docs.values())
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import gen
+    import workloads
+
+    fleet = gen.fleet(1, workloads.FLEET_DOCS, workloads.FLEET_INVALID_EVERY)
+    for doc in fleet:
+        docs[f"ci-fleet/{doc.name}"] = doc.text
+    rng = random.Random("enterprise-audit/1")
+    for k in range(workloads.AUDIT_DOCS):
+        docs[f"enterprise-audit/audit-{k}"] = gen.enterprise_draft(
+            rng, workloads.AUDIT_ASSETS, workloads.AUDIT_NEEDS).doc(f"audit-{k}").text
+    rng = random.Random("deep-hierarchy/1")
+    for k, depths in enumerate(workloads.DEEP_PROFILES):
+        docs[f"deep-hierarchy/deep-{k}"] = gen.deep_doc(
+            rng, f"deep-{k}", depths, workloads.DEEP_NEEDS_PER_CHAIN).text
+    rng = random.Random("policy-churn/1")
+    docs["policy-churn/churn-base"] = gen.enterprise_draft(
+        rng, workloads.CHURN_ASSETS, workloads.CHURN_NEEDS).doc("churn-base").text
+
+    bases += [doc.text for doc in fleet]
+    rng = random.Random(f"differential/{SEED}")
+    for m in range(MUTATIONS):
+        docs[f"mutation/{m:05d}"] = dump(mutate(rng, json.loads(rng.choice(bases))))
+    return docs
+
+
+def worker(src: str, workdir: Path) -> None:
+    """Run every command on every document under src; write the outcomes as JSON."""
+    sys.path.insert(0, src)
+    import accesslint
+    from accesslint import cli
+
+    if not Path(accesslint.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"accesslint imported from {accesslint.__file__}, not {src}")
+    outcomes = []
+    for path in json.loads((workdir / "manifest.json").read_text()):
+        for argv in COMMANDS.values():
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main([*argv, str(workdir / path)])
+            stdout = out.getvalue()
+            outcomes.append([code, hashlib.sha256(stdout.encode("utf-8", "surrogatepass"))
+                             .hexdigest(), len(stdout), err.getvalue()])
+    json.dump(outcomes, sys.stdout)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", help="src directory of the first tree")
+    parser.add_argument("new", help="src directory of the second tree")
+    args = parser.parse_args()
+    docs = documents()
+    with tempfile.TemporaryDirectory(prefix="differential-") as tmp:
+        workdir = Path(tmp)
+        names = []
+        for n, (name, text) in enumerate(docs.items()):
+            names.append(f"{n:05d}.json")
+            (workdir / names[-1]).write_bytes(text.encode("utf-8", "surrogatepass"))
+        (workdir / "manifest.json").write_text(json.dumps(names))
+        children = [subprocess.Popen([sys.executable, __file__, "--worker",
+                                      str(Path(src).resolve()), tmp], stdout=subprocess.PIPE)
+                    for src in (args.old, args.new)]
+        outputs = [child.communicate()[0] for child in children]
+        if any(child.returncode for child in children):
+            print("a worker failed", file=sys.stderr)
+            return 2
+    old, new = map(json.loads, outputs)
+
+    cases = [(name, command) for name in docs for command in COMMANDS]
+    differ = 0
+    for (name, command), before, after in zip(cases, old, new):
+        if before == after:
+            continue
+        differ += 1
+        print(f"{name} {command}:")
+        for what, x, y in zip(("exit", "stdout sha256", "stdout length", "stderr"),
+                              before, after):
+            if x != y:
+                print(f"  {what}: {x!r} -> {y!r}")
+    codes = Counter(code for code, *_ in new)
+    schema = sum(err.startswith("error: $") for *_, err in new)
+    internal = sum("internal error" in err for *_, err in new)
+    origins = Counter(name.split("/")[0] for name in docs)
+    print(f"{len(docs)} documents ({', '.join(f'{k} {v}' for k, v in origins.items())}), "
+          f"mutation seed {SEED}; {len(cases)} cases, {differ} differ")
+    print(f"exit codes {dict(sorted(codes.items()))}; {schema} schema errors at a path "
+          f"below $; {internal} internal errors")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--worker"]:  # one tree's child, started by main
+        worker(sys.argv[2], Path(sys.argv[3]))
+    else:
+        sys.exit(main())

@@ -16,6 +16,9 @@ It sees only Python lines: work done inside one C call, such as a list.index
 or an `in` test on a list inside a loop, is not counted, and a loop hidden
 that way stays invisible.  trace is left out, because its path list is
 exponential by design and capped by MAX_TRACE_PATHS.
+
+A second test spoils the last record of each shape's largest section, so
+that parse_model must locate the fault; its unit is a document byte too.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from accesslint import (
     serialize_model,
     validate_access,
 )
+from accesslint.modelio import SchemaError
 
 import documents
 
@@ -110,3 +114,29 @@ def test_events_per_unit_of_work_stay_flat(shape):
     grown = {stage: ratios for stage, ratios in per_unit.items()
              if max(ratios) > GROWTH * ratios[0]}
     assert not grown, {stage: [round(r, 4) for r in ratios] for stage, ratios in grown.items()}
+
+
+def _schema_error(text: str) -> SchemaError:
+    try:
+        parse_model(text, check=False)
+    except SchemaError as error:
+        return error
+    raise AssertionError("the document parsed")
+
+
+@pytest.mark.parametrize("shape", documents.SHAPES)
+def test_locating_a_fault_in_the_last_record_stays_flat(shape):
+    """parse_model names a fault in the last record with work linear in the document."""
+    build, n = documents.SHAPES[shape]
+    per_byte = []
+    for size in (n, 2 * n, 4 * n, 8 * n):
+        document = build(size)
+        section = max((key for key, value in document.items() if type(value) is list),
+                      key=lambda key: len(document[key]))
+        last = document[section][-1]  # records may be shared: spoil a copy
+        document[section][-1] = {**last, next(iter(last)): 7}  # each opens with a string
+        text = json.dumps(document)
+        count, error = _line_events(_schema_error, text)
+        assert error.location.startswith(f"$.{section}[{len(document[section]) - 1}].")
+        per_byte.append(count / len(text.encode("utf-8")))
+    assert max(per_byte) <= GROWTH * per_byte[0], [round(r, 4) for r in per_byte]

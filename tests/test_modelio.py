@@ -32,6 +32,7 @@ from accesslint.modelio import (
 from accesslint.validation import ValidationReport, expand_needs, validate_access
 
 import json_reference
+import record_oracle
 
 
 def _doc(**overrides) -> str:
@@ -329,6 +330,22 @@ _OVERRIDE = {"subject": "people", "resource": "people", "allowed": False}
                  {"name": "B", "kind": "system", "colour": "red"}]},
      "assets[0].extraProperties.availability: invalid security level 'huge', "
      "expected one of: high, low, medium, none"),
+    # Within a record the keys come first, then the required keys in class
+    # order, then the values in the order of the schema table.
+    ({"associations": [{"source": 1, "target": "A", "sourceMultiplicity": "many"}]},
+     "associations[0].sourceMultiplicity: invalid multiplicity 'many', "
+     "expected one of: '1', '0..1', '1..*', '*'"),
+    ({"goals": [{"name": "G", "kind": "wish", "definition": 7}]},
+     "goals[0].definition: expected a string, got int"),
+    ({"assets": [{"kind": "bogus"}]}, "assets[0]: missing required key 'name'"),
+    ('{"version": 1, "assets": [{"name": "A", "colour": "red", "kind": "system",'
+     ' "name": "B"}]}',
+     "assets[0].name: duplicate key 'name'"),
+    ({"assets": [{"name": "A", "kind": "bogus"}, dict(_ASSET, name="B", colour="red")]},
+     "assets[0].kind: invalid asset kind 'bogus', expected one of: information, people, "
+     "system"),
+    ({"matrixOverride": [_OVERRIDE, _OVERRIDE, dict(_OVERRIDE, subject="x")]},
+     "matrixOverride[1]: duplicate override for (people, people)"),
 ])
 def test_first_fault_wins_with_exact_text(document, message):
     if isinstance(document, dict):
@@ -449,7 +466,7 @@ def test_column_pass_builds_the_row_readers_records(source, data_dir):
     for section, records in (("assets", model.assets), ("associations", model.associations),
                              ("goals", graph.nodes), ("refinements", graph.refinements),
                              ("policy", graph.policy)):
-        by_row = tuple(modelio._record(obj, section) for obj in root.get(section, []))
+        by_row = tuple(record_oracle.record(obj, section) for obj in root.get(section, []))
         assert records == by_row
         assert _field_types(records) == _field_types(by_row)
     assert all(type(a.source_needs) is frozenset is type(a.target_needs)
@@ -549,7 +566,7 @@ def test_column_pass_reads_as_the_row_reader(case):
     expected, fault, cells = [], None, set()
     for i, obj in enumerate(items):  # the row reader, one record at a time
         try:
-            record = modelio._record(obj, section)
+            record = record_oracle.record(obj, section)
         except modelio._Bad as bad:
             fault = f"$.{section}[{i}]{bad.suffix}: {bad.reason}"
             break
