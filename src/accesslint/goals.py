@@ -30,6 +30,7 @@ class Permission(Enum):
 
 # Members bound once: on Python 3.10 and 3.11, Enum.MEMBER goes through EnumType.__getattr__.
 _GOAL, _REQUIREMENT = GoalKind
+_ALLOW, _DENY = Permission
 
 
 class Goal(NamedTuple):
@@ -63,11 +64,17 @@ class GoalGraph:
     # Indexes built on first use: not fields, so ==, repr and
     # dataclasses.replace ignore them and a replaced graph builds its own.
     @cached_property
-    def policy_index(self) -> dict[tuple[str, AccessNeed, str, Permission],
-                                   PolicyStatement]:
-        """(subject, access, resource, permission) -> first such statement."""
-        return {(s.subject, s.access, s.resource, s.permission): s
-                for s in reversed(self.policy)}
+    def policy_index(self) -> dict[tuple[str, AccessNeed, str], PolicyStatement]:
+        """(subject, access, resource) -> the statement that resolves it.
+
+        That is the first allow in document order, else the first deny.
+        Fewer entries than statements means some interaction is stated twice.
+        """
+        index = {(s.subject, s.access, s.resource): s for s in reversed(self.policy)}
+        if len(index) < len(self.policy):  # an allow beats an earlier deny
+            index.update({(s.subject, s.access, s.resource): s
+                          for s in reversed(self.policy) if s.permission is _ALLOW})
+        return index
 
     @cached_property
     def parents(self) -> dict[str, list[str]]:
@@ -192,26 +199,26 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
                     f"policy statement references unknown asset {quote(endpoint)}",
                 ))
 
-    # A statement is a duplicate unless it is the first of its kind.  Past
-    # that, an interaction seen before was seen with the other permission.
-    index = graph.policy_index
-    seen_interactions: set[tuple[str, AccessNeed, str]] = set()
-    for stmt in graph.policy:
-        interaction = (stmt.subject, stmt.access, stmt.resource)
-        if index[interaction + (stmt.permission,)] is not stmt:
-            errors.append(ModelError(
-                "DuplicateStatement", _policy_where(stmt),
-                f"statement ({quote(stmt.subject)}, {stmt.access.value}, "
-                f"{quote(stmt.resource)}, {stmt.permission.value}) is declared more than once",
-            ))
-        elif interaction in seen_interactions:
-            errors.append(ModelError(
-                "ConflictingPermission", _policy_where(stmt),
-                f"({quote(stmt.subject)}, {stmt.access.value}, {quote(stmt.resource)}) is "
-                "both allowed and denied",
-            ))
-        else:
-            seen_interactions.add(interaction)
+    # A full index proves no interaction is stated twice.  Past an
+    # interaction's first statement, a permission it was stated with before
+    # is a duplicate, and the other one a conflict.
+    if len(graph.policy_index) < len(graph.policy):
+        stated: dict[tuple[str, AccessNeed, str], set[Permission]] = {}
+        for stmt in graph.policy:
+            permissions = stated.setdefault((stmt.subject, stmt.access, stmt.resource), set())
+            if stmt.permission in permissions:
+                errors.append(ModelError(
+                    "DuplicateStatement", _policy_where(stmt),
+                    f"statement ({quote(stmt.subject)}, {stmt.access.value}, "
+                    f"{quote(stmt.resource)}, {stmt.permission.value}) is declared more than once",
+                ))
+            elif permissions:
+                errors.append(ModelError(
+                    "ConflictingPermission", _policy_where(stmt),
+                    f"({quote(stmt.subject)}, {stmt.access.value}, {quote(stmt.resource)}) is "
+                    "both allowed and denied",
+                ))
+            permissions.add(stmt.permission)
 
     refined = {ref.parent for ref in graph.refinements}
     owning = {stmt.requirement for stmt in graph.policy}
@@ -233,8 +240,18 @@ def lookup_statement(
     resource: str,
     permission: Permission,
 ) -> PolicyStatement | None:
-    """The first statement in document order matching all four fields, or None."""
-    return graph.policy_index.get((subject, access, resource, permission))
+    """The first statement in document order matching all four fields, or None.
+
+    One index lookup, except for the deny of an interaction the graph also
+    allows, which check_goal_structure rejects: that one takes a scan.
+    """
+    interaction = (subject, access, resource)
+    stmt = graph.policy_index.get(interaction)
+    if stmt is None or stmt.permission is permission:
+        return stmt
+    return None if stmt.permission is _DENY else next(  # the indexed allow hides the deny
+        (s for s in graph.policy
+         if s.permission is permission and (s.subject, s.access, s.resource) == interaction), None)
 
 
 # The most paths trace returns; stacked diamonds double the count per level.

@@ -282,6 +282,7 @@ _RECORDS = {
         ("allowed", "allowed", _booleans, _json_bool))),
 }
 _TOP_KEYS = frozenset(("version", *_RECORDS))
+_CONTAINERS = {list: "(a list)", dict: "(an object)"}
 _RECORD_KEYS = {section: frozenset(key for key, *_ in fields)
                 for section, (_, fields) in _RECORDS.items()}
 # Sections by column: (json key, default() or MISSING if required) in class order.
@@ -418,7 +419,9 @@ def parse_model(document: bytes | str, *, check: bool = True) -> tuple[AssetMode
             raise _Bad(".version", "missing required key 'version'")
         version = root["version"]
         if type(version) is not int or version != DOCUMENT_VERSION:
-            raise _Bad(".version", f"unsupported document version {version!r}, "
+            # A list or an object is named, not shown: it may be large, or hold _REPEATED.
+            shown = _CONTAINERS.get(type(version)) or repr(version)
+            raise _Bad(".version", f"unsupported document version {shown}, "
                                    f"expected {DOCUMENT_VERSION}")
         assets = tuple(_records(root, "assets"))
         associations = tuple(_records(root, "associations"))

@@ -110,7 +110,7 @@ _warning = partial(tuple.__new__, AccessWarning)
 _association = partial(tuple.__new__, Association)
 # Members bound once, as goals binds GoalKind's.
 _READ, _WRITE = AccessNeed.READ, AccessNeed.WRITE
-_ALLOW, _DENY = (Permission.ALLOW,), (Permission.DENY,)
+_DENY = Permission.DENY
 (_UNDEFINED_ACCESS, _UNAUTHORISED_ACCESS, _NO_READ_UP, _NO_WRITE_DOWN, _NO_WRITE_UP,
  _NO_READ_DOWN) = WarningKind
 
@@ -170,13 +170,15 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
 
     With a chain A <- B <- C where A reads R, the result lets B and C
     read R as well.  Needs held *upon* an ancestor are not inherited,
-    and a need is never copied onto the descendant itself.  Each gained
-    (subject, resource) pair joins the association between the two, or
-    else a new one, in order of subject then resource declaration, that
-    also takes the reverse pair: mutual gains share one association.
-    The input is left untouched.  It must pass check_structure, as
-    parse_model's result does by default; an ancestor's need upon an
-    undeclared asset raises KeyError.
+    and a need is never copied onto the descendant itself.  One pass
+    over the subjects, in declaration order, places each gained
+    (subject, resource) pair: in the first association between the two,
+    either way round, or else in a new one that also takes the reverse
+    pair, so mutual gains share one association.  New associations come
+    in order of subject then resource declaration.  The input is left
+    untouched.  It must pass check_structure, as parse_model's result
+    does by default; an ancestor's need upon an undeclared asset raises
+    KeyError.
     """
     doc_order = {a.name: i for i, a in enumerate(model.assets)}
 
@@ -189,25 +191,39 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
                 by_resource[resource] = by_resource.get(resource, frozenset()) | needs
 
     inherited_by = _ancestor_needs(model.assets, subject_needs)
-    # In order of subject then resource declaration, the order new associations take.
-    gained = {(name, resource): held[resource]
-              for name in doc_order for held in (inherited_by[name],)
-              for resource in sorted(held, key=doc_order.__getitem__) if resource != name}
+    associations = list(model.associations)
+    # Each pair of names, both ways round -> the position of its first association.
+    first: dict[tuple[str, str], int] = {}
+    for position, (source, target, _, _, _, _) in enumerate(associations):
+        first.setdefault((source, target), position)
+        first.setdefault((target, source), position)
 
-    associations: list[Association] = []
-    for assoc in model.associations:
-        extra_source = gained.pop((assoc.source, assoc.target), frozenset())
-        extra_target = gained.pop((assoc.target, assoc.source), frozenset())
-        if extra_source or extra_target:
-            assoc = assoc._replace(source_needs=assoc.source_needs | extra_source,
-                                   target_needs=assoc.target_needs | extra_target)
-        associations.append(assoc)
-
-    for subject, resource in list(gained):
-        needs = gained.pop((subject, resource), None)
-        if needs is not None:  # None once taken as the reverse of an earlier pair
-            reverse = gained.pop((resource, subject), frozenset())
-            associations.append(_association((subject, resource, needs, reverse, None, None)))
+    # Entries are shared down a chain: each distinct one is put in order once.
+    in_order: dict[int, list[str]] = {}
+    for name, position in doc_order.items():
+        held = inherited_by[name]
+        if not held:
+            continue
+        resources = in_order.get(id(held))
+        if resources is None:
+            resources = in_order[id(held)] = sorted(held, key=doc_order.__getitem__)
+        for resource in resources:
+            if resource == name:
+                continue
+            needs = held[resource]
+            at = first.get((name, resource))
+            if at is not None:
+                assoc = associations[at]
+                if assoc.source == name:
+                    associations[at] = assoc._replace(source_needs=assoc.source_needs | needs)
+                else:
+                    associations[at] = assoc._replace(target_needs=assoc.target_needs | needs)
+                continue
+            reverse = inherited_by[resource].get(name)
+            if reverse is not None and doc_order[resource] < position:
+                continue  # added with the reverse pair, whose subject comes first
+            associations.append(_association((name, resource, needs, reverse or frozenset(),
+                                              None, None)))
 
     return replace(model, associations=tuple(associations))
 
@@ -222,11 +238,16 @@ def validate_access(model: AssetModel, graph: GoalGraph) -> ValidationReport:
     an allowed triple naming an undeclared asset raises KeyError.
     """
     assets: dict[str, Asset] = {a.name: a for a in model.assets}
-    index = graph.policy_index
+    resolve = graph.policy_index.get
     warnings: list[AccessWarning] = []
 
     for triple in expand_needs(model):
-        if triple + _ALLOW in index:
+        stmt = resolve(triple)
+        if stmt is None:
+            warnings.append(_warning((_UNDEFINED_ACCESS, triple)))
+        elif stmt.permission is _DENY:
+            warnings.append(_warning((_UNAUTHORISED_ACCESS, triple)))
+        else:
             subject_name, access, resource_name = triple
             subject, resource = assets[subject_name], assets[resource_name]
             if access is _READ:
@@ -239,9 +260,5 @@ def validate_access(model: AssetModel, graph: GoalGraph) -> ValidationReport:
                     warnings.append(_warning((_NO_WRITE_DOWN, triple)))
                 if resource.integrity > subject.integrity:
                     warnings.append(_warning((_NO_WRITE_UP, triple)))
-        elif triple + _DENY in index:
-            warnings.append(_warning((_UNAUTHORISED_ACCESS, triple)))
-        else:
-            warnings.append(_warning((_UNDEFINED_ACCESS, triple)))
 
     return ValidationReport(tuple(warnings))

@@ -43,16 +43,32 @@ def expand(model) -> list[tuple[str, str, str]]:
     return triples
 
 
-def resolve(graph, subject: str, access: str, resource: str) -> str:
-    """Which branch a triple falls into: "allow", "deny", or "absent"."""
-    found = "absent"
+def resolving_statement(graph, subject: str, access: str, resource: str):
+    """The statement a triple resolves by: the first allow, else the first deny, else None."""
+    found = None
     for stmt in graph.policy:
         if (stmt.subject == subject and stmt.access.value == access
                 and stmt.resource == resource):
             if stmt.permission.value == "allow":
-                return "allow"
-            found = "deny"
+                return stmt
+            if found is None:
+                found = stmt
     return found
+
+
+def resolve(graph, subject: str, access: str, resource: str) -> str:
+    """Which branch a triple falls into: "allow", "deny", or "absent"."""
+    stmt = resolving_statement(graph, subject, access, resource)
+    return "absent" if stmt is None else stmt.permission.value
+
+
+def first_statement(graph, subject: str, access: str, resource: str, permission: str):
+    """The first statement in document order matching all four fields, or None."""
+    for stmt in graph.policy:
+        if (stmt.subject == subject and stmt.access.value == access
+                and stmt.resource == resource and stmt.permission.value == permission):
+            return stmt
+    return None
 
 
 def validate(model, graph) -> list[tuple[str, str, str, str]]:

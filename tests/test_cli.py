@@ -172,6 +172,15 @@ class TestCheck:
         assert out == ""
         assert err == "error: $: integer literal is too long\n"
 
+    @pytest.mark.parametrize("version, shown", [
+        ('[{"a": 1, "a": 2}]', "(a list)"), ('{"a": 1, "a": 2}', "(an object)")])
+    def test_container_version_named_by_its_type(self, capsys, tmp_path, version, shown):
+        path = tmp_path / "version.json"
+        path.write_text(f'{{"version": {version}}}', encoding="utf-8")
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: $.version: unsupported document version {shown}, expected 1\n"
+
     def test_each_finding_on_its_own_line(self, capsys, tmp_path):
         path = tmp_path / "two.json"
         path.write_text(json.dumps({

@@ -123,6 +123,13 @@ class TestParse:
         assert str(info.value) == (
             f"$.version: unsupported document version {version!r}, expected 1")
 
+    @pytest.mark.parametrize("version, shown", [
+        ('[{"a": 1, "a": 2}]', "(a list)"), ('{"a": 1, "a": 2}', "(an object)")])
+    def test_container_version_named_by_its_type(self, version, shown):
+        with pytest.raises(SchemaError) as info:
+            parse_model(f'{{"version": {version}}}')
+        assert str(info.value) == f"$.version: unsupported document version {shown}, expected 1"
+
     def test_deep_nesting_is_a_syntax_error(self):
         with pytest.raises(DocumentSyntaxError) as info:
             parse_model("[" * 100000 + "]" * 100000)
@@ -525,7 +532,11 @@ _junk = st.one_of(
 
 @st.composite
 def _sections(draw):
-    """A section name and its list, where about one record in four is spoiled."""
+    """A section name and its list, where about one record in three is spoiled.
+
+    One spoil in six gives a record two junk values, so that the fault
+    named first shows the order values are read in.
+    """
     section = draw(st.sampled_from(sorted(_LEGAL)))
     required, optional = _LEGAL[section]
     items = []
@@ -535,6 +546,10 @@ def _sections(draw):
         key = draw(st.sampled_from([*required, *optional, "colour"]))
         if spoil < 2:
             record[key] = draw(_junk)
+        elif spoil == 5 and len(required) + len(optional) > 1:
+            for other in draw(st.lists(st.sampled_from([*required, *optional]),
+                                       min_size=2, max_size=2, unique=True)):
+                record[other] = draw(_junk)
         elif spoil == 2:
             record.pop(key, None)
         elif spoil == 3:  # the key repeats, as json.loads marks it

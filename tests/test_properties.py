@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,8 @@ from accesslint.goals import (
     Goal,
     GoalGraph,
     GoalKind,
+    Permission,
+    PolicyStatement,
     Refinement,
     check_goal_structure,
     lookup_statement,
@@ -20,6 +23,7 @@ from accesslint.model import (
     AssetKind,
     AssetModel,
     Association,
+    SecurityValue,
     check_structure,
 )
 from accesslint.modelio import parse_model, render_report, serialize_model
@@ -32,8 +36,9 @@ from accesslint.validation import (
 
 import cycle_oracle
 import json_reference
+import pairing_oracle
 import rule_oracle
-from strategies import asset_models, goal_graphs, models_with_graphs
+from strategies import asset_models, goal_graphs, models_with_graphs, need_sets
 
 LEVEL_KINDS = {
     WarningKind.NO_READ_UP,
@@ -253,6 +258,121 @@ def test_hierarchy_expansion_matches_ancestor_closure(model):
                         asset.name, triple.access, triple.resource))
             ancestor = parent.get(ancestor)
     assert set(expand_needs(expand_hierarchy(model))) == expected
+
+
+@st.composite
+def _with_repeated_associations(draw) -> AssetModel:
+    """A free-parent model, some of whose associations repeat, either way round."""
+    model = draw(asset_models(free_parents=True))
+    repeats = []
+    for assoc in draw(st.lists(st.sampled_from(model.associations), max_size=3)
+                      if model.associations else st.just([])):
+        needs = draw(st.tuples(need_sets, need_sets))
+        ends = (assoc.target, assoc.source) if draw(st.booleans()) else assoc[:2]
+        repeats.append(Association(*ends, *needs))
+    associations = list(model.associations)
+    for assoc in repeats:
+        associations.insert(draw(st.integers(0, len(associations))), assoc)
+    return replace(model, associations=tuple(associations))
+
+
+_READ = frozenset({AccessNeed.READ})
+
+
+# A inherits a read upon B from PA while B inherits a read upon A from PB:
+# one new association takes both.
+@example(AssetModel(
+    assets=(Asset("PA", AssetKind.SYSTEM), Asset("A", AssetKind.SYSTEM, parent="PA"),
+            Asset("PB", AssetKind.SYSTEM), Asset("B", AssetKind.SYSTEM, parent="PB")),
+    associations=(Association("PA", "B", _READ), Association("PB", "A", _READ)),
+))
+# B is declared before A, so the pair (A, B) is the reverse of (B, A).
+@example(AssetModel(
+    assets=(Asset("PB", AssetKind.SYSTEM), Asset("B", AssetKind.SYSTEM, parent="PB"),
+            Asset("PA", AssetKind.SYSTEM), Asset("A", AssetKind.SYSTEM, parent="PA")),
+    associations=(Association("PA", "B", _READ), Association("A", "PB", target_needs=_READ)),
+))
+# A and B are already associated twice, once each way round: the first takes both gains.
+@example(AssetModel(
+    assets=(Asset("PA", AssetKind.SYSTEM), Asset("A", AssetKind.SYSTEM, parent="PA"),
+            Asset("PB", AssetKind.SYSTEM), Asset("B", AssetKind.SYSTEM, parent="PB")),
+    associations=(Association("B", "A"), Association("A", "B"),
+                  Association("PA", "B", _READ), Association("PB", "A", _READ)),
+))
+@settings(max_examples=300)
+@given(asset_models(free_parents=True) | _with_repeated_associations())
+def test_hierarchy_pairing_matches_the_two_pass_reference(model):
+    """Each gained pair lands where the dict-and-pop pairing puts it, in the same order."""
+    assert (expand_hierarchy(model).associations
+            == pairing_oracle.expand_hierarchy(model).associations)
+
+
+def test_an_inherited_need_upon_an_undeclared_asset_raises_key_error():
+    model = AssetModel(
+        assets=(Asset("P", AssetKind.SYSTEM), Asset("C", AssetKind.SYSTEM, parent="P")),
+        associations=(Association("P", "Ghost", _READ),))
+    with pytest.raises(KeyError) as reference:
+        pairing_oracle.expand_hierarchy(model)
+    with pytest.raises(KeyError) as engine:
+        expand_hierarchy(model)
+    assert engine.value.args == reference.value.args == ("Ghost",)
+
+
+_POOL_NAMES = ["A", "B", "C"]
+
+
+@st.composite
+def _crowded_policies(draw):
+    """A model holding every triple over three assets, and a graph whose
+    statements state three or four of them: duplicates and conflicts are common."""
+    levels = st.sampled_from(list(SecurityValue))
+    assets = tuple(Asset(name, AssetKind.SYSTEM, confidentiality=draw(levels),
+                         integrity=draw(levels)) for name in _POOL_NAMES)
+    every = frozenset(AccessNeed)
+    model = AssetModel(assets=assets, associations=(
+        Association("A", "B", every, every), Association("A", "C", every, every),
+        Association("B", "C", every, every)))
+    pool = draw(st.lists(st.tuples(st.sampled_from(_POOL_NAMES), st.sampled_from(list(AccessNeed)),
+                                   st.sampled_from(_POOL_NAMES)).filter(lambda t: t[0] != t[2]),
+                         min_size=3, max_size=4, unique=True))
+    policy = tuple(PolicyStatement(draw(st.sampled_from(["R", "S"])), *draw(st.sampled_from(pool)),
+                                   draw(st.sampled_from(list(Permission))))
+                   for _ in range(draw(st.integers(0, 8))))
+    graph = GoalGraph(nodes=(Goal("R", GoalKind.REQUIREMENT), Goal("S", GoalKind.REQUIREMENT)),
+                      policy=policy)
+    return model, graph, pool
+
+
+@settings(max_examples=300)
+@given(_crowded_policies())
+def test_resolution_matches_plain_scans(case):
+    """The index resolves each interaction to the first allow, else the first deny;
+    lookup_statement finds the first exact match; the checks and warnings agree."""
+    model, graph, pool = case
+    for subject, access, resource in pool:
+        assert graph.policy_index.get((subject, access, resource)) is \
+            rule_oracle.resolving_statement(graph, subject, access.value, resource)
+        for permission in Permission:
+            assert lookup_statement(graph, subject, access, resource, permission) is \
+                rule_oracle.first_statement(graph, subject, access.value, resource,
+                                            permission.value)
+
+    found = [(f.code, f.where) for f in check_goal_structure(graph, model)
+             if f.code in ("DuplicateStatement", "ConflictingPermission")]
+    expected = []
+    for i, stmt in enumerate(graph.policy):
+        earlier = [(s.subject, s.access, s.resource, s.permission) for s in graph.policy[:i]]
+        key = (stmt.subject, stmt.access, stmt.resource, stmt.permission)
+        if key in earlier:
+            expected.append(("DuplicateStatement", stmt))
+        elif any(other[:3] == key[:3] for other in earlier):
+            expected.append(("ConflictingPermission", stmt))
+    assert found == [(code, f"policy '{s.subject}' {s.access.value} '{s.resource}' "
+                            f"{s.permission.value}") for code, s in expected]
+
+    got = [(w.kind.value, w.triple.subject, w.triple.access.value, w.triple.resource)
+           for w in validate_access(model, graph).warnings]
+    assert got == rule_oracle.validate(model, graph)
 
 
 # Goal graphs with repeated names, repeated edges and self-loops; a name
