@@ -50,7 +50,7 @@ from .model import (
     printable,
     quote,
 )
-from .validation import _MESSAGE_PREFIX, RULE_RESULTS, TEXT, ValidationReport, WarningKind
+from .validation import _MESSAGE_PREFIX, RULE_RESULTS, TEXT, ValidationReport
 
 DOCUMENT_VERSION = 1
 
@@ -217,6 +217,7 @@ def _nonempty(value: str) -> str | None:
 
 
 _json_bool = {False: "false", True: "true"}.__getitem__
+_QUOTED = {member: _quote(text) for member, text in TEXT.items()}  # a need or warning kind
 
 
 def _object(members, indent: str) -> str:
@@ -289,34 +290,22 @@ _RECORD_KEYS = {section: frozenset(key for key, *_ in fields)
 _COLUMNS = {section: [(key, default) for name, default in _defaults(cls).items()
                       for key, attribute, *_ in fields if attribute == name]
             for section, (cls, fields) in _RECORDS.items()}
+# Sections by sorted key: (member prefix, attribute getter, writer) per field.
+_LAYOUTS = {section: tuple((f"\n      {_quote(key)}: ", attrgetter(attribute), write)
+                           for key, attribute, *_, write in sorted(fields))
+            for section, (_, fields) in _RECORDS.items()}
 
 
-def _layout(fields) -> tuple:
-    """(member prefix, column of the records' values, writer) per field, by sorted key."""
-    return tuple((f"\n      {_quote(key)}: ", attribute if callable(attribute)
-                  else partial(map, attrgetter(attribute)), write)
-                 for key, attribute, *_, write in sorted(fields))
-
-
-_LAYOUTS = {section: _layout(fields) for section, (_, fields) in _RECORDS.items()}
-_WARNING_LAYOUT = _layout((
-    ("kind", "kind", {kind: _quote(kind.value) for kind in WarningKind}.__getitem__),
-    ("subject", "triple.subject", _quote),
-    ("access", "triple.access", _need_text),
-    ("resource", "triple.resource", _quote),
-    ("message", lambda warnings: [  # AccessWarning.message, spelled out
-        f"{_MESSAGE_PREFIX[kind]}: {subject} --{TEXT[access]}--> {resource}"
-        for kind, (subject, access, resource) in warnings], _quote)))
+def _objects(rows: list[str]) -> str:
+    """A list of objects, from each one's member text, as the JSON value of a top-level key."""
+    return "[\n    {" + "\n    },\n    {".join(rows) + "\n    }\n  ]" if rows else "[]"
 
 
 def _write_records(records, layout: tuple) -> str:
-    """A list of records as the JSON value of a top-level key."""
-    if not records:
-        return "[]"
+    """Records as a JSON list, each written field by field as layout says."""
     columns = [[None if text is None else prefix + text
-                for text in map(write, column(records))] for prefix, column, write in layout]
-    rows = (",".join(filter(None, row)) for row in zip(*columns))
-    return "[\n    {" + "\n    },\n    {".join(rows) + "\n    }\n  ]"
+                for text in map(write, map(get, records))] for prefix, get, write in layout]
+    return _objects([",".join(filter(None, row)) for row in zip(*columns)])
 
 
 def _read(items: list, section: str):
@@ -476,15 +465,22 @@ def render_report(report: ValidationReport, format: str = "text") -> str:
 
     The text form lists one warning per line followed by a five-row
     security-rule summary with Y/N flags; the JSON form carries the
-    warnings, per-kind counts, and rule flags.
+    warnings, per-kind counts, and rule flags.  Both forms count the summary
+    once and write each warning from its kind and triple alone.
     """
+    counts = report.summary
     if format == "json":
+        # Each row is an AccessWarning's members by sorted key, its message spelled out.
+        rows = [f'\n      "access": {_QUOTED[access]},\n      "kind": {_QUOTED[kind]},'
+                f'\n      "message": '
+                f'{_quote(f"{_MESSAGE_PREFIX[kind]}: {subject} --{TEXT[access]}--> {resource}")},'
+                f'\n      "resource": {_quote(resource)},\n      "subject": {_quote(subject)}'
+                for kind, (subject, access, resource) in report.warnings]
         return _object((
-            ("ruleResults", _object([(key, _json_bool(flag))
-                                     for key, flag in report.rule_results.items()], "  ")),
-            ("summary", _object([(kind.value, str(count))
-                                 for kind, count in report.summary.items()], "  ")),
-            ("warnings", _write_records(report.warnings, _WARNING_LAYOUT)),
+            ("ruleResults", _object([(key, _json_bool(counts[kind] > 0))
+                                     for key, _, kind in RULE_RESULTS], "  ")),
+            ("summary", _object([(TEXT[kind], str(n)) for kind, n in counts.items()], "  ")),
+            ("warnings", _objects(rows)),
         ), "") + "\n"
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")
@@ -497,8 +493,7 @@ def render_report(report: ValidationReport, format: str = "text") -> str:
         lines = list(map(printable, lines))
     if lines:
         lines.append("")
-    flags = report.rule_results
     width = max(len(label) for _, label, _ in RULE_RESULTS)
-    for key, label, _ in RULE_RESULTS:
-        lines.append(f"{label:<{width}} {'Y' if flags[key] else 'N'}")
+    for _, label, kind in RULE_RESULTS:
+        lines.append(f"{label:<{width}} {'Y' if counts[kind] else 'N'}")
     return "\n".join(lines) + "\n"

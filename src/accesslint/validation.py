@@ -23,9 +23,9 @@ read-down.  Interact needs never participate in level checks.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -88,11 +88,12 @@ RULE_RESULTS: tuple[tuple[str, str, WarningKind], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
+    """One validation's warnings, equal to their 1-tuple; its counts are fresh on each access."""
+
     warnings: tuple[AccessWarning, ...] = ()
 
-    @cached_property
+    @property
     def summary(self) -> dict[WarningKind, int]:
         counts = Counter(map(attrgetter("kind"), self.warnings))
         return {kind: counts[kind] for kind in WarningKind}

@@ -11,8 +11,14 @@ script builds one set of documents:
   the policy-churn base);
 - MUTATIONS mutations of the small ones, drawn from SEED, each with 1-3
   edits: junk values, dropped, unknown and repeated keys, duplicated and
-  dropped records, and records with several faults at once.  Size and
-  seed are fixed, so a run can be cited by them.
+  dropped records, and records with several faults at once;
+- BYTE_MUTATIONS byte-level mutations of the same documents, drawn from
+  SEED, each with 1-2 edits to the encoded text: truncation, stray
+  escapes, surrogate escapes and encoded surrogates, bad and overlong
+  UTF-8, a BOM, raw control characters in strings, non-integer versions,
+  CRLF line ends, and dropped and doubled bytes.
+
+Sizes and seed are fixed, so a run can be cited by them.
 
 Each document goes through six CLI commands (validate as text, as JSON
 and with --expand-inheritance, check, and export of both views), run
@@ -31,6 +37,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -41,6 +48,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 MUTATIONS = 3000
+BYTE_MUTATIONS = 1000
 COMMANDS = {
     "validate": ["validate"],
     "validate-json": ["validate", "--format", "json"],
@@ -155,8 +163,61 @@ def mutate(rng: random.Random, data: dict) -> dict:
     return data
 
 
-def documents() -> dict[str, str]:
-    """Document name -> text, in a fixed order."""
+# What a bad editor, transfer or encoder leaves in a document's bytes.
+BYTE_EDITS = ("truncate", "stray-escape", "surrogate-escape", "encoded-surrogate", "bad-utf8",
+              "bom", "raw-control", "version", "crlf", "drop-byte", "double-byte")
+STRAY_ESCAPES = (b"\\", b"\\q", b"\\x41", b"\\'", b"\\u12", b"\\uZZZZ")
+SURROGATE_ESCAPES = (b"\\ud800", b"\\udc00", b"\\uDBFF\\ud800", b"\\udc00\\ud800",
+                     b"\\ud83d\\ude00")
+# A lone lead or continuation byte, a byte UTF-8 never uses, overlong forms
+# of "/", and a code point past U+10FFFF.
+BAD_UTF8 = (b"\xc3", b"\x80", b"\xff", b"\xc0\xaf", b"\xe0\x80\xaf", b"\xf0\x80\x80\xaf",
+            b"\xf4\x90\x80\x80")
+CONTROLS = (b"\x00", b"\x01", b"\t", b"\n", b"\r", b"\x1f")
+VERSIONS = (b"NaN", b"-Infinity", b"Infinity", b"1e400", b"true", b"-0", b"1.0")
+_STRING = re.compile(rb'"(?:[^"\\]|\\.)*"')
+_VERSION = re.compile(rb'"version"\s*:\s*[^,}\s]+')
+
+
+def mutate_bytes(rng: random.Random, text: str) -> bytes:
+    """The UTF-8 bytes of text with 1-2 seeded byte-level edits."""
+    data = bytearray(text.encode("utf-8", "surrogatepass"))
+    for _ in range(rng.randint(1, 2)):
+        edit = rng.choice(BYTE_EDITS)
+        at = rng.randint(0, len(data))
+        strings = [match.span() for match in _STRING.finditer(data)]
+        if strings:  # a place inside a string literal, between its quotes
+            start, end = rng.choice(strings)
+            inside = rng.randint(start + 1, end - 1)
+        else:
+            inside = at
+        if edit == "truncate":
+            del data[at:]
+        elif edit == "stray-escape":
+            data[inside:inside] = rng.choice(STRAY_ESCAPES)
+        elif edit == "surrogate-escape":
+            data[inside:inside] = rng.choice(SURROGATE_ESCAPES)
+        elif edit == "encoded-surrogate":
+            data[inside:inside] = b"\xed\xa0\x80"
+        elif edit == "bad-utf8":
+            data[at:at] = rng.choice(BAD_UTF8)
+        elif edit == "bom":
+            data[:0] = b"\xef\xbb\xbf"
+        elif edit == "raw-control":
+            data[inside:inside] = rng.choice(CONTROLS)
+        elif edit == "version":
+            data = bytearray(_VERSION.sub(b'"version": ' + rng.choice(VERSIONS), data, 1))
+        elif edit == "crlf":
+            data = data.replace(b"\n", b"\r\n")
+        elif edit == "drop-byte":
+            del data[at:at + 1]
+        else:
+            data[at:at] = data[at:at + 1]
+    return bytes(data)
+
+
+def documents() -> dict[str, str | bytes]:
+    """Document name -> text, or bytes for a byte-level mutation, in a fixed order."""
     docs = {}
     for path in sorted((ROOT / "src" / "accesslint" / "data").glob("*.json")):
         docs[f"fixture/{path.name}"] = path.read_text(encoding="utf-8")
@@ -187,6 +248,9 @@ def documents() -> dict[str, str]:
     rng = random.Random(f"differential/{SEED}")
     for m in range(MUTATIONS):
         docs[f"mutation/{m:05d}"] = dump(mutate(rng, json.loads(rng.choice(bases))))
+    rng = random.Random(f"differential-bytes/{SEED}")
+    for m in range(BYTE_MUTATIONS):
+        docs[f"byte-mutation/{m:05d}"] = mutate_bytes(rng, rng.choice(bases))
     return docs
 
 
@@ -221,7 +285,8 @@ def main() -> int:
         names = []
         for n, (name, text) in enumerate(docs.items()):
             names.append(f"{n:05d}.json")
-            (workdir / names[-1]).write_bytes(text.encode("utf-8", "surrogatepass"))
+            (workdir / names[-1]).write_bytes(
+                text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass"))
         (workdir / "manifest.json").write_text(json.dumps(names))
         children = [subprocess.Popen([sys.executable, __file__, "--worker",
                                       str(Path(src).resolve()), tmp], stdout=subprocess.PIPE)

@@ -29,10 +29,19 @@ from accesslint.modelio import (
     render_report,
     serialize_model,
 )
-from accesslint.validation import ValidationReport, expand_needs, validate_access
+from accesslint.validation import (
+    RULE_RESULTS,
+    AccessTriple,
+    AccessWarning,
+    ValidationReport,
+    WarningKind,
+    expand_needs,
+    validate_access,
+)
 
 import json_reference
 import record_oracle
+from strategies import ALPHABET
 
 
 def _doc(**overrides) -> str:
@@ -731,6 +740,24 @@ def test_writer_matches_json_dumps(pair):
     assert render_report(report, "json") == reference
 
 
+# One warning of each kind, in declaration order, upon names holding every
+# character of ALPHABET: a quote, a backslash, controls, U+2028, é, an astral one.
+EVERY_KIND = ValidationReport(tuple(
+    AccessWarning(kind, AccessTriple(f"S {ALPHABET}", need, f"{ALPHABET} R"))
+    for kind, need in zip(WarningKind, (AccessNeed.INTERACT, AccessNeed.WRITE, AccessNeed.READ,
+                                        AccessNeed.WRITE, AccessNeed.WRITE, AccessNeed.READ))))
+
+
+def test_a_warning_of_every_kind_matches_json_dumps():
+    assert [warning.kind for warning in EVERY_KIND.warnings] == list(WarningKind)
+    reference = json_reference.canonical(json_reference.report(EVERY_KIND))
+    assert render_report(EVERY_KIND, "json") == reference
+    lines = render_report(EVERY_KIND, "text").splitlines()
+    assert len(lines) == len(WarningKind) + 1 + len(RULE_RESULTS)
+    assert [line.split(":")[0] for line in lines[:len(WarningKind)]] == [
+        kind.value for kind in WarningKind]
+
+
 class TestSerialize:
     def test_empty_model_is_minimal(self):
         text = serialize_model(AssetModel(), GoalGraph())
@@ -815,6 +842,23 @@ class TestRenderReport:
             "integrityStar": False,
             "absentPolicies": True,
         }
+
+    def test_editing_the_returned_counts_changes_no_later_render(self):
+        """summary and rule_results are fresh dicts: a caller's edits stay its own."""
+        report = validate_access(*load_fixture("pyramid"))
+
+        def views():
+            return (report.summary, report.rule_results, render_report(report, "text"),
+                    render_report(report, "json"))
+
+        before = views()
+        summary, flags = report.summary, report.rule_results
+        summary[WarningKind.NO_READ_UP] += 5
+        flags["starProperty"] = True
+        assert views() == before
+        report.summary.clear()
+        report.rule_results.clear()
+        assert views() == before
 
     def test_unknown_format_rejected(self, pyramid_report):
         with pytest.raises(ValueError):

@@ -1,12 +1,16 @@
-"""A fixed corpus of seeded mutations, run through every CLI command in-process.
+"""Two fixed corpora of seeded mutations, run through every CLI command in-process.
 
 CORPUS documents are built by differential.py's mutate from the bundled
 fixtures, the documents in tests/data and small documents of BASE_SHAPES
 (one of which states interactions twice), drawn from SEED: junk values,
 dropped, unknown and repeated keys, duplicated and dropped records, and
-records with several faults.  Each goes through the six commands
-differential.py runs.  The size and the seed are fixed: a failure here is
-mended in the program, never by shrinking or re-seeding the corpus.
+records with several faults.  BYTE_CORPUS documents are built from the
+same bases by differential.py's mutate_bytes, drawn from BYTE_SEED: edits
+to the encoded text that no JSON value can spell, such as truncation, bad
+UTF-8, surrogates, a BOM, raw control characters and non-integer versions.
+Each document goes through the six commands differential.py runs.  Sizes
+and seeds are fixed: a failure here is mended in the program, never by
+shrinking or re-seeding a corpus.
 """
 
 from __future__ import annotations
@@ -26,17 +30,23 @@ import documents
 
 SEED = 1
 CORPUS = 400
+BYTE_SEED = "byte-robustness/1"
+BYTE_CORPUS = 300
 BASE_SHAPES = ((documents.wide, 8), (documents.parent_chain, 6),
                (documents.owned_needs_chain, 4), (documents.refinement_chain, 4),
                (documents.diamonds, 3), (documents.duplicate_statements, 6))
 
 
 @pytest.fixture(scope="module")
-def corpus(tmp_path_factory) -> list[Path]:
-    bases = [path.read_text(encoding="utf-8") for path in sorted(
+def bases() -> list[str]:
+    texts = [path.read_text(encoding="utf-8") for path in sorted(
         [*(differential.ROOT / "src" / "accesslint" / "data").glob("*.json"),
          *(differential.ROOT / "tests" / "data").glob("*.json")])]
-    bases += [json.dumps(build(n)) for build, n in BASE_SHAPES]
+    return texts + [json.dumps(build(n)) for build, n in BASE_SHAPES]
+
+
+@pytest.fixture(scope="module")
+def corpus(bases, tmp_path_factory) -> list[Path]:
     rng = random.Random(f"robustness/{SEED}")
     folder = tmp_path_factory.mktemp("corpus")
     paths = []
@@ -47,6 +57,17 @@ def corpus(tmp_path_factory) -> list[Path]:
     return paths
 
 
+@pytest.fixture(scope="module")
+def byte_corpus(bases, tmp_path_factory) -> list[Path]:
+    rng = random.Random(BYTE_SEED)
+    folder = tmp_path_factory.mktemp("byte-corpus")
+    paths = []
+    for m in range(BYTE_CORPUS):
+        paths.append(folder / f"{m:04d}.json")
+        paths[-1].write_bytes(differential.mutate_bytes(rng, rng.choice(bases)))
+    return paths
+
+
 def _run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -54,9 +75,10 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def test_every_mutation_exits_cleanly_with_one_line(corpus):
+def _problems(corpus: list[Path]) -> tuple[list, set[int]]:
     """Exit 0-2, no internal error, nothing on stdout at exit 2, one diagnostic
-    line from every failing command but check, and the same bytes twice."""
+    line from every failing command but check, and the same bytes twice:
+    every breach found, and the exit codes seen."""
     problems = []
     codes = set()
     for path in corpus:
@@ -74,5 +96,16 @@ def test_every_mutation_exits_cleanly_with_one_line(corpus):
                 problems.append((path.name, command, f"{err.count(chr(10))} stderr lines"))
             if _run([*argv, str(path)]) != outcome:
                 problems.append((path.name, command, "a second run differs"))
+    return problems, codes
+
+
+def test_every_mutation_exits_cleanly_with_one_line(corpus):
+    problems, codes = _problems(corpus)
     assert not problems, problems[:10]
     assert codes == {0, 1, 2}  # some documents get past parse, some past validation
+
+
+def test_every_byte_level_edit_exits_cleanly_with_one_line(byte_corpus):
+    problems, codes = _problems(byte_corpus)
+    assert not problems, problems[:10]
+    assert codes == {0, 1, 2}  # CRLF line ends and edits between tokens keep a document valid

@@ -381,6 +381,7 @@ class TestRecordContract:
         assert hash(self.triple) == hash(("Works Diary", R, "Diary Event"))
         assert self.triple + (Permission.ALLOW,) == ("Works Diary", R, "Diary Event",
                                                      Permission.ALLOW)
+        assert ValidationReport((self.warning,)) == ((self.warning,),)
 
     def test_texts_are_pinned(self):
         assert str(self.triple) == "Works Diary --read--> Diary Event"
@@ -398,6 +399,10 @@ class TestRecordContract:
         with pytest.raises(TypeError):
             AccessWarning(WarningKind.NO_READ_UP, self.triple, "message")
         assert self.triple._replace(access=W) == ("Works Diary", W, "Diary Event")
+        report = ValidationReport((self.warning,))
+        with pytest.raises(AttributeError):
+            report.warnings = ()
+        assert report._replace(warnings=()) == ValidationReport() == ((),)
 
     def test_summary_counts_every_kind_in_declaration_order(self):
         undefined = AccessWarning(WarningKind.UNDEFINED_ACCESS, self.triple)
