@@ -135,11 +135,9 @@ class ModelError(NamedTuple):
 
 
 def index_names(items: Sequence[Any], noun: str) -> tuple[dict[str, Any], list[ModelError]]:
-    """Map each name to its first declaration; report Empty<Noun>Name, Duplicate<Noun>Name."""
-    by_name: dict[str, Any] = {item.name: item for item in items}
-    if len(by_name) == len(items) and all(by_name):
-        return by_name, []
-    by_name = {}
+    """Map each name to its first declaration in one pass; report Empty<Noun>Name
+    and Duplicate<Noun>Name (each later declaration) in document order."""
+    by_name: dict[str, Any] = {}
     errors: list[ModelError] = []
     for item in items:
         if not item.name:

@@ -135,12 +135,15 @@ def expand_needs(model: AssetModel) -> list[AccessTriple]:
 _Needs = dict[str, frozenset[AccessNeed]]
 
 
-def _ancestor_needs(assets: tuple[Asset, ...], own: dict[str, _Needs]) -> dict[str, _Needs]:
+def _ancestor_needs(assets: tuple[Asset, ...], own: dict[str, _Needs],
+                    position: dict[str, int]) -> dict[str, _Needs]:
     """Asset name -> the needs all of its ancestors hold, by resource.
 
     Reads model.parent_walks.  In a cycle, each member gets the other
     members' needs; the rest of each trail is filled top-down, each entry
-    being its parent's entry plus its parent's own needs.  Entries may be
+    being its parent's entry plus its parent's own needs.  Each entry's
+    resources come in declaration order (position): a mapping is sorted
+    when an ancestor's own needs are merged into it.  Entries may be
     shared, so none may be mutated.
     """
     held: dict[str, _Needs] = {}
@@ -152,7 +155,7 @@ def _ancestor_needs(assets: tuple[Asset, ...], own: dict[str, _Needs]) -> dict[s
         merged = dict(base)
         for resource, needs in extra.items():
             merged[resource] = merged.get(resource, frozenset()) | needs
-        return merged
+        return {r: merged[r] for r in sorted(merged, key=position.__getitem__)}
 
     for trail, above, closed in parent_walks(assets):
         if closed is not None:
@@ -191,7 +194,7 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
                 by_resource = subject_needs.setdefault(subject, {})
                 by_resource[resource] = by_resource.get(resource, frozenset()) | needs
 
-    inherited_by = _ancestor_needs(model.assets, subject_needs)
+    inherited_by = _ancestor_needs(model.assets, subject_needs, doc_order)
     associations = list(model.associations)
     # Each pair of names, both ways round -> the position of its first association.
     first: dict[tuple[str, str], int] = {}
@@ -199,19 +202,10 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
         first.setdefault((source, target), position)
         first.setdefault((target, source), position)
 
-    # Entries are shared down a chain: each distinct one is put in order once.
-    in_order: dict[int, list[str]] = {}
     for name, position in doc_order.items():
-        held = inherited_by[name]
-        if not held:
-            continue
-        resources = in_order.get(id(held))
-        if resources is None:
-            resources = in_order[id(held)] = sorted(held, key=doc_order.__getitem__)
-        for resource in resources:
+        for resource, needs in inherited_by[name].items():
             if resource == name:
                 continue
-            needs = held[resource]
             at = first.get((name, resource))
             if at is not None:
                 assoc = associations[at]

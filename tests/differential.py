@@ -12,6 +12,9 @@ script builds one set of documents:
 - MUTATIONS mutations of the small ones, drawn from SEED, each with 1-3
   edits: junk values, dropped, unknown and repeated keys, duplicated and
   dropped records, and records with several faults at once;
+- RESTATEMENTS restatements of those that hold a policy, drawn from
+  SEED, each restating one policy statement once or twice, with its own
+  permission or the other one;
 - BYTE_MUTATIONS byte-level mutations of the same documents, drawn from
   SEED, each with 1-2 edits to the encoded text: truncation, stray
   escapes, surrogate escapes and encoded surrogates, bad and overlong
@@ -48,6 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 MUTATIONS = 3000
+RESTATEMENTS = 500
 BYTE_MUTATIONS = 1000
 COMMANDS = {
     "validate": ["validate"],
@@ -163,6 +167,20 @@ def mutate(rng: random.Random, data: dict) -> dict:
     return data
 
 
+def restate(rng: random.Random, data: dict) -> dict:
+    """data with one of its policy statements copied to another position, once
+    or twice.  A copy keeps its permission (a DuplicateStatement) or takes the
+    other one (a ConflictingPermission)."""
+    policy = data["policy"]
+    statement = rng.choice(policy)
+    for _ in range(rng.randint(1, 2)):
+        restated = dict(statement)
+        if rng.random() < 0.5:
+            restated["permission"] = "deny" if statement["permission"] == "allow" else "allow"
+        policy.insert(rng.randint(0, len(policy)), restated)
+    return data
+
+
 # What a bad editor, transfer or encoder leaves in a document's bytes.
 BYTE_EDITS = ("truncate", "stray-escape", "surrogate-escape", "encoded-surrogate", "bad-utf8",
               "bom", "raw-control", "version", "crlf", "drop-byte", "double-byte")
@@ -248,6 +266,10 @@ def documents() -> dict[str, str | bytes]:
     rng = random.Random(f"differential/{SEED}")
     for m in range(MUTATIONS):
         docs[f"mutation/{m:05d}"] = dump(mutate(rng, json.loads(rng.choice(bases))))
+    rng = random.Random(f"differential-restate/{SEED}")
+    stated = [text for text in bases if json.loads(text).get("policy")]
+    for m in range(RESTATEMENTS):
+        docs[f"restatement/{m:05d}"] = dump(restate(rng, json.loads(rng.choice(stated))))
     rng = random.Random(f"differential-bytes/{SEED}")
     for m in range(BYTE_MUTATIONS):
         docs[f"byte-mutation/{m:05d}"] = mutate_bytes(rng, rng.choice(bases))

@@ -5,17 +5,20 @@ documents.py) under sys.settrace, which counts the line events executed in
 accesslint's own source.  Each stage's unit of work is an item of what it is
 given: a document byte for parse_model and serialize_model, a record for the
 structure checks and the DOT views, a record or gained triple for
-expand_hierarchy, a triple or warning for validate_access, and a warning (or
-the rule summary) for the renders.  Inheritance can make the triples grow as
-the square of the document, so a unit shared by all stages would rise for a
-linear stage as the mix shifts.  A stage whose events per unit grow by more
-than GROWTH from n to 8n has a loop that is superlinear in its input.
+expand_hierarchy, a triple or warning for validate_access, a warning (or
+the rule summary) for the renders, and a path node returned (or the call)
+for trace, which traces every policy statement.  Inheritance can make the
+triples grow as the square of the document, so a unit shared by all stages
+would rise for a linear stage as the mix shifts.  A stage whose events per
+unit grow by more than GROWTH from n to 8n has a loop that is superlinear in
+its input.
 
 The count is deterministic, so the test does not depend on the host's speed.
 It sees only Python lines: work done inside one C call, such as a list.index
 or an `in` test on a list inside a loop, is not counted, and a loop hidden
-that way stays invisible.  trace is left out, because its path list is
-exponential by design and capped by MAX_TRACE_PATHS.
+that way stays invisible.  trace is not run on the diamonds shape, whose
+path count is exponential by design and passes MAX_TRACE_PATHS already at
+n = 40.
 
 A second test spoils the last record of each shape's largest section, so
 that parse_model must locate the fault; its unit is a document byte too.
@@ -39,6 +42,7 @@ from accesslint import (
     parse_model,
     render_report,
     serialize_model,
+    trace,
     validate_access,
 )
 from accesslint.modelio import SchemaError
@@ -49,6 +53,8 @@ SOURCE = str(pathlib.Path(accesslint.__file__).parent)
 # The most events per unit may grow from n to 8n: a stage quadratic in its
 # input grows by about 8 there, a linear one by about 1.
 GROWTH = 1.5
+# Shapes whose refinement paths outgrow MAX_TRACE_PATHS, so trace is not run.
+UNTRACED = {"diamonds"}
 
 
 def _line_events(stage, *args, **kwargs) -> tuple[int, object]:
@@ -73,7 +79,12 @@ def _line_events(stage, *args, **kwargs) -> tuple[int, object]:
     return count, result
 
 
-def _per_unit(text: str) -> dict[str, float]:
+def _trace_all(graph) -> list[list[list[str]]]:
+    """trace's paths for every policy statement, in policy order."""
+    return [trace(graph, statement) for statement in graph.policy]
+
+
+def _per_unit(text: str, traced: bool) -> dict[str, float]:
     """Each stage's line events on one document, per unit of the work it was given."""
     events = {}
     events["parse_model"], (model, graph) = _line_events(parse_model, text, check=False)
@@ -86,6 +97,8 @@ def _per_unit(text: str) -> dict[str, float]:
     events["serialize_model"], _ = _line_events(serialize_model, model, graph)
     events["export_dot asset"], _ = _line_events(export_dot, model, graph, "asset")
     events["export_dot goal"], _ = _line_events(export_dot, model, graph, "goal")
+    if traced:
+        events["trace"], traces = _line_events(_trace_all, graph)
     size = len(text.encode("utf-8"))
     records = sum(map(len, (model.assets, model.associations, graph.nodes,
                             graph.refinements, graph.policy)))
@@ -101,6 +114,8 @@ def _per_unit(text: str) -> dict[str, float]:
         # A report's rule summary is one unit, each warning another.
         "render_report text": 1 + warnings, "render_report json": 1 + warnings,
     }
+    if traced:  # each path node returned is one unit, each call another
+        units["trace"] = len(traces) + sum(len(path) for paths in traces for path in paths)
     return {stage: count / units[stage] for stage, count in events.items()}
 
 
@@ -109,7 +124,7 @@ def test_events_per_unit_of_work_stay_flat(shape):
     build, n = documents.SHAPES[shape]
     per_unit = {}  # stage -> events per unit at n, 2n, 4n, 8n
     for size in (n, 2 * n, 4 * n, 8 * n):
-        for stage, ratio in _per_unit(json.dumps(build(size))).items():
+        for stage, ratio in _per_unit(json.dumps(build(size)), shape not in UNTRACED).items():
             per_unit.setdefault(stage, []).append(ratio)
     grown = {stage: ratios for stage, ratios in per_unit.items()
              if max(ratios) > GROWTH * ratios[0]}

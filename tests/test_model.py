@@ -13,6 +13,7 @@ from accesslint.model import (
     SecurityValue,
     check_structure,
     default_matrix,
+    index_names,
 )
 from accesslint.modelio import parse_model
 
@@ -94,6 +95,20 @@ class TestCheckStructure:
     def test_empty_asset_name(self):
         model = AssetModel(assets=(Asset("", AssetKind.SYSTEM),))
         assert [e.code for e in check_structure(model)] == ["EmptyAssetName"]
+
+    @pytest.mark.parametrize("make, noun", [
+        (lambda name: Asset(name, AssetKind.SYSTEM), "asset"),
+        (lambda name: Goal(name, GoalKind.GOAL), "goal"),
+    ])
+    def test_empty_and_repeated_names_interleaved(self, make, noun):
+        items = [make(name) for name in ["A", "", "A", "B", "", "B", "A"]]
+        by_name, errors = index_names(items, noun)
+        empty, duplicate = f"Empty{noun.title()}Name", f"Duplicate{noun.title()}Name"
+        assert [(e.code, e.where) for e in errors] == [
+            (empty, f"<unnamed {noun}>"), (duplicate, "A"), (empty, f"<unnamed {noun}>"),
+            (duplicate, "B"), (duplicate, "A")]
+        assert list(by_name) == ["A", "B"]
+        assert by_name["A"] is items[0] and by_name["B"] is items[3]
 
     def test_information_needing_people_violates_matrix(self):
         model = AssetModel(

@@ -1,4 +1,4 @@
-"""Two fixed corpora of seeded mutations, run through every CLI command in-process.
+"""Three fixed corpora of seeded mutations, run through every CLI command in-process.
 
 CORPUS documents are built by differential.py's mutate from the bundled
 fixtures, the documents in tests/data and small documents of BASE_SHAPES
@@ -8,6 +8,9 @@ records with several faults.  BYTE_CORPUS documents are built from the
 same bases by differential.py's mutate_bytes, drawn from BYTE_SEED: edits
 to the encoded text that no JSON value can spell, such as truncation, bad
 UTF-8, surrogates, a BOM, raw control characters and non-integer versions.
+RESTATE_CORPUS documents are built by differential.py's restate from the
+bases that hold a policy, drawn from RESTATE_SEED: one statement stated
+again, so that the policy holds duplicate and conflicting statements.
 Each document goes through the six commands differential.py runs.  Sizes
 and seeds are fixed: a failure here is mended in the program, never by
 shrinking or re-seeding a corpus.
@@ -32,6 +35,8 @@ SEED = 1
 CORPUS = 400
 BYTE_SEED = "byte-robustness/1"
 BYTE_CORPUS = 300
+RESTATE_SEED = "restate-robustness/1"
+RESTATE_CORPUS = 150
 BASE_SHAPES = ((documents.wide, 8), (documents.parent_chain, 6),
                (documents.owned_needs_chain, 4), (documents.refinement_chain, 4),
                (documents.diamonds, 3), (documents.duplicate_statements, 6))
@@ -65,6 +70,19 @@ def byte_corpus(bases, tmp_path_factory) -> list[Path]:
     for m in range(BYTE_CORPUS):
         paths.append(folder / f"{m:04d}.json")
         paths[-1].write_bytes(differential.mutate_bytes(rng, rng.choice(bases)))
+    return paths
+
+
+@pytest.fixture(scope="module")
+def restate_corpus(bases, tmp_path_factory) -> list[Path]:
+    rng = random.Random(RESTATE_SEED)
+    stated = [text for text in bases if json.loads(text).get("policy")]
+    folder = tmp_path_factory.mktemp("restate-corpus")
+    paths = []
+    for m in range(RESTATE_CORPUS):
+        paths.append(folder / f"{m:04d}.json")
+        text = differential.dump(differential.restate(rng, json.loads(rng.choice(stated))))
+        paths[-1].write_bytes(text.encode("utf-8"))
     return paths
 
 
@@ -109,3 +127,11 @@ def test_every_byte_level_edit_exits_cleanly_with_one_line(byte_corpus):
     problems, codes = _problems(byte_corpus)
     assert not problems, problems[:10]
     assert codes == {0, 1, 2}  # CRLF line ends and edits between tokens keep a document valid
+
+
+def test_every_restated_statement_exits_cleanly_and_is_reported(restate_corpus):
+    problems, _ = _problems(restate_corpus)
+    assert not problems, problems[:10]
+    findings = {line.split(":")[0] for path in restate_corpus
+                for line in _run(["check", str(path)])[2].splitlines()}
+    assert {"DuplicateStatement", "ConflictingPermission"} <= findings

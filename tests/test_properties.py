@@ -277,6 +277,14 @@ def _with_repeated_associations(draw) -> AssetModel:
 
 
 _READ = frozenset({AccessNeed.READ})
+# C inherits from P first G's read upon R2, then P's own read upon R1: the
+# order the two were merged in is not the order R1 and R2 are declared in.
+_MERGED_OUT_OF_ORDER = AssetModel(
+    assets=(Asset("R1", AssetKind.INFORMATION), Asset("R2", AssetKind.INFORMATION),
+            Asset("G", AssetKind.SYSTEM), Asset("P", AssetKind.SYSTEM, parent="G"),
+            Asset("C", AssetKind.SYSTEM, parent="P")),
+    associations=(Association("G", "R2", _READ), Association("P", "R1", _READ)),
+)
 
 
 # A inherits a read upon B from PA while B inherits a read upon A from PB:
@@ -299,6 +307,7 @@ _READ = frozenset({AccessNeed.READ})
     associations=(Association("B", "A"), Association("A", "B"),
                   Association("PA", "B", _READ), Association("PB", "A", _READ)),
 ))
+@example(_MERGED_OUT_OF_ORDER)
 @settings(max_examples=300)
 @given(asset_models(free_parents=True) | _with_repeated_associations())
 def test_hierarchy_pairing_matches_the_two_pass_reference(model):
