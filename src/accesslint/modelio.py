@@ -10,6 +10,17 @@ re-reads the section a record at a time to name the first.  A key is required
 where its record class gives the field no default.  A schema fault is located
 by its path below the document root, as in $.assets[2].kind.
 
+A document is decoded once, by json.loads without a hook, and read; then a
+count proves that no key repeated.  Each colon outside a string separates one
+member.  So the text's colons, less the members of the root, the records and
+the extraProperties maps (once read, its only objects), are the members that
+a repeat dropped plus the colons inside strings.  None was dropped when that
+surplus is 0, or when it is the colons of the free-text strings, the only ones
+a read accepts with a colon, and the text holds no \\u003 escape: that is a
+colon decoded which the text does not count.  Otherwise, and at a fault, the
+text is decoded and read again, _pairs marking each repeated key, to name the
+first fault.
+
 Serialization is canonical, exactly json.dumps(document, indent=2,
 sort_keys=True) plus a newline (non-ASCII escaped as \\uXXXX), so re-saving
 a parsed document is byte-stable.  _RECORDS writes it too, one writer beside
@@ -22,7 +33,7 @@ import json
 import re
 from dataclasses import MISSING, fields as class_fields
 from functools import partial
-from itertools import permutations, repeat
+from itertools import chain, permutations, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import Any, NamedTuple
@@ -352,6 +363,54 @@ def _records(root: dict, section: str):
                 raise _Bad(f".{section}[{i}]{bad.suffix}", bad.reason) from None
 
 
+def _read_root(root: Any) -> tuple[AssetModel, GoalGraph]:
+    """The model and goal graph of a decoded document; at the first fault, _Bad."""
+    _object_keys(root, _TOP_KEYS)
+    if "version" not in root:
+        raise _Bad(".version", "missing required key 'version'")
+    version = root["version"]
+    if type(version) is not int or version != DOCUMENT_VERSION:
+        # A list or an object is named, not shown: it may be large, or hold _REPEATED.
+        shown = _CONTAINERS.get(type(version)) or repr(version)
+        raise _Bad(".version", f"unsupported document version {shown}, "
+                               f"expected {DOCUMENT_VERSION}")
+    assets = tuple(_records(root, "assets"))
+    associations = tuple(_records(root, "associations"))
+    goals = tuple(_records(root, "goals"))
+    refinements = tuple(_records(root, "refinements"))
+    policy = tuple(_records(root, "policy"))
+    overrides = {}
+    for i, (subject, resource, allowed) in enumerate(_records(root, "matrixOverride")):
+        if (subject, resource) in overrides:
+            raise _Bad(f".matrixOverride[{i}]",
+                       f"duplicate override for ({subject.value}, {resource.value})")
+        overrides[subject, resource] = allowed
+    return (AssetModel(assets=assets, associations=associations,
+                       matrix={**default_matrix(), **overrides}),
+            GoalGraph(nodes=goals, refinements=refinements, policy=policy))
+
+
+# (section, key) of each free-text string; the read accepts no other string with a colon.
+_FREE_TEXT = [(section, key) for section, (_, fields) in _RECORDS.items()
+              for key, _, read, _ in fields if read in (_strings, _names)]
+
+
+def _kept_every_member(document: str, root: dict) -> bool:
+    """Whether json.loads kept every member of a document _read_root accepted.
+
+    The colons beyond the members decoded must be none, or, with no \\u003
+    escape in the text to decode as an uncounted colon, the free-text ones.
+    """
+    extras = [*map(dict.get, root.get("assets", ()), repeat("extraProperties"), repeat({}))]
+    records = chain.from_iterable(map(root.get, _RECORDS, repeat(())))
+    surplus = document.count(":") - len(root) - sum(map(len, chain(records, extras)))
+    if not surplus or "\\" in document and "\\u003" in document:
+        return not surplus
+    texts = chain(*extras, *(map(dict.get, root.get(section, ()), repeat(key), repeat(""))
+                             for section, key in _FREE_TEXT))
+    return surplus == "".join(texts).count(":")
+
+
 # One escape sequence: a surrogate pair, an unpaired half (group 1), or any other.
 _ESCAPE = re.compile(r"\\(?:u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}"
                      r"|(u[dD][89a-fA-F][0-9a-fA-F]{2})|.)")
@@ -388,7 +447,7 @@ def parse_model(document: bytes | str, *, check: bool = True) -> tuple[AssetMode
             except UnicodeEncodeError as exc:
                 raise json.JSONDecodeError(f"unpaired surrogate U+{ord(document[exc.start]):04X}",
                                            document, exc.start) from None
-        root = json.loads(document, object_pairs_hook=_pairs)
+        root = json.loads(document)
         # Most documents hold no backslash, and a one-character test is far
         # cheaper than a longer one.
         if "\\" in document and ("\\ud" in document or "\\uD" in document):
@@ -403,32 +462,15 @@ def parse_model(document: bytes | str, *, check: bool = True) -> tuple[AssetMode
         raise DocumentSyntaxError("$", "document is nested too deeply") from exc
 
     try:
-        _object_keys(root, _TOP_KEYS)
-        if "version" not in root:
-            raise _Bad(".version", "missing required key 'version'")
-        version = root["version"]
-        if type(version) is not int or version != DOCUMENT_VERSION:
-            # A list or an object is named, not shown: it may be large, or hold _REPEATED.
-            shown = _CONTAINERS.get(type(version)) or repr(version)
-            raise _Bad(".version", f"unsupported document version {shown}, "
-                                   f"expected {DOCUMENT_VERSION}")
-        assets = tuple(_records(root, "assets"))
-        associations = tuple(_records(root, "associations"))
-        goals = tuple(_records(root, "goals"))
-        refinements = tuple(_records(root, "refinements"))
-        policy = tuple(_records(root, "policy"))
-        overrides = {}
-        for i, (subject, resource, allowed) in enumerate(_records(root, "matrixOverride")):
-            if (subject, resource) in overrides:
-                raise _Bad(f".matrixOverride[{i}]",
-                           f"duplicate override for ({subject.value}, {resource.value})")
-            overrides[subject, resource] = allowed
-    except _Bad as bad:
-        raise SchemaError("$" + bad.suffix, bad.reason) from None
-
-    model = AssetModel(assets=assets, associations=associations,
-                       matrix={**default_matrix(), **overrides})
-    graph = GoalGraph(nodes=goals, refinements=refinements, policy=policy)
+        model, graph = _read_root(root)
+        kept = _kept_every_member(document, root)
+    except _Bad:
+        kept = False
+    if not kept:  # decode again, marking repeated keys, and read again to name the first fault
+        try:
+            model, graph = _read_root(json.loads(document, object_pairs_hook=_pairs))
+        except _Bad as bad:
+            raise SchemaError("$" + bad.suffix, bad.reason) from None
 
     if check:
         findings = check_structure(model) + check_goal_structure(graph, model)

@@ -19,7 +19,11 @@ script builds one set of documents:
   SEED, each with 1-2 edits to the encoded text: truncation, stray
   escapes, surrogate escapes and encoded surrogates, bad and overlong
   UTF-8, a BOM, raw control characters in strings, non-integer versions,
-  CRLF line ends, and dropped and doubled bytes.
+  CRLF line ends, and dropped and doubled bytes;
+- COLONS mutations, drawn from SEED, of those whose free-text strings
+  (names, parents, property keys, association and refinement ends,
+  definitions, a statement's requirement, subject and resource) each
+  gained a colon, some written as the escape \\u003a.
 
 Sizes and seed are fixed, so a run can be cited by them.
 
@@ -53,6 +57,7 @@ SEED = 1
 MUTATIONS = 3000
 RESTATEMENTS = 500
 BYTE_MUTATIONS = 1000
+COLONS = 500
 COMMANDS = {
     "validate": ["validate"],
     "validate-json": ["validate", "--format", "json"],
@@ -80,6 +85,12 @@ JUNK = (
     {"cost": 1}, {"availability": "low"}, {"read": 1},
 )
 UNKNOWN_KEYS = ("colour", "Name", "kind ", "source_needs", "", "version", "assets")
+# The keys of each record section whose values are free text.
+FREE_TEXT = {"assets": ("name", "parent"), "associations": ("source", "target"),
+             "goals": ("name", "definition"), "refinements": ("parent", "child"),
+             "policy": ("requirement", "subject", "resource")}
+# Stands for a colon to be written as an escape; json.dumps writes it \ue000.
+ESCAPED_COLON = "\ue000"
 
 
 def _junk(rng: random.Random):
@@ -181,6 +192,34 @@ def restate(rng: random.Random, data: dict) -> dict:
     return data
 
 
+def colonise(rng: random.Random, data: dict) -> dict:
+    """data with a colon put into each free-text string, one string the same way
+    wherever it stands, so that references still resolve.  A share of the colons,
+    none, half or all, is ESCAPED_COLON instead."""
+    escaped, renamed = rng.choice((0, 0.5, 1)), {}
+
+    def colon(text):
+        if type(text) is not str:
+            return text
+        if text not in renamed:
+            at = rng.randint(0, len(text))
+            mark = ESCAPED_COLON if rng.random() < escaped else ":"
+            renamed[text] = text[:at] + mark + text[at:]
+        return renamed[text]
+
+    for section, keys in FREE_TEXT.items():
+        for record in data.get(section) or ():
+            if type(record) is not dict:
+                continue
+            for key in keys:
+                if key in record:
+                    record[key] = colon(record[key])
+            if type(record.get("extraProperties")) is dict:
+                record["extraProperties"] = {colon(k): v
+                                             for k, v in record["extraProperties"].items()}
+    return data
+
+
 # What a bad editor, transfer or encoder leaves in a document's bytes.
 BYTE_EDITS = ("truncate", "stray-escape", "surrogate-escape", "encoded-surrogate", "bad-utf8",
               "bom", "raw-control", "version", "crlf", "drop-byte", "double-byte")
@@ -273,6 +312,10 @@ def documents() -> dict[str, str | bytes]:
     rng = random.Random(f"differential-bytes/{SEED}")
     for m in range(BYTE_MUTATIONS):
         docs[f"byte-mutation/{m:05d}"] = mutate_bytes(rng, rng.choice(bases))
+    rng = random.Random(f"differential-colon/{SEED}")
+    for m in range(COLONS):
+        text = dump(mutate(rng, colonise(rng, json.loads(rng.choice(bases)))))
+        docs[f"colon/{m:05d}"] = text.replace("\\ue000", "\\u003a")
     return docs
 
 

@@ -28,8 +28,9 @@ need_sets = st.frozensets(st.sampled_from(list(AccessNeed)))
 multiplicities = st.sampled_from([None, "1", "0..1", "1..*", "*"])
 # Plain letters, characters that JSON escapes (quote, backslash, control
 # characters, non-ASCII, an astral-plane character written as a surrogate
-# pair, U+2028) and two it leaves as they are (slash, DEL).
-ALPHABET = 'AbZ "\\/\x00\t\n\x1f\x7f\xe9\u2028\U0001f600'
+# pair, U+2028) and three it leaves as they are (slash, DEL, and a colon,
+# which the parser must tell from the colon between a key and its value).
+ALPHABET = 'AbZ "\\/:\x00\t\n\x1f\x7f\xe9\u2028\U0001f600'
 texts = st.text(alphabet=ALPHABET, max_size=6)
 names = st.text(alphabet=ALPHABET, min_size=1, max_size=4)
 extra_properties = st.dictionaries(

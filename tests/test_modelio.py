@@ -39,6 +39,7 @@ from accesslint.validation import (
     validate_access,
 )
 
+import documents
 import json_reference
 import record_oracle
 from strategies import ALPHABET
@@ -362,6 +363,24 @@ _OVERRIDE = {"subject": "people", "resource": "people", "allowed": False}
      "system"),
     ({"matrixOverride": [_OVERRIDE, _OVERRIDE, dict(_OVERRIDE, subject="x")]},
      "matrixOverride[1]: duplicate override for (people, people)"),
+    # Documents whose colons are counted to fool the test that no key repeated.
+    # An escaped colon, decoded in a name, balances the member the repeat drops.
+    ('{"version": 1, "assets": [{"name": "x\\u003ay", "kind": "system", "kind": "system"}]}',
+     "assets[0].kind: duplicate key 'kind'"),
+    # The only colon inside a string is in the value the repeat drops.
+    ('{"version": 1, "assets": [{"name": "a:b", "kind": "system", "name": "c"}]}',
+     "assets[0].name: duplicate key 'name'"),
+    # Space before a repeated key's colon, and a string that opens with one:
+    # a count of '":' would come out balanced.
+    ('{"version" : 1, "version" : 1, "assets": [{"name": ":x", "kind": "system"}]}',
+     "version: duplicate key 'version'"),
+    # A property key with a colon repeats, spelled raw and then escaped.
+    ('{"version": 1, "assets": [{"name": "A", "kind": "system", "extraProperties":'
+     ' {"cost:x": "low", "cost\\u003ax": "high"}}]}',
+     "assets[0].extraProperties.cost:x: duplicate key 'cost:x'"),
+    ('{"version": 1, "assets": [{"name": "A:B", "kind": "system", "extraProperties":'
+     ' {"cost:x": "low", "cost:x": "high"}}]}',
+     "assets[0].extraProperties.cost:x: duplicate key 'cost:x'"),
 ])
 def test_first_fault_wins_with_exact_text(document, message):
     if isinstance(document, dict):
@@ -504,22 +523,23 @@ def test_column_pass_builds_whole_named_tuples(source, data_dir):
             assert record == cls(*record)
 
 
-_names = st.sampled_from(["A", "B", "C"])
+_names = st.sampled_from(["A", "B", "C", "A:B"])
 _needs = st.lists(st.sampled_from(["read", "write", "interact"]), max_size=3, unique=True)
 # section -> (required keys, optional keys), each with a strategy of legal values.
 _LEGAL = {
     "assets": ({"name": _names, "kind": st.sampled_from(["system", "information", "people"])},
                {"confidentiality": st.sampled_from(["none", "high"]),
                 "integrity": st.sampled_from(["low", "medium"]),
-                "extraProperties": st.dictionaries(st.sampled_from(["availability", "cost"]),
-                                                   st.sampled_from(["none", "low"]), max_size=2),
+                "extraProperties": st.dictionaries(
+                    st.sampled_from(["availability", "cost", "cost:x"]),
+                    st.sampled_from(["none", "low"]), max_size=2),
                 "parent": _names}),
     "associations": ({"source": _names, "target": _names},
                      {"sourceNeeds": _needs, "targetNeeds": _needs,
                       "sourceMultiplicity": st.sampled_from(["1", "*"]),
                       "targetMultiplicity": st.sampled_from(["0..1", "1..*"])}),
     "goals": ({"name": st.sampled_from(["G", ""]), "kind": st.sampled_from(["goal", "requirement"])},
-              {"definition": st.sampled_from(["", "Keep it"])}),
+              {"definition": st.sampled_from(["", "Keep it", "Goal: Keep it"])}),
     "refinements": ({"parent": _names, "child": _names}, {}),
     "policy": ({"requirement": _names, "subject": _names, "resource": _names,
                 "access": st.sampled_from(["read", "interact"]),
@@ -541,7 +561,8 @@ _junk = st.one_of(
 
 @st.composite
 def _sections(draw):
-    """A section name and its list, where about one record in three is spoiled.
+    """A section name, its list, where about one record in three is spoiled, and
+    how a colon inside a string is written: as it is, or as an escape.
 
     One spoil in six gives a record two junk values, so that the fault
     named first shows the order values are read in.
@@ -561,32 +582,35 @@ def _sections(draw):
                 record[other] = draw(_junk)
         elif spoil == 2:
             record.pop(key, None)
-        elif spoil == 3:  # the key repeats, as json.loads marks it
-            record = modelio._pairs([*record.items(), (key, draw(_junk))])
+        elif spoil == 3:  # the key repeats, as json.loads marks it, with junk or its value
+            again = record[key] if key in record and draw(st.booleans()) else draw(_junk)
+            record = modelio._pairs([*record.items(), (key, again)])
         items.append(draw(_junk) if spoil == 4 else record)
-    return section, items
+    return section, items, draw(st.sampled_from([":", "\\u003a"]))
 
 
-def _json(value) -> str:
-    """JSON text of value; a record _pairs marked writes its repeated key twice."""
+def _json(value, colon: str = ":") -> str:
+    """JSON text of value, each colon inside a string written as colon; a record
+    _pairs marked writes its repeated key twice."""
     if type(value) is list:
-        return "[" + ", ".join(map(_json, value)) + "]"
-    if type(value) is dict and modelio._REPEATED in value:
-        key = value[modelio._REPEATED]
-        members = {k: v for k, v in value.items() if k is not modelio._REPEATED}
-        return f"{json.dumps(members)[:-1]}, {json.dumps(key)}: {json.dumps(value[key])}}}"
-    return json.dumps(value)
+        return "[" + ", ".join(_json(item, colon) for item in value) + "]"
+    if type(value) is dict:
+        members = [(k, v) for k, v in value.items() if k is not modelio._REPEATED]
+        if modelio._REPEATED in value:
+            members.append((value[modelio._REPEATED], value[value[modelio._REPEATED]]))
+        return "{" + ", ".join(f"{_json(k, colon)}: {_json(v, colon)}" for k, v in members) + "}"
+    return json.dumps(value).replace(":", colon) if type(value) is str else json.dumps(value)
 
 
 # Needs as an object iterate like a list; a null is not an absent key.
-@example(("associations", [{"source": "A", "target": "B", "sourceNeeds": {"read": 1}}]))
-@example(("associations", [{"source": "A", "target": "B", "targetMultiplicity": None}]))
-@example(("assets", [{"name": "A", "kind": "system", "parent": None}]))
+@example(("associations", [{"source": "A", "target": "B", "sourceNeeds": {"read": 1}}], ":"))
+@example(("associations", [{"source": "A", "target": "B", "targetMultiplicity": None}], ":"))
+@example(("assets", [{"name": "A", "kind": "system", "parent": None}], ":"))
 @settings(max_examples=400)
 @given(_sections())
 def test_column_pass_reads_as_the_row_reader(case):
     """parse_model reads a section as the row reader does, and names its first fault."""
-    section, items = case
+    section, items, colon = case
     expected, fault, cells = [], None, set()
     for i, obj in enumerate(items):  # the row reader, one record at a time
         try:
@@ -602,7 +626,7 @@ def test_column_pass_reads_as_the_row_reader(case):
                 break
             cells.add((subject, resource))
         expected.append(record)
-    document = f'{{"version": 1, {json.dumps(section)}: {_json(items)}}}'
+    document = f'{{"version": 1, {json.dumps(section)}: {_json(items, colon)}}}'
     if fault:
         with pytest.raises(SchemaError) as info:
             parse_model(document, check=False)
@@ -621,6 +645,45 @@ def test_column_pass_reads_as_the_row_reader(case):
     assert _field_types(records) == _field_types(expected)
     if section == "assets":
         assert len({id(a.extra_properties) for a in records}) == len(records)
+
+
+# A clean document with a colon in every free-text string: asset names, a
+# parent, a property key, association ends, goal names and definitions,
+# refinement ends, and a statement's requirement, subject and resource.
+_COLONS = {
+    "version": 1,
+    "assets": [{"name": "urn:a", "kind": "system"},
+               {"name": "urn:b", "kind": "system", "parent": "urn:a"},
+               {"name": "urn:c", "kind": "information", "extraProperties": {"cost:x": "low"}}],
+    "associations": [{"source": "urn:a", "target": "urn:c", "sourceNeeds": ["read"]}],
+    "goals": [{"name": "G:1", "kind": "goal", "definition": "Goal: keep it"},
+              {"name": "R:1", "kind": "requirement", "definition": "Req: read it"}],
+    "refinements": [{"parent": "G:1", "child": "R:1"}],
+    "policy": [{"requirement": "R:1", "subject": "urn:a", "access": "read",
+                "resource": "urn:c", "permission": "allow"}],
+}
+
+
+def test_clean_documents_never_reach_the_pairs_hook(monkeypatch, data_dir):
+    """A document with no repeated key is decoded once, by json.loads without a hook."""
+    texts = [fixture_text("pyramid"), fixture_text("works-diary"),
+             *(path.read_text(encoding="utf-8") for path in sorted(data_dir.glob("*.json"))),
+             *(json.dumps(build(n)) for build, n in documents.SHAPES.values()),
+             json.dumps(_COLONS), _json(_COLONS, "\\u003a")]
+    parsed = {}
+    for text in texts:
+        try:
+            parsed[text] = parse_model(text, check=False)
+        except DocumentSyntaxError:  # tests/data/surrogate.json
+            pass
+    assert len(parsed) == len(set(texts)) - 1  # the pyramid is in tests/data too
+    assert parse_model(json.dumps(_COLONS))
+
+    def refuse(pairs):
+        raise AssertionError("a clean document was decoded with the pairs hook")
+    monkeypatch.setattr(modelio, "_pairs", refuse)
+    for text, result in parsed.items():
+        assert parse_model(text, check=False) == result
 
 
 # Documents pinned to their exact bytes, one record shape each.
