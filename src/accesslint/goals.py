@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .model import AccessNeed, AssetModel, ModelError, index_names, printable, quote
 
@@ -63,26 +64,35 @@ class GoalGraph:
 
     # Indexes built on first use: not fields, so ==, repr and
     # dataclasses.replace ignore them and a replaced graph builds its own.
+    # Callers get read-only views; hot readers take the plain dicts.
     @cached_property
-    def policy_index(self) -> dict[tuple[str, AccessNeed, str], PolicyStatement]:
-        """(subject, access, resource) -> the statement that resolves it.
-
-        That is the first allow in document order, else the first deny.
-        Fewer entries than statements means some interaction is stated twice.
-        """
+    def _policy_index(self) -> dict[tuple[str, AccessNeed, str], PolicyStatement]:
         index = {(s.subject, s.access, s.resource): s for s in reversed(self.policy)}
         if len(index) < len(self.policy):  # an allow beats an earlier deny
             index.update({(s.subject, s.access, s.resource): s
                           for s in reversed(self.policy) if s.permission is _ALLOW})
         return index
 
+    @property
+    def policy_index(self) -> Mapping[tuple[str, AccessNeed, str], PolicyStatement]:
+        """(subject, access, resource) -> the statement that resolves it.
+
+        That is the first allow in document order, else the first deny.
+        Fewer entries than statements means some interaction is stated twice.
+        """
+        return MappingProxyType(self._policy_index)
+
     @cached_property
-    def parents(self) -> dict[str, list[str]]:
-        """Child goal name -> its parents' names, in document order."""
+    def _parents(self) -> dict[str, tuple[str, ...]]:
         parents: dict[str, list[str]] = {}
         for ref in self.refinements:
             parents.setdefault(ref.child, []).append(ref.parent)
-        return parents
+        return {child: tuple(names) for child, names in parents.items()}
+
+    @property
+    def parents(self) -> Mapping[str, tuple[str, ...]]:
+        """Child goal name -> its parents' names, in document order."""
+        return MappingProxyType(self._parents)
 
 
 def _refinement_cycles(graph: GoalGraph) -> list[list[str]]:
@@ -114,7 +124,7 @@ def _refinement_cycles(graph: GoalGraph) -> list[list[str]]:
 
     # Every known goal is in seen now; a component claims its goals by
     # taking them out.
-    parents = graph.parents
+    parents = graph._parents
     cycles: list[list[str]] = []
     for root in reversed(finished):
         if root not in seen:
@@ -146,7 +156,7 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
     severity: they may legitimately cover concerns other than access.
     """
     by_name, errors = index_names(graph.nodes, "goal")
-    asset_names = {a.name for a in model.assets}
+    assets = model._index
 
     seen_edges: set[tuple[str, str]] = set()
     for ref in graph.refinements:
@@ -193,7 +203,7 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
                 "not a requirement",
             ))
         for endpoint in (stmt.subject, stmt.resource):
-            if endpoint not in asset_names:
+            if endpoint not in assets:
                 errors.append(ModelError(
                     "UnknownAsset", _policy_where(stmt),
                     f"policy statement references unknown asset {quote(endpoint)}",
@@ -202,7 +212,7 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
     # A full index proves no interaction is stated twice.  Past an
     # interaction's first statement, a permission it was stated with before
     # is a duplicate, and the other one a conflict.
-    if len(graph.policy_index) < len(graph.policy):
+    if len(graph._policy_index) < len(graph.policy):
         stated: dict[tuple[str, AccessNeed, str], set[Permission]] = {}
         for stmt in graph.policy:
             permissions = stated.setdefault((stmt.subject, stmt.access, stmt.resource), set())
@@ -246,7 +256,7 @@ def lookup_statement(
     allows, which check_goal_structure rejects: that one takes a scan.
     """
     interaction = (subject, access, resource)
-    stmt = graph.policy_index.get(interaction)
+    stmt = graph._policy_index.get(interaction)
     if stmt is None or stmt.permission is permission:
         return stmt
     return None if stmt.permission is _DENY else next(  # the indexed allow hides the deny
@@ -267,7 +277,7 @@ def trace(graph: GoalGraph, statement: PolicyStatement) -> list[list[str]]:
     path.  The walk keeps its own stack, so chains of any depth trace.
     More than MAX_TRACE_PATHS paths raise ValueError.
     """
-    parents = graph.parents
+    parents = graph._parents
     paths: list[list[str]] = []
     # The path walked so far, as an ordered set, and (goal, depth) to visit.
     path: dict[str, None] = {}

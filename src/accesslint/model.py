@@ -16,7 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Any, Iterator, Mapping, NamedTuple, Sequence
+from functools import cached_property
+from itertools import count
+from operator import attrgetter
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple, Sequence
 
 
 class SecurityValue(IntEnum):
@@ -96,11 +100,82 @@ def default_matrix() -> dict[tuple[AssetKind, AssetKind], bool]:
             for subject in AssetKind for resource in AssetKind}
 
 
+_name = attrgetter("name")
+
+
+class Lineage(NamedTuple):
+    top_down: tuple[str, ...]  # every asset name outside a cycle, each after its parent
+    cycles: tuple[tuple[str, ...], ...]  # each cycle's members, as the walk met them
+
+
 @dataclass(frozen=True)
 class AssetModel:
+    """Assets, the associations between them, and the access-rule matrix.
+
+    A model indexes its asset names and walks its parents once, on first
+    use; index and lineage are read-only and not fields, so ==, repr and
+    dataclasses.replace ignore them.  A model that expand_hierarchy returns
+    holds the same assets, so it shares both, and it carries its sorted
+    access triples for expand_needs.
+    """
+
     assets: tuple[Asset, ...] = ()
     associations: tuple[Association, ...] = ()
     matrix: Mapping[tuple[AssetKind, AssetKind], bool] = field(default_factory=default_matrix)
+
+    _triples = None  # an expanded model's access triples, in expand_needs's order
+
+    # Hot readers take the plain dicts: a view's get is a slower call.
+    @cached_property
+    def _index(self) -> dict[str, Asset]:
+        return dict(zip(map(_name, self.assets), self.assets))
+
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return dict(zip(map(_name, self.assets), count()))
+
+    @property
+    def index(self) -> Mapping[str, Asset]:
+        """Asset name -> its asset, in order of first declaration.
+
+        A name declared more than once, which check_structure reports, maps
+        to its last declaration, as validation has always read it.
+        """
+        return MappingProxyType(self._index)
+
+    @cached_property
+    def lineage(self) -> Lineage:
+        """One walk up the parent links from each asset name, in index order.
+
+        A walk stops at a name an earlier walk took, at a name that is not
+        an asset, or above a root (None); meeting its own trail, it closes
+        a new cycle.
+        """
+        untaken = dict(self._index)
+        top_down: list[str] = []
+        cycles: list[tuple[str, ...]] = []
+        for current in self._index:
+            if current not in untaken:
+                continue
+            trail: list[str] = []
+            while current in untaken:
+                trail.append(current)
+                current = untaken.pop(current).parent
+            if current in trail:
+                closed = trail.index(current)
+                cycles.append(tuple(trail[closed:]))
+                del trail[closed:]
+            trail.reverse()
+            top_down += trail
+        return Lineage(tuple(top_down), tuple(cycles))
+
+    def _expanded(self, associations: tuple[Association, ...], triples: tuple) -> AssetModel:
+        """This model with other associations, sharing its indexes and lineage
+        and carrying triples, the access triples those associations expand to."""
+        expanded = AssetModel(self.assets, associations, self.matrix)
+        vars(expanded).update(_index=self._index, _positions=self._positions,
+                              lineage=self.lineage, _triples=triples)
+        return expanded
 
 
 def printable(text: str) -> str:
@@ -152,36 +227,15 @@ def index_names(items: Sequence[Any], noun: str) -> tuple[dict[str, Any], list[M
     return by_name, errors
 
 
-def parent_walks(
-    assets: tuple[Asset, ...],
-) -> Iterator[tuple[list[str], str | None, int | None]]:
-    """Walk up the parent links from each asset in document order.
-
-    A walk stops at a name an earlier walk took, at a name that is not an
-    asset, or above a root (None).  Each yields its trail of names, bottom
-    first, the name it stopped at, and the trail index where it met its
-    own trail, closing a new cycle, or None.
-    """
-    untaken = {a.name: a.parent for a in assets}
-    walk_of: dict[str, int] = {}
-    for walk, asset in enumerate(assets):
-        trail: list[str] = []
-        current: str | None = asset.name
-        while current in untaken:
-            walk_of[current] = walk
-            trail.append(current)
-            current = untaken.pop(current)
-        closed = trail.index(current) if walk_of.get(current) == walk else None
-        yield trail, current, closed
-
-
 def check_structure(model: AssetModel) -> list[ModelError]:
     """Check every asset-model invariant; an empty result means the model is sound.
 
     Findings come out in document order so identical inputs always yield
     identical error lists.
     """
-    by_name, errors = index_names(model.assets, "asset")
+    by_name, errors = model._index, []
+    if len(by_name) < len(model.assets) or "" in by_name:  # a name repeated, or empty
+        by_name, errors = index_names(model.assets, "asset")
 
     for asset in model.assets:
         if asset.parent is None or asset.name not in by_name:
@@ -199,15 +253,12 @@ def check_structure(model: AssetModel) -> list[ModelError]:
                 f"{quote(parent.name)} ({parent.kind.value})",
             ))
 
-    order = None  # name -> document position, built at the first cycle
-    for trail, _, closed in parent_walks(model.assets):
-        if closed is not None:
-            order = order or {a.name: i for i, a in enumerate(model.assets)}
-            members = list(map(printable, sorted(trail[closed:], key=order.__getitem__)))
-            errors.append(ModelError(
-                "CyclicInheritance", members[0],
-                "inheritance cycle: " + " -> ".join(members + [members[0]]),
-            ))
+    for ring in model.lineage.cycles:
+        members = list(map(printable, sorted(ring, key=model._positions.__getitem__)))
+        errors.append(ModelError(
+            "CyclicInheritance", members[0],
+            "inheritance cycle: " + " -> ".join(members + [members[0]]),
+        ))
 
     # Each association claims its pair of names both ways round.
     seen_pairs: set[tuple[str, str]] = set()

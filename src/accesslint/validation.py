@@ -22,16 +22,16 @@ read-down.  Interact needs never participate in level checks.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import replace
 from enum import Enum
 from functools import partial, reduce
-from operator import attrgetter
+from itertools import combinations, repeat
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .goals import GoalGraph, Permission
-from .model import (ACCESS_ORDER, AccessNeed, Asset, AssetModel, Association,
-                    parent_walks)
+from .model import ACCESS_ORDER, AccessNeed, AssetModel, Association, quote
 
 
 class WarningKind(Enum):
@@ -120,52 +120,87 @@ def expand_needs(model: AssetModel) -> list[AccessTriple]:
     """Break every adorned association end into single-need triples.
 
     Output is sorted by subject name, then resource name, then
-    read < write < interact, so repeated runs enumerate identically.
+    read < write < interact, so repeated runs enumerate identically.  A
+    model that expand_hierarchy returns carries its triples, and a copy of
+    them is returned.
     """
+    if model._triples is not None:
+        return list(model._triples)
     rows = []
     for source, target, source_needs, target_needs, _, _ in model.associations:
         for need in source_needs:
             rows.append((source, target, ACCESS_ORDER[need]))
         for need in target_needs:
             rows.append((target, source, ACCESS_ORDER[need]))
+    return _sorted_triples(rows)
+
+
+def _sorted_triples(rows: list[tuple[str, str, int]]) -> list[AccessTriple]:
+    """The triples of (subject, resource, rank) rows, in expand_needs's order."""
     rows.sort()
     return [_triple((subject, _NEEDS[rank], resource)) for subject, resource, rank in rows]
 
 
 _Needs = dict[str, frozenset[AccessNeed]]
+_NO_NEEDS: frozenset[AccessNeed] = frozenset()
+# Each set of needs -> its members in rank order.
+_RANKED = {frozenset(needs): needs
+           for size in range(len(_NEEDS) + 1) for needs in combinations(_NEEDS, size)}
 
 
-def _ancestor_needs(assets: tuple[Asset, ...], own: dict[str, _Needs],
-                    position: dict[str, int]) -> dict[str, _Needs]:
+class _Held(NamedTuple):
+    """The needs an asset's ancestors hold: by resource, in declaration order,
+    and one per triple, in the order expand_needs sorts a subject's triples in."""
+
+    by_resource: _Needs
+    accesses: tuple[AccessNeed, ...]
+    resources: tuple[str, ...]
+
+
+_HELD_NOTHING = _Held({}, (), ())
+_subject = itemgetter(0)
+
+
+def _ancestor_needs(model: AssetModel, own: dict[str, _Needs]) -> dict[str, _Held]:
     """Asset name -> the needs all of its ancestors hold, by resource.
 
-    Reads model.parent_walks.  In a cycle, each member gets the other
-    members' needs; the rest of each trail is filled top-down, each entry
-    being its parent's entry plus its parent's own needs.  Each entry's
-    resources come in declaration order (position): a mapping is sorted
-    when an ancestor's own needs are merged into it.  Entries may be
-    shared, so none may be mutated.
+    Reads model.lineage.  In a cycle, each member gets the other members'
+    needs; every other asset, ancestors first, gets its parent's entry
+    plus its parent's own needs.  An entry is built, and its resources
+    sorted both ways, only where an ancestor's own needs are merged in;
+    otherwise the parent's is handed on, so entries are shared and none
+    may be mutated.  A need upon an undeclared asset raises ValueError.
     """
-    held: dict[str, _Needs] = {}
+    index, positions = model._index, model._positions
+    held: dict[str, _Held] = {}
 
-    def plus_own(base: _Needs, name: str | None) -> _Needs:
+    def plus_own(base: _Held, name: str | None) -> _Held:
         extra = own.get(name)
         if not extra:
             return base
-        merged = dict(base)
+        merged = dict(base.by_resource)
         for resource, needs in extra.items():
-            merged[resource] = merged.get(resource, frozenset()) | needs
-        return {r: merged[r] for r in sorted(merged, key=position.__getitem__)}
+            merged[resource] = merged.get(resource, _NO_NEEDS) | needs
+        try:
+            in_order = sorted(merged, key=positions.__getitem__)
+        except KeyError as missing:
+            raise ValueError(f"inherited need upon unknown asset {quote(missing.args[0])}") \
+                from None
+        accesses: list[AccessNeed] = []
+        resources: list[str] = []
+        for resource in sorted(merged):
+            ranked = _RANKED[merged[resource]]
+            accesses += ranked
+            resources += repeat(resource, len(ranked))
+        return _Held({r: merged[r] for r in in_order}, tuple(accesses), tuple(resources))
 
-    for trail, above, closed in parent_walks(assets):
-        if closed is not None:
-            ring, trail = trail[closed:], trail[:closed]
-            for i, member in enumerate(ring):
-                held[member] = reduce(plus_own, ring[i + 1:] + ring[:i], {})
-        base = held.get(above, {})
-        for name in reversed(trail):
-            base = held[name] = plus_own(base, above)
-            above = name
+    lineage = model.lineage
+    for ring in lineage.cycles:
+        for i, member in enumerate(ring):
+            held[member] = reduce(plus_own, ring[i + 1:] + ring[:i], _HELD_NOTHING)
+    for name in lineage.top_down:
+        parent = index[name].parent
+        held[name] = plus_own(held.get(parent, _HELD_NOTHING), parent)
     return held
 
 
@@ -179,22 +214,30 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
     (subject, resource) pair: in the first association between the two,
     either way round, or else in a new one that also takes the reverse
     pair, so mutual gains share one association.  New associations come
-    in order of subject then resource declaration.  The input is left
-    untouched.  It must pass check_structure, as parse_model's result
-    does by default; an ancestor's need upon an undeclared asset raises
-    KeyError.
-    """
-    doc_order = {a.name: i for i, a in enumerate(model.assets)}
+    in order of subject then resource declaration.
 
+    The result shares the input's index and lineage, and carries its
+    access triples for expand_needs.  The rows of the subjects that hold
+    needs of their own, gains included, are sorted once, as expand_needs
+    sorts them; every other subject takes its inherited entry's triples in
+    the order they were sorted in once per distinct entry.
+    The input is left untouched.  It must pass check_structure, as
+    parse_model's result does by default; an ancestor's need upon an
+    undeclared asset raises ValueError.
+    """
+    positions = model._positions
     subject_needs: dict[str, _Needs] = {}
+    rows = []  # (subject, resource, rank) of each need a subject of own needs holds
     for source, target, source_needs, target_needs, _, _ in model.associations:
         for subject, resource, needs in ((source, target, source_needs),
                                          (target, source, target_needs)):
             if needs:
                 by_resource = subject_needs.setdefault(subject, {})
-                by_resource[resource] = by_resource.get(resource, frozenset()) | needs
+                by_resource[resource] = by_resource.get(resource, _NO_NEEDS) | needs
+                for need in needs:
+                    rows.append((subject, resource, ACCESS_ORDER[need]))
 
-    inherited_by = _ancestor_needs(model.assets, subject_needs, doc_order)
+    inherited_by = _ancestor_needs(model, subject_needs)
     associations = list(model.associations)
     # Each pair of names, both ways round -> the position of its first association.
     first: dict[tuple[str, str], int] = {}
@@ -202,25 +245,50 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
         first.setdefault((source, target), position)
         first.setdefault((target, source), position)
 
-    for name, position in doc_order.items():
-        for resource, needs in inherited_by[name].items():
+    for name, position in positions.items():
+        holds = name in subject_needs  # else its ends are bare and it gains all it inherits
+        for resource, needs in inherited_by[name].by_resource.items():
             if resource == name:
                 continue
             at = first.get((name, resource))
-            if at is not None:
+            if at is None:
+                end = _NO_NEEDS
+                reverse = inherited_by[resource].by_resource.get(name)
+                # Else added with the reverse pair, whose subject comes first.
+                if reverse is None or position < positions[resource]:
+                    associations.append(_association((name, resource, needs,
+                                                      reverse or _NO_NEEDS, None, None)))
+            else:
                 assoc = associations[at]
                 if assoc.source == name:
-                    associations[at] = assoc._replace(source_needs=assoc.source_needs | needs)
+                    end = assoc.source_needs
+                    associations[at] = assoc._replace(source_needs=end | needs)
                 else:
-                    associations[at] = assoc._replace(target_needs=assoc.target_needs | needs)
-                continue
-            reverse = inherited_by[resource].get(name)
-            if reverse is not None and doc_order[resource] < position:
-                continue  # added with the reverse pair, whose subject comes first
-            associations.append(_association((name, resource, needs, reverse or frozenset(),
-                                              None, None)))
+                    end = assoc.target_needs
+                    associations[at] = assoc._replace(target_needs=end | needs)
+            if holds:
+                for need in needs - end:
+                    rows.append((name, resource, ACCESS_ORDER[need]))
 
-    return replace(model, associations=tuple(associations))
+    holders = _sorted_triples(rows)
+    # Each other subject's triples go in between the holders', by subject name.
+    triples: list[AccessTriple] = []
+    at = 0
+    for subject in sorted(name for name in positions
+                          if name not in subject_needs and inherited_by[name].resources):
+        cut = bisect_left(holders, subject, at, key=_subject)
+        triples += holders[at:cut]
+        at = cut
+        held = inherited_by[subject]
+        if subject in held.by_resource:  # needs upon itself are not inherited
+            triples += [_triple((subject, access, resource))
+                        for access, resource in zip(held.accesses, held.resources)
+                        if resource != subject]
+        else:
+            triples += map(_triple, zip(repeat(subject), held.accesses, held.resources))
+    triples += holders[at:]
+
+    return model._expanded(tuple(associations), tuple(triples))
 
 
 def validate_access(model: AssetModel, graph: GoalGraph) -> ValidationReport:
@@ -230,10 +298,10 @@ def validate_access(model: AssetModel, graph: GoalGraph) -> ValidationReport:
     to two level warnings (one confidentiality, one integrity), checked
     in the order read-up, write-down, write-up, read-down.  The model
     must pass check_structure, as parse_model's result does by default;
-    an allowed triple naming an undeclared asset raises KeyError.
+    an allowed triple naming an undeclared asset raises ValueError.
     """
-    assets: dict[str, Asset] = {a.name: a for a in model.assets}
-    resolve = graph.policy_index.get
+    assets = model._index
+    resolve = graph._policy_index.get
     warnings: list[AccessWarning] = []
 
     for triple in expand_needs(model):
@@ -244,7 +312,11 @@ def validate_access(model: AssetModel, graph: GoalGraph) -> ValidationReport:
             warnings.append(_warning((_UNAUTHORISED_ACCESS, triple)))
         else:
             subject_name, access, resource_name = triple
-            subject, resource = assets[subject_name], assets[resource_name]
+            try:
+                subject, resource = assets[subject_name], assets[resource_name]
+            except KeyError as missing:
+                raise ValueError(f"allowed need names unknown asset {quote(missing.args[0])}") \
+                    from None
             if access is _READ:
                 if resource.confidentiality > subject.confidentiality:
                     warnings.append(_warning((_NO_READ_UP, triple)))

@@ -104,6 +104,24 @@ def owned_needs_chain(n: int) -> dict:
                      (), policy)
 
 
+def mutual_gains(n: int) -> dict:
+    """n pairs of assets, A and B, whose parents hold needs upon each other's child.
+
+    A inherits a read upon B and B a write upon A, so that expand_hierarchy
+    places each pair's two gains in one new association.
+    """
+    assets, associations, policy = [], [], []
+    for i in range(n):
+        a, b, parent_a, parent_b = f"A {i}", f"B {i}", f"Parent A {i}", f"Parent B {i}"
+        assets += [_asset(parent_a, "system", i), _asset(a, "system", i, parent=parent_a),
+                   _asset(parent_b, "system", i + 1), _asset(b, "system", i + 1, parent=parent_b)]
+        associations += [{"source": parent_a, "target": b, "sourceNeeds": ["read"]},
+                         {"source": parent_b, "target": a, "sourceNeeds": ["write"]}]
+        policy.append(_statement("Pairing", a, "read", b, ("allow", "deny")[i % 3 == 2]))
+    return _document(assets, associations, [{"name": "Pairing", "kind": "requirement"}],
+                     (), policy)
+
+
 # Two assets and one association, for the shapes that grow the goal graph.
 _PAIR = ([_asset("Client", "system", 3), _asset("Records", "information", 1)],
          [{"source": "Client", "target": "Records", "sourceNeeds": ["read", "write"]}])
@@ -150,6 +168,7 @@ SHAPES = {
     "wide": (wide, 40),
     "parent-chain": (parent_chain, 80),
     "owned-needs-chain": (owned_needs_chain, 6),
+    "mutual-gains": (mutual_gains, 40),
     "refinement-chain": (refinement_chain, 80),
     "diamonds": (diamonds, 40),
     "duplicate-statements": (duplicate_statements, 100),

@@ -28,11 +28,11 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
                 by_resource = subject_needs.setdefault(subject, {})
                 by_resource[resource] = by_resource.get(resource, frozenset()) | needs
 
-    inherited_by = _ancestor_needs(model.assets, subject_needs, doc_order)
+    inherited_by = _ancestor_needs(model, subject_needs)
     # In order of subject then resource declaration, the order new associations take;
     # sorted here, so the order _ancestor_needs hands out is checked, not trusted.
     gained = {(name, resource): held[resource]
-              for name in doc_order for held in (inherited_by[name],)
+              for name in doc_order for held in (inherited_by[name].by_resource,)
               for resource in sorted(held, key=doc_order.__getitem__) if resource != name}
 
     associations: list[Association] = []

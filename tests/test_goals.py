@@ -1,6 +1,7 @@
 """Goal-graph checks, statement lookup, and requirement tracing."""
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -18,6 +19,7 @@ from accesslint.goals import (
     trace,
 )
 from accesslint.model import AccessNeed, Asset, AssetKind, AssetModel
+from accesslint.validation import validate_access
 
 REQ = GoalKind.REQUIREMENT
 
@@ -194,6 +196,33 @@ class TestLookupStatement:
         # The index is not a field: equality and repr see only the policy.
         assert graph == GoalGraph(nodes=(Goal("R", REQ),), policy=(_statement(),))
         assert repr(graph) == repr(GoalGraph(nodes=graph.nodes, policy=graph.policy))
+
+
+class TestSharedIndexes:
+    """A graph's indexes are read-only views, so no caller can change a later result."""
+
+    def test_a_mutation_raises_and_changes_nothing(self):
+        model, graph = load_fixture("pyramid")
+        statement = graph.policy[0]
+        report, paths = validate_access(model, graph), trace(graph, statement)
+        child = next(iter(graph.parents))
+        with pytest.raises(TypeError):
+            graph.parents[child] = ("Bogus",)
+        with pytest.raises(TypeError):
+            del graph.policy_index[(statement.subject, statement.access, statement.resource)]
+        with pytest.raises(AttributeError):
+            graph.parents[child].append("Bogus")  # the parents come as a tuple
+        with pytest.raises(AttributeError):
+            graph.policy_index.clear()
+        assert type(graph.parents[child]) is tuple
+        assert trace(graph, statement) == paths
+        assert validate_access(model, graph) == report
+
+    def test_views_show_the_indexes_and_pickle_with_the_graph(self):
+        _, graph = load_fixture("pyramid")
+        assert dict(graph.policy_index) == graph._policy_index
+        assert dict(graph.parents) == graph._parents
+        assert pickle.loads(pickle.dumps(graph)) == graph
 
 
 class TestTrace:

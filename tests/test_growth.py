@@ -5,13 +5,14 @@ documents.py) under sys.settrace, which counts the line events executed in
 accesslint's own source.  Each stage's unit of work is an item of what it is
 given: a document byte for parse_model and serialize_model, a record for the
 structure checks and the DOT views, a record or gained triple for
-expand_hierarchy, a triple or warning for validate_access, a warning (or
-the rule summary) for the renders, and a path node returned (or the call)
-for trace, which traces every policy statement.  Inheritance can make the
-triples grow as the square of the document, so a unit shared by all stages
-would rise for a linear stage as the mix shifts.  A stage whose events per
-unit grow by more than GROWTH from n to 8n has a loop that is superlinear in
-its input.
+expand_hierarchy, a triple or warning for validate_access on the parsed
+model, a triple for validate_access on the expanded model, which carries
+its triples, a warning (or the rule summary) for the renders, and a path
+node returned (or the call) for trace, which traces every policy statement.
+Inheritance can make the triples grow as the square of the document, so a
+unit shared by all stages would rise for a linear stage as the mix shifts.
+A stage whose events per unit grow by more than GROWTH from n to 8n has a
+loop that is superlinear in its input.
 
 The count is deterministic, so the test does not depend on the host's speed.
 It sees only Python lines: work done inside one C call, such as a list.index
@@ -91,7 +92,8 @@ def _per_unit(text: str, traced: bool) -> dict[str, float]:
     events["check_structure"], _ = _line_events(check_structure, model)
     events["check_goal_structure"], _ = _line_events(check_goal_structure, graph, model)
     events["expand_hierarchy"], expanded = _line_events(expand_hierarchy, model)
-    events["validate_access"], report = _line_events(validate_access, expanded, graph)
+    events["validate_access"], plain = _line_events(validate_access, model, graph)
+    events["validate_access carried"], report = _line_events(validate_access, expanded, graph)
     events["render_report text"], _ = _line_events(render_report, report, "text")
     events["render_report json"], _ = _line_events(render_report, report, "json")
     events["serialize_model"], _ = _line_events(serialize_model, model, graph)
@@ -110,7 +112,8 @@ def _per_unit(text: str, traced: bool) -> dict[str, float]:
         "check_structure": records, "check_goal_structure": records,
         "export_dot asset": records, "export_dot goal": records,
         "expand_hierarchy": records + gained,
-        "validate_access": triples + warnings,
+        "validate_access": len(expand_needs(model)) + len(plain.warnings),
+        "validate_access carried": triples,
         # A report's rule summary is one unit, each warning another.
         "render_report text": 1 + warnings, "render_report json": 1 + warnings,
     }

@@ -1,5 +1,7 @@
 """Level ordering, the access-rule matrix, and structural checks."""
 
+import pickle
+
 import pytest
 
 from accesslint.goals import Goal, GoalKind, Refinement
@@ -77,6 +79,42 @@ def _works_diary() -> AssetModel:
             ),
         ),
     )
+
+
+class TestModelIndex:
+    """A model's name index and parent walk: built once, read-only, shared on expansion."""
+
+    def test_index_and_lineage(self):
+        model = AssetModel(assets=(
+            Asset("C", AssetKind.SYSTEM, parent="B"),
+            Asset("A", AssetKind.SYSTEM, parent="Ghost"),
+            Asset("B", AssetKind.SYSTEM, parent="A"),
+            Asset("D", AssetKind.SYSTEM, parent="E"),
+            Asset("E", AssetKind.SYSTEM, parent="D"),
+        ))
+        assert dict(model.index) == {a.name: a for a in model.assets}
+        assert model.lineage == (("A", "B", "C"), (("D", "E"),))
+        assert model.lineage is model.lineage
+        assert pickle.loads(pickle.dumps(model)) == model
+
+    def test_a_mutation_raises_and_changes_nothing(self):
+        model = _works_diary()
+        findings = check_structure(model)
+        with pytest.raises(TypeError):
+            model.index["Ghost"] = model.assets[0]
+        with pytest.raises(TypeError):
+            del model.index[model.assets[0].name]
+        with pytest.raises(AttributeError):
+            model.lineage.top_down.append("Ghost")
+        assert check_structure(model) == findings
+        assert "Ghost" not in model.index
+
+    def test_the_cache_is_not_a_field(self):
+        model = _works_diary()
+        model.lineage
+        fresh = AssetModel(model.assets, model.associations, model.matrix)
+        assert fresh == model and repr(fresh) == repr(model)
+        assert "lineage" not in vars(fresh)
 
 
 class TestCheckStructure:
@@ -222,6 +260,20 @@ class TestCheckStructure:
             associations=(Association("A", "A"),),
         )
         assert check_structure(model) == check_structure(model)
+
+    def test_cycle_members_keep_the_last_declaration_of_a_repeated_name(self):
+        # A's last declaration, the one the walk follows, closes the cycle
+        # A -> B -> A and places A after B, while A's first declaration
+        # (a root) is the one the parent checks read.
+        model = AssetModel(assets=(
+            Asset("A", AssetKind.SYSTEM),
+            Asset("B", AssetKind.SYSTEM, parent="A"),
+            Asset("A", AssetKind.SYSTEM, parent="B"),
+        ))
+        assert [(e.code, e.message) for e in check_structure(model)] == [
+            ("DuplicateAssetName", "asset name 'A' is declared more than once"),
+            ("CyclicInheritance", "inheritance cycle: B -> A -> B"),
+        ]
 
     def test_override_matrix_tightens_rules(self):
         cells = default_matrix()

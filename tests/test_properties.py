@@ -316,15 +316,73 @@ def test_hierarchy_pairing_matches_the_two_pass_reference(model):
             == pairing_oracle.expand_hierarchy(model).associations)
 
 
-def test_an_inherited_need_upon_an_undeclared_asset_raises_key_error():
+def test_an_inherited_need_upon_an_undeclared_asset_raises_value_error():
     model = AssetModel(
         assets=(Asset("P", AssetKind.SYSTEM), Asset("C", AssetKind.SYSTEM, parent="P")),
         associations=(Association("P", "Ghost", _READ),))
-    with pytest.raises(KeyError) as reference:
+    with pytest.raises(ValueError) as reference:
         pairing_oracle.expand_hierarchy(model)
-    with pytest.raises(KeyError) as engine:
+    with pytest.raises(ValueError) as engine:
         expand_hierarchy(model)
-    assert engine.value.args == reference.value.args == ("Ghost",)
+    assert str(engine.value) == str(reference.value) == \
+        "inherited need upon unknown asset 'Ghost'"
+
+
+def _carry_free(model: AssetModel) -> AssetModel:
+    """A model of the same fields that carries no triples and shares no index."""
+    return AssetModel(model.assets, model.associations, model.matrix)
+
+
+_WRITE = frozenset({AccessNeed.WRITE})
+_BOTH = _READ | _WRITE
+
+
+def _with_graph(model: AssetModel, *allowed: tuple[str, AccessNeed, str]):
+    """model with a graph whose one requirement allows each interaction given."""
+    return model, GoalGraph(
+        nodes=(Goal("Req", GoalKind.REQUIREMENT),),
+        policy=tuple(PolicyStatement("Req", subject, access, resource, Permission.ALLOW)
+                     for subject, access, resource in allowed))
+
+
+_models_and_graphs = (asset_models(free_parents=True) | _with_repeated_associations()).flatmap(
+    lambda model: st.tuples(st.just(model), goal_graphs(model)))
+
+
+# C reads R itself, twice over, and inherits P's read and write upon R: its
+# first end gains only the write, and the triples hold both of its reads.
+@example(_with_graph(AssetModel(
+    assets=(Asset("R", AssetKind.SYSTEM, confidentiality=SecurityValue.HIGH),
+            Asset("P", AssetKind.SYSTEM), Asset("C", AssetKind.SYSTEM, parent="P")),
+    associations=(Association("C", "R", _READ), Association("P", "R", _BOTH),
+                  Association("R", "C", target_needs=_READ)),
+), ("C", AccessNeed.READ, "R"), ("C", AccessNeed.WRITE, "R")))
+# A and B gain needs upon each other from their parents: one new association
+# takes both, declared the way round of A, the subject declared first.
+@example(_with_graph(AssetModel(
+    assets=(Asset("PB", AssetKind.SYSTEM), Asset("B", AssetKind.SYSTEM, parent="PB"),
+            Asset("PA", AssetKind.SYSTEM), Asset("A", AssetKind.SYSTEM, parent="PA",
+                                                 integrity=SecurityValue.LOW)),
+    associations=(Association("PA", "B", _READ), Association("PB", "A", _WRITE)),
+), ("A", AccessNeed.READ, "B"), ("B", AccessNeed.WRITE, "A")))
+# An unchecked model: A and B inherit from each other, C from A, and B holds
+# a need upon C, its descendant, which C does not inherit.
+@example(_with_graph(AssetModel(
+    assets=(Asset("A", AssetKind.SYSTEM, parent="B"), Asset("B", AssetKind.SYSTEM, parent="A"),
+            Asset("C", AssetKind.SYSTEM, parent="A"), Asset("R", AssetKind.INFORMATION)),
+    associations=(Association("A", "R", _READ), Association("B", "R", _WRITE),
+                  Association("B", "C", _READ)),
+), ("C", AccessNeed.WRITE, "R")))
+@settings(max_examples=300)
+@given(_models_and_graphs)
+def test_carried_triples_match_a_fresh_expansion(case):
+    """An expanded model's triples, and so its report, are those its associations give."""
+    model, graph = case
+    expanded = expand_hierarchy(model)
+    plain = _carry_free(expanded)
+    assert expand_needs(expanded) == expand_needs(plain)
+    assert validate_access(expanded, graph) == validate_access(plain, graph)
+    assert expand_needs(expanded) is not expand_needs(expanded)  # a fresh copy each call
 
 
 _POOL_NAMES = ["A", "B", "C"]

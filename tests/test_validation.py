@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -227,6 +228,15 @@ class TestExpandHierarchy:
         ]
 
 
+    def test_the_result_carries_its_triples_and_shares_the_index(self):
+        model = _chain_model()
+        expanded = expand_hierarchy(model)
+        assert expanded._triples == tuple(expand_needs(expanded))
+        assert expanded._index is model._index and expanded.lineage is model.lineage
+        assert replace(expanded, matrix={})._triples is None
+        assert pickle.loads(pickle.dumps(expanded))._triples == expanded._triples
+        assert model._triples is None
+
     def test_gained_associations_are_whole_records(self, data_dir):
         for model in (_chain_model(),
                       parse_model((data_dir / "chain.json").read_bytes())[0]):
@@ -359,6 +369,15 @@ class TestValidateBranches:
             "integrityStar": False,
             "absentPolicies": True,
         }
+
+
+def test_an_allowed_need_upon_an_undeclared_asset_raises_value_error():
+    model = AssetModel(assets=(Asset("A", AssetKind.SYSTEM),),
+                       associations=(Association("A", "Gh'ost", frozenset({R})),))
+    with pytest.raises(ValueError, match=r"^allowed need names unknown asset 'Gh\\'ost'$"):
+        validate_access(model, _graph_allowing(("A", R, "Gh'ost")))
+    # Undefined and denied needs read no asset.
+    assert len(validate_access(model, _graph_denying(("A", R, "Gh'ost"))).warnings) == 1
 
 
 class TestRecordContract:
