@@ -3,14 +3,18 @@
 Goals are refined into subgoals and requirements; each policy statement
 (subject, access, resource, allow|deny) hangs off exactly one
 requirement, so every permitted or denied interaction stays traceable
-to the requirement that justifies it.
+to the requirement that justifies it.  The graph check proves a sound graph
+sound on whole columns, and visits records one at a time only to report.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain, compress, filterfalse
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -32,6 +36,7 @@ class Permission(Enum):
 # Members bound once: on Python 3.10 and 3.11, Enum.MEMBER goes through EnumType.__getattr__.
 _GOAL, _REQUIREMENT = GoalKind
 _ALLOW, _DENY = Permission
+_requirement, _subject, _resource = map(attrgetter, ("requirement", "subject", "resource"))
 
 
 class Goal(NamedTuple):
@@ -98,16 +103,27 @@ class GoalGraph:
 def _refinement_cycles(graph: GoalGraph) -> list[list[str]]:
     """Strongly connected components of size > 1 (or with a self loop).
 
-    Pass one walks down the child edges and records the order goals
-    finish in; pass two, last finished first, gathers each component
-    upward along graph.parents.  Neither recurses, as chains may be
-    long.  Edges to unknown goals count for nothing.
+    One peel, taking each goal once no parent is left above it, proves
+    most graphs acyclic.  Else pass one walks down the child edges and
+    records the order goals finish in; pass two, last finished first,
+    gathers each component upward along graph.parents.  None recurses,
+    as chains may be long.  Edges to unknown goals count for nothing.
     """
     order = {node.name: i for i, node in enumerate(graph.nodes)}
     children: dict[str, list[str]] = {}
     for ref in graph.refinements:
         if ref.parent in order and ref.child in order:
             children.setdefault(ref.parent, []).append(ref.child)
+
+    above = Counter(chain.from_iterable(children.values()))
+    peeled = [*filterfalse(above.__contains__, order)]
+    for node in peeled:  # grows as goals lose their last parent
+        for child in children.get(node, ()):
+            above[child] -= 1
+            if not above[child]:
+                peeled.append(child)
+    if len(peeled) == len(order):
+        return []
 
     finished: list[str] = []
     seen: set[str] = set()
@@ -157,9 +173,19 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
     """
     by_name, errors = index_names(graph.nodes, "goal")
     assets = model._index
+    requirements = {name for name, node in by_name.items() if node.kind is _REQUIREMENT}
+    parents, children = [*zip(*graph.refinements)] or [(), ()]
+    owners = [*map(_requirement, graph.policy)]
+    # Whole columns prove most graphs' refinements and policy sound; the loops only report.
+    refinements_sound = (by_name.keys() >= {*parents, *children}
+                         and len(set(graph.refinements)) == len(parents)
+                         and requirements.issuperset(
+                             compress(children, map(requirements.__contains__, parents))))
+    policy_sound = requirements.issuperset(owners) and assets.keys() >= {
+        *map(_subject, graph.policy), *map(_resource, graph.policy)}
 
     seen_edges: set[tuple[str, str]] = set()
-    for ref in graph.refinements:
+    for ref in () if refinements_sound else graph.refinements:
         edge = parent, child = ref.parent, ref.child
         resolved = parent in by_name and child in by_name
         for endpoint in () if resolved else edge:
@@ -189,7 +215,7 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
             "refinement cycle: " + " -> ".join(map(printable, members + [members[0]])),
         ))
 
-    for stmt in graph.policy:
+    for stmt in () if policy_sound else graph.policy:
         owner = by_name.get(stmt.requirement)
         if owner is None:
             errors.append(ModelError(
@@ -230,8 +256,7 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
                 ))
             permissions.add(stmt.permission)
 
-    refined = {ref.parent for ref in graph.refinements}
-    owning = {stmt.requirement for stmt in graph.policy}
+    refined, owning = set(parents), set(owners)
     for node in by_name.values():
         if node.kind is _REQUIREMENT and node.name not in owning and node.name not in refined:
             errors.append(ModelError(

@@ -9,7 +9,8 @@ kinds is governed by an access-rule matrix.
 
 Associations and findings are NamedTuples; assets and the model are frozen
 dataclasses whose dict fields nothing here mutates.  The checks are pure
-functions that return error lists rather than raising.
+functions that return error lists rather than raising.  Each proves a sound
+model sound on whole columns, and visits records one at a time only to report.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
-from itertools import count
+from itertools import compress, count
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple, Sequence
@@ -100,7 +101,7 @@ def default_matrix() -> dict[tuple[AssetKind, AssetKind], bool]:
             for subject in AssetKind for resource in AssetKind}
 
 
-_name = attrgetter("name")
+_name, _kind = attrgetter("name"), attrgetter("kind")
 
 
 class Lineage(NamedTuple):
@@ -259,6 +260,18 @@ def check_structure(model: AssetModel) -> list[ModelError]:
             "CyclicInheritance", members[0],
             "inheritance cycle: " + " -> ".join(members + [members[0]]),
         ))
+
+    # Whole columns prove most models' associations sound; the loop only reports.
+    sources, targets, sources_needs, targets_needs, _, _ = [*zip(*model.associations)] or [()] * 6
+    pairs = {*zip(sources, targets)}  # one met reversed is a repeat, or an asset with itself
+    if (by_name.keys() >= {*sources, *targets} and len(pairs) == len(sources)
+            and pairs.isdisjoint(zip(targets, sources))):
+        source_kinds, target_kinds = ([*map(_kind, map(by_name.__getitem__, ends))]
+                                      for ends in (sources, targets))
+        cells = {*compress(zip(source_kinds, target_kinds), sources_needs),
+                 *compress(zip(target_kinds, source_kinds), targets_needs)}
+        if all(map(model.matrix.__getitem__, cells)):
+            return errors
 
     # Each association claims its pair of names both ways round.
     seen_pairs: set[tuple[str, str]] = set()

@@ -15,11 +15,10 @@ count proves that no key repeated.  Each colon outside a string separates one
 member.  So the text's colons, less the members of the root, the records and
 the extraProperties maps (once read, its only objects), are the members that
 a repeat dropped plus the colons inside strings.  None was dropped when that
-surplus is 0, or when it is the colons of the free-text strings, the only ones
-a read accepts with a colon, and the text holds no \\u003 escape: that is a
-colon decoded which the text does not count.  Otherwise, and at a fault, the
-text is decoded and read again, _pairs marking each repeated key, to name the
-first fault.
+surplus is the colons of the free-text strings, the only ones a read accepts
+with a colon, less the \\u003a escapes, each a colon decoded that the text
+does not count.  Otherwise, and at a fault, the text is decoded and read
+again, _pairs marking each repeated key, to name the first fault.
 
 Serialization is canonical, exactly json.dumps(document, indent=2,
 sort_keys=True) plus a newline (non-ASCII escaped as \\uXXXX), so re-saving
@@ -393,22 +392,25 @@ def _read_root(root: Any) -> tuple[AssetModel, GoalGraph]:
 # (section, key) of each free-text string; the read accepts no other string with a colon.
 _FREE_TEXT = [(section, key) for section, (_, fields) in _RECORDS.items()
               for key, _, read, _ in fields if read in (_strings, _names)]
+# A \u003a or \u003A escape: its u follows an odd run of backslashes.
+_COLON_ESCAPE = re.compile(r"(?<!\\)(?:\\\\)*\\u003[aA]")
 
 
 def _kept_every_member(document: str, root: dict) -> bool:
     """Whether json.loads kept every member of a document _read_root accepted.
 
-    The colons beyond the members decoded must be none, or, with no \\u003
-    escape in the text to decode as an uncounted colon, the free-text ones.
+    The colons beyond the members decoded must be the free-text ones, less
+    those the text spells as \\u003a escapes, which it does not count.
     """
     extras = [*map(dict.get, root.get("assets", ()), repeat("extraProperties"), repeat({}))]
     records = chain.from_iterable(map(root.get, _RECORDS, repeat(())))
     surplus = document.count(":") - len(root) - sum(map(len, chain(records, extras)))
-    if not surplus or "\\" in document and "\\u003" in document:
-        return not surplus
+    if not surplus:
+        return True
     texts = chain(*extras, *(map(dict.get, root.get(section, ()), repeat(key), repeat(""))
                              for section, key in _FREE_TEXT))
-    return surplus == "".join(texts).count(":")
+    escapes = len(_COLON_ESCAPE.findall(document)) if "\\u003" in document else 0
+    return surplus == "".join(texts).count(":") - escapes
 
 
 # One escape sequence: a surrogate pair, an unpaired half (group 1), or any other.

@@ -17,7 +17,8 @@ loop that is superlinear in its input.
 The count is deterministic, so the test does not depend on the host's speed.
 It sees only Python lines: work done inside one C call, such as a list.index
 or an `in` test on a list inside a loop, is not counted, and a loop hidden
-that way stays invisible.  trace is not run on the diamonds shape, whose
+that way stays invisible here; tests/growth_cpu.py times the same stages in
+CPU time to see it.  trace is not run on the diamonds shape, whose
 path count is exponential by design and passes MAX_TRACE_PATHS already at
 n = 40.
 
@@ -85,22 +86,23 @@ def _trace_all(graph) -> list[list[list[str]]]:
     return [trace(graph, statement) for statement in graph.policy]
 
 
-def _per_unit(text: str, traced: bool) -> dict[str, float]:
-    """Each stage's line events on one document, per unit of the work it was given."""
+def _per_unit(text: str, traced: bool, measure=_line_events) -> dict[str, float]:
+    """Each stage's cost on one document, as measure gives it (line events unless
+    told otherwise), per unit of the work it was given."""
     events = {}
-    events["parse_model"], (model, graph) = _line_events(parse_model, text, check=False)
-    events["check_structure"], _ = _line_events(check_structure, model)
-    events["check_goal_structure"], _ = _line_events(check_goal_structure, graph, model)
-    events["expand_hierarchy"], expanded = _line_events(expand_hierarchy, model)
-    events["validate_access"], plain = _line_events(validate_access, model, graph)
-    events["validate_access carried"], report = _line_events(validate_access, expanded, graph)
-    events["render_report text"], _ = _line_events(render_report, report, "text")
-    events["render_report json"], _ = _line_events(render_report, report, "json")
-    events["serialize_model"], _ = _line_events(serialize_model, model, graph)
-    events["export_dot asset"], _ = _line_events(export_dot, model, graph, "asset")
-    events["export_dot goal"], _ = _line_events(export_dot, model, graph, "goal")
+    events["parse_model"], (model, graph) = measure(parse_model, text, check=False)
+    events["check_structure"], _ = measure(check_structure, model)
+    events["check_goal_structure"], _ = measure(check_goal_structure, graph, model)
+    events["expand_hierarchy"], expanded = measure(expand_hierarchy, model)
+    events["validate_access"], plain = measure(validate_access, model, graph)
+    events["validate_access carried"], report = measure(validate_access, expanded, graph)
+    events["render_report text"], _ = measure(render_report, report, "text")
+    events["render_report json"], _ = measure(render_report, report, "json")
+    events["serialize_model"], _ = measure(serialize_model, model, graph)
+    events["export_dot asset"], _ = measure(export_dot, model, graph, "asset")
+    events["export_dot goal"], _ = measure(export_dot, model, graph, "goal")
     if traced:
-        events["trace"], traces = _line_events(_trace_all, graph)
+        events["trace"], traces = measure(_trace_all, graph)
     size = len(text.encode("utf-8"))
     records = sum(map(len, (model.assets, model.associations, graph.nodes,
                             graph.refinements, graph.policy)))

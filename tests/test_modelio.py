@@ -381,6 +381,10 @@ _OVERRIDE = {"subject": "people", "resource": "people", "allowed": False}
     ('{"version": 1, "assets": [{"name": "A:B", "kind": "system", "extraProperties":'
      ' {"cost:x": "low", "cost:x": "high"}}]}',
      "assets[0].extraProperties.cost:x: duplicate key 'cost:x'"),
+    # A raw colon and an upper-case escape beside a repeat: the escape must be
+    # counted, or the decoded colons would balance the member dropped.
+    ('{"version": 1, "assets": [{"name": "a:b\\u003Ac", "kind": "system", "kind": "system"}]}',
+     "assets[0].kind: duplicate key 'kind'"),
 ])
 def test_first_fault_wins_with_exact_text(document, message):
     if isinstance(document, dict):
@@ -669,7 +673,12 @@ def test_clean_documents_never_reach_the_pairs_hook(monkeypatch, data_dir):
     texts = [fixture_text("pyramid"), fixture_text("works-diary"),
              *(path.read_text(encoding="utf-8") for path in sorted(data_dir.glob("*.json"))),
              *(json.dumps(build(n)) for build, n in documents.SHAPES.values()),
-             json.dumps(_COLONS), _json(_COLONS, "\\u003a")]
+             json.dumps(_COLONS), _json(_COLONS, "\\u003a"),
+             # Colons both raw and escaped, and an escaped backslash before u003a,
+             # which is no escape of a colon.
+             json.dumps(_COLONS).replace("urn:a", "urn\\u003Aa").replace("G:1", "G\\u003a1"),
+             json.dumps({**_COLONS, "goals": [{"name": "G:1", "kind": "goal",
+                                               "definition": "C:\\u003a"}, _COLONS["goals"][1]]})]
     parsed = {}
     for text in texts:
         try:

@@ -11,7 +11,8 @@ UTF-8, surrogates, a BOM, raw control characters and non-integer versions.
 RESTATE_CORPUS documents are built by differential.py's restate from the
 bases that hold a policy, drawn from RESTATE_SEED: one statement stated
 again, so that the policy holds duplicate and conflicting statements.
-Each document goes through the six commands differential.py runs.  Sizes
+Each document goes through the six commands differential.py runs, and each
+that parses through loop_probe.py's probe of the structure checks.  Sizes
 and seeds are fixed: a failure here is mended in the program, never by
 shrinking or re-seeding a corpus.
 """
@@ -27,9 +28,11 @@ from pathlib import Path
 import pytest
 
 from accesslint.cli import main
+from accesslint.modelio import ParseError, parse_model
 
 import differential
 import documents
+from loop_probe import faults, probe
 
 SEED = 1
 CORPUS = 400
@@ -135,3 +138,21 @@ def test_every_restated_statement_exits_cleanly_and_is_reported(restate_corpus):
     findings = {line.split(":")[0] for path in restate_corpus
                 for line in _run(["check", str(path)])[2].splitlines()}
     assert {"DuplicateStatement", "ConflictingPermission"} <= findings
+
+
+def test_each_check_loop_runs_exactly_when_it_reports(corpus, byte_corpus, restate_corpus):
+    disagree, reporting = [], set()
+    for path in corpus + byte_corpus + restate_corpus:
+        try:
+            pair = parse_model(path.read_bytes(), check=False)
+        except ParseError:
+            continue
+        broken = faults(*pair)
+        for loop, (ran, reported) in probe(*pair).items():
+            if not ran == reported == broken[loop]:
+                disagree.append((path.name, loop, ran, reported))
+            if reported:
+                reporting.add(loop)
+    assert not disagree, disagree[:10]
+    # No corpus document holds a refinement cycle: test_column_proofs.py plants them.
+    assert reporting >= {"associations", "refinements", "policy"}
