@@ -23,7 +23,11 @@ again, _pairs marking each repeated key, to name the first fault.
 Serialization is canonical, exactly json.dumps(document, indent=2,
 sort_keys=True) plus a newline (non-ASCII escaped as \\uXXXX), so re-saving
 a parsed document is byte-stable.  _RECORDS writes it too, one writer beside
-each reader, so a new field is declared once for both read and write.
+each reader, so a new field is declared once for both read and write: each
+section's value columns and the member texts between them are interleaved
+in C for one join of the whole document.  Of a record's members, by sorted
+key, the first that every record writes anchors the commas: those before
+it end with one and those after it begin with one.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ import json
 import re
 from dataclasses import MISSING, fields as class_fields
 from functools import partial
-from itertools import chain, permutations, repeat
+from itertools import chain, islice, permutations, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Any, NamedTuple
 
 from .goals import (
@@ -164,7 +168,7 @@ def _names(values: list) -> list:
 
 
 def _choice(table: dict, what: str, expected: str | None = None):
-    """Reader for strings that must be keys of table, and its writer."""
+    """Reader for strings that must be keys of table, and its writer's table."""
     expected = expected or ", ".join(sorted(table))
 
     def read(values: list) -> list:
@@ -173,14 +177,14 @@ def _choice(table: dict, what: str, expected: str | None = None):
         except (KeyError, TypeError):
             value = next(value for value in _strings(values) if value not in table)
             raise _Bad("", f"invalid {what} {quote(value)}, expected one of: {expected}") from None
-    return read, {value: _quote(key) for key, value in table.items()}.__getitem__
+    return read, {value: _quote(key) for key, value in table.items()}
 
 
 _level, _level_text = _choice(_LEVEL_NAMES, "security level")
 _asset_kind, _kind_text = _choice(_KIND_NAMES, "asset kind")
 _need, _need_text = _choice(_NEED_NAMES, "access need")
-_multiplicity, _ = _choice({m: m for m in MULTIPLICITIES}, "multiplicity",
-                           ", ".join(map(quote, MULTIPLICITIES)))
+_multiplicity, _multiplicity_text = _choice({m: m for m in MULTIPLICITIES}, "multiplicity",
+                                            ", ".join(map(quote, MULTIPLICITIES)))
 
 
 def _levels(values: list) -> list:
@@ -195,12 +199,12 @@ def _levels(values: list) -> list:
 
 
 # Each need list the reader accepts, as its set (a repeat is not a key); the
-# writer lists a set as the first such list, in declaration order, or omits it.
+# writer lists a nonempty set as the first such list, in declaration order.
 _NEED_SETS = {order: frozenset(map(_NEED_NAMES.__getitem__, order))
               for size in range(len(_NEED_NAMES) + 1)
               for order in permutations(_NEED_NAMES, size)}
 _NEED_LISTS = {needs: "[" + ",".join(f"\n        {_quote(n)}" for n in order) + "\n      ]"
-               if order else None for order, needs in reversed(_NEED_SETS.items())}
+               for order, needs in reversed(_NEED_SETS.items()) if order}
 
 
 def _needs(values: list) -> list:
@@ -216,17 +220,9 @@ def _needs(values: list) -> list:
         raise _Bad("", "access needs listed more than once") from None
 
 
-# Writers give a field's canonical JSON text at record depth (members six
-# spaces in), or None where the field is omitted.
-def _optional(value: str | None) -> str | None:
-    return None if value is None else _quote(value)
-
-
-def _nonempty(value: str) -> str | None:
-    return _quote(value) if value else None
-
-
-_json_bool = {False: "false", True: "true"}.__getitem__
+# Writers give a field's canonical JSON text at record depth (members six spaces in),
+# as a function or a table of each value's text.
+_json_bool = {False: "false", True: "true"}
 _QUOTED = {member: _quote(text) for member, text in TEXT.items()}  # a need or warning kind
 
 
@@ -236,9 +232,8 @@ def _object(members, indent: str) -> str:
     return f"{{{text}\n{indent}}}" if text else "{}"
 
 
-def _level_map(levels: dict) -> str | None:
-    pairs = [(prop, _level_text(level)) for prop, level in levels.items()]
-    return _object(pairs, "      ") if pairs else None
+def _level_map(levels: dict) -> str:
+    return _object([(prop, _level_text[level]) for prop, level in levels.items()], "      ")
 
 
 def _defaults(cls: type) -> dict[str, Any]:
@@ -266,16 +261,16 @@ _RECORDS = {
         ("confidentiality", "confidentiality", _level, _level_text),
         ("integrity", "integrity", _level, _level_text),
         ("extraProperties", "extra_properties", _levels, _level_map),
-        ("parent", "parent", _strings, _optional))),
+        ("parent", "parent", _strings, _quote))),
     "associations": (Association, (
-        ("sourceMultiplicity", "source_multiplicity", _multiplicity, _optional),
-        ("targetMultiplicity", "target_multiplicity", _multiplicity, _optional),
+        ("sourceMultiplicity", "source_multiplicity", _multiplicity, _multiplicity_text),
+        ("targetMultiplicity", "target_multiplicity", _multiplicity, _multiplicity_text),
         ("source", "source", _strings, _quote),
         ("target", "target", _strings, _quote),
-        ("sourceNeeds", "source_needs", _needs, _NEED_LISTS.__getitem__),
-        ("targetNeeds", "target_needs", _needs, _NEED_LISTS.__getitem__))),
+        ("sourceNeeds", "source_needs", _needs, _NEED_LISTS),
+        ("targetNeeds", "target_needs", _needs, _NEED_LISTS))),
     "goals": (Goal, (
-        ("definition", "definition", _strings, _nonempty),
+        ("definition", "definition", _strings, _quote),
         ("name", "name", _strings, _quote),
         ("kind", "kind", *_choice(_GOAL_KIND_NAMES, "goal kind")))),
     "refinements": (Refinement, (
@@ -300,22 +295,29 @@ _RECORD_KEYS = {section: frozenset(key for key, *_ in fields)
 _COLUMNS = {section: [(key, default) for name, default in _defaults(cls).items()
                       for key, attribute, *_ in fields if attribute == name]
             for section, (cls, fields) in _RECORDS.items()}
-# Sections by sorted key: (member prefix, attribute getter, writer) per field.
-_LAYOUTS = {section: tuple((f"\n      {_quote(key)}: ", attrgetter(attribute), write)
-                           for key, attribute, *_, write in sorted(fields))
-            for section, (_, fields) in _RECORDS.items()}
+# Sections as a record's texts: (constant, None) or (column writer, attribute getter).  A member
+# omitted at its class default, unless a table writes that, is one column of whole texts or "".
+def _layout(section: str, fields: tuple) -> tuple:
+    defaults, layout, comma = dict(_COLUMNS[section]), [(",\n    {", None)], ""
+    for key, attribute, _, write in sorted(fields):
+        table, get, default = type(write) is dict, attrgetter(attribute), defaults[key]
+        text, lead = write.__getitem__ if table else write, f"{comma}\n      {_quote(key)}: "
+        if default is not MISSING and default() not in (write if table else ()):
+            member = partial(_member, lead, "," * (not comma), text, default())
+            layout.append(({value: member(value) for value in (default(), *write)}.__getitem__
+                           if table else member, get))
+        else:  # the anchor, the first member every record writes, or a member after it
+            layout += [(lead, None), (text, get)]
+            comma = ","
+    return (*layout, ("\n    }", None))
 
 
-def _objects(rows: list[str]) -> str:
-    """A list of objects, from each one's member text, as the JSON value of a top-level key."""
-    return "[\n    {" + "\n    },\n    {".join(rows) + "\n    }\n  ]" if rows else "[]"
+def _member(lead: str, trail: str, text, default, value) -> str:
+    """A member's whole text, or "" where value is the default at which it is omitted."""
+    return "" if value == default else lead + text(value) + trail
 
 
-def _write_records(records, layout: tuple) -> str:
-    """Records as a JSON list, each written field by field as layout says."""
-    columns = [[None if text is None else prefix + text
-                for text in map(write, map(get, records))] for prefix, get, write in layout]
-    return _objects([",".join(filter(None, row)) for row in zip(*columns)])
+_LAYOUTS = {section: _layout(section, fields) for section, (_, fields) in _RECORDS.items()}
 
 
 def _read(items: list, section: str):
@@ -329,9 +331,11 @@ def _read(items: list, section: str):
     if not (all(type(obj) is dict for obj in items) and all(map(keys.issuperset, items))):
         for obj in items:
             _object_keys(obj, keys)
+    every = sum(map(len, items)) == len(items) * len(keys)  # as none holds another key
     columns = {}  # json key -> the values present, in class order
     for key, default in _COLUMNS[section]:
-        columns[key] = [obj[key] for obj in items if key in obj]
+        columns[key] = ([*map(itemgetter(key), items)] if every  # one pass in C
+                        else [obj[key] for obj in items if key in obj])
         if default is MISSING and len(columns[key]) < len(items):
             raise _Bad("", f"missing required key {quote(key)}")
     try:
@@ -498,10 +502,14 @@ def serialize_model(model: AssetModel, graph: GoalGraph) -> str:
             if model.matrix[cell] != default
         ],
     }
-    members = [(section, _write_records(records, _LAYOUTS[section]))
-               for section, records in sections.items() if records]
-    members.append(("version", str(DOCUMENT_VERSION)))
-    return _object(members, "") + "\n"
+    texts = ["{"]  # "version", written always, sorts last: the members before it end with ","
+    for section, records in sorted(sections.items()):
+        if records:  # the records' constants and value columns; the first opens with no comma
+            columns = [repeat(text) if get is None else map(text, map(get, records))
+                       for text, get in _LAYOUTS[section]]
+            texts += (f"\n  {_quote(section)}: [\n    {{",
+                      *islice(chain.from_iterable(zip(*columns)), 1, None), "\n  ],")
+    return "".join([*texts, f'\n  "version": {DOCUMENT_VERSION}\n}}\n'])
 
 
 def render_report(report: ValidationReport, format: str = "text") -> str:
@@ -521,10 +529,11 @@ def render_report(report: ValidationReport, format: str = "text") -> str:
                 f'\n      "resource": {_quote(resource)},\n      "subject": {_quote(subject)}'
                 for kind, (subject, access, resource) in report.warnings]
         return _object((
-            ("ruleResults", _object([(key, _json_bool(counts[kind] > 0))
+            ("ruleResults", _object([(key, _json_bool[counts[kind] > 0])
                                      for key, _, kind in RULE_RESULTS], "  ")),
             ("summary", _object([(TEXT[kind], str(n)) for kind, n in counts.items()], "  ")),
-            ("warnings", _objects(rows)),
+            ("warnings", "[\n    {" + "\n    },\n    {".join(rows) + "\n    }\n  ]"
+                         if rows else "[]"),
         ), "") + "\n"
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")

@@ -28,10 +28,14 @@ script builds one set of documents:
 Sizes and seed are fixed, so a run can be cited by them.
 
 Each document goes through six CLI commands (validate as text, as JSON
-and with --expand-inheritance, check, and export of both views), run
-in-process in one child interpreter per tree.  Every case whose exit
-code, stdout or stderr differs between the trees is printed, followed by
-a summary; the exit status is 1 if any case differs, else 0.
+and with --expand-inheritance, check, and export of both views) and one
+serialize case, serialize_model(*parse_model(document)), whose text is
+compared as the commands' stdout is; where it raises, the case exits 2
+with the ParseError's text, or "internal error" and the exception, as
+its stderr.  They run in-process in one child interpreter per tree.
+Every case whose exit code, stdout or stderr differs between the trees
+is printed, followed by a summary; the exit status is 1 if any case
+differs, else 0.
 
 The file name keeps it out of pytest's collection; it is a tool, not a test.
 """
@@ -66,6 +70,7 @@ COMMANDS = {
     "export-asset": ["export", "--view", "asset"],
     "export-goal": ["export", "--view", "goal"],
 }
+CASES = (*COMMANDS, "serialize")
 # The keys of each record section, as the document schema names them.
 KEYS = {
     "assets": ("name", "kind", "confidentiality", "integrity", "extraProperties", "parent"),
@@ -319,11 +324,17 @@ def documents() -> dict[str, str | bytes]:
     return docs
 
 
+def _outcome(code: int, stdout: str, stderr: str) -> list:
+    return [code, hashlib.sha256(stdout.encode("utf-8", "surrogatepass")).hexdigest(),
+            len(stdout), stderr]
+
+
 def worker(src: str, workdir: Path) -> None:
-    """Run every command on every document under src; write the outcomes as JSON."""
+    """Run every case on every document under src; write the outcomes as JSON."""
     sys.path.insert(0, src)
     import accesslint
     from accesslint import cli
+    from accesslint.modelio import ParseError, parse_model, serialize_model
 
     if not Path(accesslint.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"accesslint imported from {accesslint.__file__}, not {src}")
@@ -333,9 +344,15 @@ def worker(src: str, workdir: Path) -> None:
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 code = cli.main([*argv, str(workdir / path)])
-            stdout = out.getvalue()
-            outcomes.append([code, hashlib.sha256(stdout.encode("utf-8", "surrogatepass"))
-                             .hexdigest(), len(stdout), err.getvalue()])
+            outcomes.append(_outcome(code, out.getvalue(), err.getvalue()))
+        try:
+            text = serialize_model(*parse_model((workdir / path).read_bytes()))
+        except ParseError as exc:
+            outcomes.append(_outcome(2, "", str(exc)))
+        except Exception as exc:  # a crash, counted as the CLI counts one
+            outcomes.append(_outcome(2, "", f"internal error: {exc!r}"))
+        else:
+            outcomes.append(_outcome(0, text, ""))
     json.dump(outcomes, sys.stdout)
 
 
@@ -362,7 +379,7 @@ def main() -> int:
             return 2
     old, new = map(json.loads, outputs)
 
-    cases = [(name, command) for name in docs for command in COMMANDS]
+    cases = [(name, case) for name in docs for case in CASES]
     differ = 0
     for (name, command), before, after in zip(cases, old, new):
         if before == after:

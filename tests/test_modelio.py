@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from accesslint import cli, modelio
 from accesslint.fixtures import fixture_text, load_fixture
-from accesslint.goals import Goal, GoalGraph, GoalKind, Refinement
+from accesslint.goals import Goal, GoalGraph, GoalKind, Permission, PolicyStatement, Refinement
 from accesslint.model import (
     AccessNeed,
     Asset,
@@ -489,6 +489,56 @@ def test_each_key_is_required_or_takes_the_class_default(section, key):
     assert (value, type(value)) == (default, type(default)) != (full, type(full))
 
 
+_STATEMENT = {"requirement": "R", "subject": "A", "access": "read", "resource": "B",
+              "permission": "allow"}
+
+
+def _policy(*edits) -> str:
+    """Five statements, statement i edited by each (i, key, value); None drops the key."""
+    policy = [dict(_STATEMENT) for _ in range(5)]
+    for i, key, value in edits:
+        if value is None:
+            del policy[i][key]
+        else:
+            policy[i][key] = value
+    return json.dumps({"version": 1, "policy": policy})
+
+
+@pytest.mark.parametrize("edits, message", [
+    ([(3, "subject", None)], "$.policy[3]: missing required key 'subject'"),
+    ([(4, "requirement", None), (4, "permission", None)],
+     "$.policy[4]: missing required key 'requirement'"),
+    ([(1, "access", "fly"), (3, "subject", None)],
+     "$.policy[1].access: invalid access need 'fly', expected one of: "
+     "interact, read, write"),
+    ([(2, "resource", 7), (3, "subject", None)],
+     "$.policy[2].resource: expected a string, got int"),
+], ids=["one-missing", "two-missing", "bad-value-first", "bad-type-first"])
+def test_column_pass_names_the_first_faulty_record(edits, message):
+    with pytest.raises(SchemaError) as info:
+        parse_model(_policy(*edits), check=False)
+    assert str(info.value) == message
+
+
+def test_optional_keys_held_only_by_the_last_record_round_trip():
+    assets = [{"name": name, "kind": "system"} for name in "ABC"]
+    assets[-1].update(parent="A", extraProperties={"cost": "low"})
+    associations = [{"source": "A", "target": "B"}, {"source": "B", "target": "C"},
+                    {"source": "C", "target": "A", "sourceNeeds": ["read"],
+                     "targetMultiplicity": "*"}]
+    goals = [{"name": "G", "kind": "goal"}, {"name": "R", "kind": "requirement",
+                                             "definition": "Only here"}]
+    document = {"version": 1, "assets": assets, "associations": associations, "goals": goals}
+    model, graph = parse_model(json.dumps(document))
+    assert [asset.parent for asset in model.assets] == [None, None, "A"]
+    assert [a.target_multiplicity for a in model.associations] == [None, None, "*"]
+    assert [goal.definition for goal in graph.nodes] == ["", "Only here"]
+    text = serialize_model(model, graph)
+    assert parse_model(text) == (model, graph)
+    assert json.loads(text) == {**document, "assets": [
+        {"confidentiality": "none", "integrity": "none", **asset} for asset in assets]}
+
+
 def _field_types(records) -> list:
     # The constructor's parameters name the fields of a NamedTuple and a dataclass alike.
     return [[type(getattr(record, name)) for name in inspect.signature(type(record)).parameters]
@@ -810,6 +860,50 @@ def test_writer_matches_json_dumps(pair):
     report = validate_access(model, graph)
     reference = json_reference.canonical(json_reference.report(report))
     assert render_report(report, "json") == reference
+
+
+def _goal(name: str, definition: str = "") -> Goal:
+    return Goal(name, GoalKind.REQUIREMENT, definition)
+
+
+# Models whose records omit members on either side of the anchor, the first member
+# by sorted key that every record writes, and sections of a single record.
+ANCHOR_CASES = {
+    "definition-omitted-first-middle-last": (AssetModel(), GoalGraph(nodes=(
+        _goal("G0"), _goal("G1", "one"), _goal("G2"), _goal("G3", "three"), _goal("G4")))),
+    "definition-only-between": (AssetModel(), GoalGraph(nodes=(
+        _goal("G0", "zero"), _goal("G1"), _goal("G2", "two")))),
+    "asset-with-both-and-neither": (AssetModel(assets=(
+        Asset("A", AssetKind.SYSTEM, SecurityValue.HIGH, SecurityValue.LOW,
+              {"availability": SecurityValue.MEDIUM, "cost": SecurityValue.NONE}, "B"),
+        Asset("B", AssetKind.SYSTEM),
+        Asset("C", AssetKind.PEOPLE, extra_properties={"cost": SecurityValue.HIGH}),
+        Asset("D", AssetKind.PEOPLE, parent="C"))), GoalGraph()),
+    "association-with-all-and-none": (AssetModel(associations=(
+        Association("A", "B", frozenset({AccessNeed.WRITE, AccessNeed.READ}),
+                    frozenset({AccessNeed.INTERACT}), "0..1", "1..*"),
+        Association("B", "C"),
+        Association("C", "A", target_needs=frozenset({AccessNeed.READ}), source_multiplicity="*"),
+        Association("A", "C", source_needs=frozenset(AccessNeed), target_multiplicity="1"))),
+        GoalGraph()),
+    "single-records": (AssetModel(
+        assets=(Asset("A", AssetKind.INFORMATION, parent="B"),),
+        associations=(Association("A", "B", target_needs=frozenset({AccessNeed.READ})),),
+        matrix={**default_matrix(), (AssetKind.SYSTEM, AssetKind.PEOPLE): True}),
+        GoalGraph(nodes=(_goal("R"),), refinements=(Refinement("G", "R"),),
+                  policy=(PolicyStatement("R", "A", AccessNeed.READ, "B", Permission.DENY),))),
+    "single-records-with-definition": (AssetModel(assets=(Asset("A", AssetKind.SYSTEM),),
+                                                  associations=(Association("A", "B"),)),
+                                       GoalGraph(nodes=(_goal("R", "defined"),))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANCHOR_CASES))
+def test_members_around_the_anchor_match_json_dumps(name):
+    model, graph = ANCHOR_CASES[name]
+    text = serialize_model(model, graph)
+    assert text == json_reference.canonical(json_reference.document(model, graph))
+    assert serialize_model(*parse_model(text, check=False)) == text
 
 
 # One warning of each kind, in declaration order, upon names holding every
