@@ -1,10 +1,10 @@
 """Goal graph, policy statements, and requirement traceability.
 
-Goals are refined into subgoals and requirements; each policy statement
-(subject, access, resource, allow|deny) hangs off exactly one
-requirement, so every permitted or denied interaction stays traceable
-to the requirement that justifies it.  The graph check proves a sound graph
-sound on whole columns, and visits records one at a time only to report.
+Goals are refined into subgoals and requirements; each policy statement (subject,
+access, resource, allow|deny) hangs off exactly one requirement, so every permitted
+or denied interaction stays traceable to the requirement that justifies it.  The graph
+check proves a sound graph sound on whole columns, and visits records one at a time
+only to report.  trace walks up on one stack of parent iterators and keeps no table.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .model import AccessNeed, AssetModel, ModelError, index_names, printable, quote
+from .model import AccessNeed, AssetModel, ModelError, _name, index_names, printable, quote
 
 
 class GoalKind(Enum):
@@ -171,7 +171,9 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
     policy statement and are not refined further are reported at warning
     severity: they may legitimately cover concerns other than access.
     """
-    by_name, errors = index_names(graph.nodes, "goal")
+    by_name, errors = dict(zip(map(_name, graph.nodes), graph.nodes)), []
+    if len(by_name) < len(graph.nodes) or "" in by_name:  # a name repeated, or empty
+        by_name, errors = index_names(graph.nodes, "goal")
     assets = model._index
     requirements = {name for name, node in by_name.items() if node.kind is _REQUIREMENT}
     parents, children = [*zip(*graph.refinements)] or [(), ()]
@@ -188,12 +190,11 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
     for ref in () if refinements_sound else graph.refinements:
         edge = parent, child = ref.parent, ref.child
         resolved = parent in by_name and child in by_name
-        for endpoint in () if resolved else edge:
-            if endpoint not in by_name:
-                errors.append(ModelError(
-                    "UnknownGoal", f"refinement {quote(parent)} <- {quote(child)}",
-                    f"refinement references unknown goal {quote(endpoint)}",
-                ))
+        for endpoint in filterfalse(by_name.__contains__, edge):
+            errors.append(ModelError(
+                "UnknownGoal", f"refinement {quote(parent)} <- {quote(child)}",
+                f"refinement references unknown goal {quote(endpoint)}",
+            ))
         if edge in seen_edges:
             errors.append(ModelError(
                 "DuplicateRefinement", f"refinement {quote(parent)} <- {quote(child)}",
@@ -201,9 +202,7 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
             ))
             continue
         seen_edges.add(edge)
-        if not resolved:
-            continue
-        if by_name[parent].kind is _REQUIREMENT and by_name[child].kind is _GOAL:
+        if resolved and by_name[parent].kind is _REQUIREMENT and by_name[child].kind is _GOAL:
             errors.append(ModelError(
                 "RequirementAboveGoal", f"refinement {quote(parent)} <- {quote(child)}",
                 f"requirement {quote(parent)} cannot be refined by goal {quote(child)}",
@@ -228,12 +227,11 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
                 f"policy statement is owned by {quote(stmt.requirement)}, which is a goal, "
                 "not a requirement",
             ))
-        for endpoint in (stmt.subject, stmt.resource):
-            if endpoint not in assets:
-                errors.append(ModelError(
-                    "UnknownAsset", _policy_where(stmt),
-                    f"policy statement references unknown asset {quote(endpoint)}",
-                ))
+        for endpoint in filterfalse(assets.__contains__, (stmt.subject, stmt.resource)):
+            errors.append(ModelError(
+                "UnknownAsset", _policy_where(stmt),
+                f"policy statement references unknown asset {quote(endpoint)}",
+            ))
 
     # A full index proves no interaction is stated twice.  Past an
     # interaction's first statement, a permission it was stated with before
@@ -256,14 +254,12 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
                 ))
             permissions.add(stmt.permission)
 
-    refined, owning = set(parents), set(owners)
-    for node in by_name.values():
-        if node.kind is _REQUIREMENT and node.name not in owning and node.name not in refined:
-            errors.append(ModelError(
-                "RequirementWithoutPolicy", printable(node.name),
-                f"requirement {quote(node.name)} owns no policy statement",
-                severity="warning",
-            ))
+    unowned = requirements.difference(owners, parents)  # own nothing, refine nothing
+    for name in filter(unowned.__contains__, by_name) if unowned else ():
+        errors.append(ModelError(
+            "RequirementWithoutPolicy", printable(name),
+            f"requirement {quote(name)} owns no policy statement", severity="warning",
+        ))
 
     return errors
 
@@ -296,28 +292,33 @@ MAX_TRACE_PATHS = 10_000
 def trace(graph: GoalGraph, statement: PolicyStatement) -> list[list[str]]:
     """Refinement paths from the statement's requirement up to every root.
 
-    Each path starts with the owning requirement and follows child to
-    parent edges depth first, visiting parents in document order.  A
-    requirement that is refined from nothing yields a single one-element
-    path.  The walk keeps its own stack, so chains of any depth trace.
-    More than MAX_TRACE_PATHS paths raise ValueError.
+    Each path starts with the owning requirement and follows child to parent edges
+    depth first, parents in document order.  A parent already on the path is skipped
+    and a goal with no parent left ends a path, so an unrefined requirement yields one
+    one-element path.  One stack of parent iterators holds the walk, so chains of any
+    depth trace.  More than MAX_TRACE_PATHS paths raise ValueError.
     """
     parents = graph._parents
     paths: list[list[str]] = []
-    # The path walked so far, as an ordered set, and (goal, depth) to visit.
-    path: dict[str, None] = {}
-    pending = [(statement.requirement, 0)]
-    while pending:
-        node, depth = pending.pop()
-        while len(path) > depth:
-            path.popitem()
-        path[node] = None
-        ups = [p for p in parents.get(node, ()) if p not in path]
-        if ups:
-            pending.extend((p, depth + 1) for p in reversed(ups))
-        elif len(paths) == MAX_TRACE_PATHS:
-            raise ValueError(f"more than {MAX_TRACE_PATHS} refinement paths "
-                             f"from requirement {quote(statement.requirement)}")
+    # The path walked so far, as an ordered set; iterators over its goals' parents,
+    # the last goal's in ups; fresh while the last goal has taken no parent yet.
+    path = {statement.requirement: None}
+    ups, stack, fresh = iter(parents.get(statement.requirement, ())), [], True
+    while True:
+        for parent in ups:
+            if parent not in path:
+                path[parent] = None
+                stack.append(ups)
+                ups, fresh = iter(parents.get(parent, ())), True
+                break
         else:
-            paths.append(list(path))
-    return paths
+            if fresh:  # it had no parent left to take: a path ends there
+                if len(paths) == MAX_TRACE_PATHS:
+                    raise ValueError(f"more than {MAX_TRACE_PATHS} refinement paths "
+                                     f"from requirement {quote(statement.requirement)}")
+                paths.append([*path])
+                fresh = False
+            if not stack:
+                return paths
+            ups = stack.pop()
+            path.popitem()

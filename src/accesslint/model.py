@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
-from itertools import compress, count
+from itertools import compress, count, filterfalse
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple, Sequence
@@ -278,12 +278,11 @@ def check_structure(model: AssetModel) -> list[ModelError]:
     for source, target, source_needs, target_needs, _, _ in model.associations:
         pair = (source, target)
         resolved = source in by_name and target in by_name
-        for endpoint in () if resolved else pair:
-            if endpoint not in by_name:
-                errors.append(ModelError(
-                    "UnknownAsset", f"association {quote(source)} - {quote(target)}",
-                    f"association end references unknown asset {quote(endpoint)}",
-                ))
+        for endpoint in filterfalse(by_name.__contains__, pair):
+            errors.append(ModelError(
+                "UnknownAsset", f"association {quote(source)} - {quote(target)}",
+                f"association end references unknown asset {quote(endpoint)}",
+            ))
         if source == target:
             errors.append(ModelError(
                 "SelfAssociation", f"association {quote(source)} - {quote(target)}",
@@ -301,11 +300,8 @@ def check_structure(model: AssetModel) -> list[ModelError]:
             continue
         for subject, resource, needs in ((source, target, source_needs),
                                          (target, source, target_needs)):
-            if not needs:
-                continue
-            subject_kind = by_name[subject].kind
-            resource_kind = by_name[resource].kind
-            if not model.matrix[(subject_kind, resource_kind)]:
+            subject_kind, resource_kind = by_name[subject].kind, by_name[resource].kind
+            if needs and not model.matrix[(subject_kind, resource_kind)]:
                 errors.append(ModelError(
                     "MatrixViolation", f"association {quote(source)} - {quote(target)}",
                     f"{subject_kind.value} asset {quote(subject)} may not hold access "

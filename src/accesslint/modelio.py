@@ -522,19 +522,22 @@ def render_report(report: ValidationReport, format: str = "text") -> str:
     """
     counts = report.summary
     if format == "json":
-        # Each row is an AccessWarning's members by sorted key, its message spelled out.
-        rows = [f'\n      "access": {_QUOTED[access]},\n      "kind": {_QUOTED[kind]},'
+        # Each row is an AccessWarning's members by sorted key, its message spelled
+        # out, after the comma that ends the row before.
+        rows = [f',\n    {{\n      "access": {_QUOTED[access]},\n      "kind": {_QUOTED[kind]},'
                 f'\n      "message": '
                 f'{_quote(f"{_MESSAGE_PREFIX[kind]}: {subject} --{TEXT[access]}--> {resource}")},'
-                f'\n      "resource": {_quote(resource)},\n      "subject": {_quote(subject)}'
+                f'\n      "resource": {_quote(resource)},'
+                f'\n      "subject": {_quote(subject)}\n    }}'
                 for kind, (subject, access, resource) in report.warnings]
-        return _object((
-            ("ruleResults", _object([(key, _json_bool[counts[kind] > 0])
-                                     for key, _, kind in RULE_RESULTS], "  ")),
-            ("summary", _object([(TEXT[kind], str(n)) for kind, n in counts.items()], "  ")),
-            ("warnings", "[\n    {" + "\n    },\n    {".join(rows) + "\n    }\n  ]"
-                         if rows else "[]"),
-        ), "") + "\n"
+        if rows:  # the first row has no row before it
+            rows[0] = rows[0][1:]
+        return "".join([
+            '{\n  "ruleResults": ',
+            _object([(key, _json_bool[counts[kind] > 0]) for key, _, kind in RULE_RESULTS], "  "),
+            ',\n  "summary": ',
+            _object([(TEXT[kind], str(n)) for kind, n in counts.items()], "  "),
+            ',\n  "warnings": [', *rows, "\n  ]\n}\n" if rows else "]\n}\n"])
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")
 

@@ -28,11 +28,14 @@ script builds one set of documents:
 Sizes and seed are fixed, so a run can be cited by them.
 
 Each document goes through six CLI commands (validate as text, as JSON
-and with --expand-inheritance, check, and export of both views) and one
-serialize case, serialize_model(*parse_model(document)), whose text is
-compared as the commands' stdout is; where it raises, the case exits 2
-with the ParseError's text, or "internal error" and the exception, as
-its stderr.  They run in-process in one child interpreter per tree.
+and with --expand-inheritance, check, and export of both views) and two
+API cases, whose text is compared as the commands' stdout is: serialize,
+serialize_model(*parse_model(document)), and trace, the JSON list of
+trace(graph, statement) for every statement of
+parse_model(document, check=False), each its paths or its ValueError's
+text.  Where parse_model raises, an API case exits 2 with the
+ParseError's text, or "internal error" and the exception, as its stderr.
+They run in-process in one child interpreter per tree.
 Every case whose exit code, stdout or stderr differs between the trees
 is printed, followed by a summary; the exit status is 1 if any case
 differs, else 0.
@@ -70,7 +73,7 @@ COMMANDS = {
     "export-asset": ["export", "--view", "asset"],
     "export-goal": ["export", "--view", "goal"],
 }
-CASES = (*COMMANDS, "serialize")
+CASES = (*COMMANDS, "serialize", "trace")
 # The keys of each record section, as the document schema names them.
 KEYS = {
     "assets": ("name", "kind", "confidentiality", "integrity", "extraProperties", "parent"),
@@ -334,10 +337,22 @@ def worker(src: str, workdir: Path) -> None:
     sys.path.insert(0, src)
     import accesslint
     from accesslint import cli
+    from accesslint.goals import trace
     from accesslint.modelio import ParseError, parse_model, serialize_model
 
     if not Path(accesslint.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"accesslint imported from {accesslint.__file__}, not {src}")
+
+    def traced(document: bytes) -> str:
+        _, graph = parse_model(document, check=False)
+        paths = []
+        for statement in graph.policy:
+            try:
+                paths.append(trace(graph, statement))
+            except ValueError as exc:
+                paths.append(str(exc))
+        return json.dumps(paths)
+
     outcomes = []
     for path in json.loads((workdir / "manifest.json").read_text()):
         for argv in COMMANDS.values():
@@ -345,14 +360,16 @@ def worker(src: str, workdir: Path) -> None:
             with redirect_stdout(out), redirect_stderr(err):
                 code = cli.main([*argv, str(workdir / path)])
             outcomes.append(_outcome(code, out.getvalue(), err.getvalue()))
-        try:
-            text = serialize_model(*parse_model((workdir / path).read_bytes()))
-        except ParseError as exc:
-            outcomes.append(_outcome(2, "", str(exc)))
-        except Exception as exc:  # a crash, counted as the CLI counts one
-            outcomes.append(_outcome(2, "", f"internal error: {exc!r}"))
-        else:
-            outcomes.append(_outcome(0, text, ""))
+        document = (workdir / path).read_bytes()
+        for case in (lambda: serialize_model(*parse_model(document)), lambda: traced(document)):
+            try:
+                text = case()
+            except ParseError as exc:
+                outcomes.append(_outcome(2, "", str(exc)))
+            except Exception as exc:  # a crash, counted as the CLI counts one
+                outcomes.append(_outcome(2, "", f"internal error: {exc!r}"))
+            else:
+                outcomes.append(_outcome(0, text, ""))
     json.dump(outcomes, sys.stdout)
 
 

@@ -305,6 +305,27 @@ class TestTrace:
             trace(graph, graph.policy[0])
         assert str(info.value) == "more than 10000 refinement paths from requirement 'R'"
 
+    @staticmethod
+    def _under_roots(count: int) -> GoalGraph:
+        # Requirement R refined from count root goals: one path per root.
+        roots = [f"G{i}" for i in range(count)]
+        return GoalGraph(
+            nodes=tuple(Goal(n, GoalKind.GOAL) for n in roots) + (Goal("R", REQ),),
+            refinements=tuple(Refinement(root, "R") for root in roots),
+            policy=(_statement(),),
+        )
+
+    def test_exactly_max_trace_paths_are_returned(self):
+        graph = self._under_roots(MAX_TRACE_PATHS)
+        assert MAX_TRACE_PATHS == 10_000
+        assert trace(graph, graph.policy[0]) == [["R", f"G{i}"] for i in range(10_000)]
+
+    def test_one_path_past_max_trace_paths_raises(self):
+        graph = self._under_roots(MAX_TRACE_PATHS + 1)
+        with pytest.raises(ValueError) as info:
+            trace(graph, graph.policy[0])
+        assert str(info.value) == "more than 10000 refinement paths from requirement 'R'"
+
     def test_every_consecutive_pair_is_a_refinement_edge(self):
         _, graph = load_fixture("pyramid")
         edges = {(r.child, r.parent) for r in graph.refinements}

@@ -38,6 +38,7 @@ import cycle_oracle
 import json_reference
 import pairing_oracle
 import rule_oracle
+import trace_oracle
 from strategies import asset_models, goal_graphs, models_with_graphs, need_sets
 
 LEVEL_KINDS = {
@@ -462,3 +463,26 @@ def test_refinement_cycles_match_reference(names, edges):
     assert found == [
         (members[0], "refinement cycle: " + " -> ".join(members + [members[0]]))
         for members in cycle_oracle.refinement_cycles(names, edges)]
+
+
+# A refines into R, B into A twice, R into itself and A into B, closing a
+# cycle; E, which no goal declares, refines into B.
+@example(["R", "A", "B"], [("A", "R"), ("B", "A"), ("R", "R"), ("A", "B"), ("B", "A"),
+                           ("E", "B")], ["R", "B"])
+# Every parent of C is already on the path from A.
+@example(["A", "B", "C"], [("B", "A"), ("C", "B"), ("A", "C"), ("B", "C")], ["A"])
+@settings(max_examples=300)
+@given(st.lists(_goal_names, max_size=7),
+       st.lists(st.tuples(_goal_names, _goal_names), max_size=12),
+       st.lists(_goal_names, min_size=1, max_size=3))
+def test_trace_matches_reference(names, edges, requirements):
+    # Built unchecked, so that cycles, self-loops, repeated edges and
+    # undeclared goals all reach trace.
+    graph = GoalGraph(
+        nodes=tuple(Goal(name, GoalKind.REQUIREMENT) for name in names),
+        refinements=tuple(Refinement(p, c) for p, c in edges),
+        policy=tuple(PolicyStatement(requirement, "S", AccessNeed.READ, "T", Permission.DENY)
+                     for requirement in requirements))
+    for statement in graph.policy:
+        assert trace(graph, statement) == trace_oracle.refinement_paths(
+            edges, statement.requirement)
