@@ -22,7 +22,7 @@ Two documents ship with the package, in canonical serialized form:
 
 from __future__ import annotations
 
-from importlib.resources import files
+import os
 
 from .goals import GoalGraph
 from .model import AssetModel
@@ -32,10 +32,11 @@ FIXTURE_NAMES = ("pyramid", "works-diary")
 
 
 def fixture_text(name: str) -> str:
-    """Canonical document text for a bundled fixture."""
+    """Canonical document text for a bundled fixture, read from its installed file."""
     if name not in FIXTURE_NAMES:
         raise KeyError(name)
-    return files("accesslint.data").joinpath(f"{name}.json").read_text("utf-8")
+    with open(f"{os.path.dirname(__file__)}/data/{name}.json", encoding="utf-8") as handle:
+        return handle.read()
 
 
 def load_fixture(name: str) -> tuple[AssetModel, GoalGraph]:

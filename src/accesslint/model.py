@@ -116,8 +116,8 @@ class AssetModel:
     A model indexes its asset names and walks its parents once, on first
     use; index and lineage are read-only and not fields, so ==, repr and
     dataclasses.replace ignore them.  A model that expand_hierarchy returns
-    holds the same assets, so it shares both, and it carries its sorted
-    access triples for expand_needs.
+    holds the same assets, so it shares both, and unless a pair of assets is
+    associated twice it carries its sorted access triples for expand_needs.
     """
 
     assets: tuple[Asset, ...] = ()
@@ -170,9 +170,9 @@ class AssetModel:
             top_down += trail
         return Lineage(tuple(top_down), tuple(cycles))
 
-    def _expanded(self, associations: tuple[Association, ...], triples: tuple) -> AssetModel:
+    def _expanded(self, associations: tuple[Association, ...], triples: tuple | None) -> AssetModel:
         """This model with other associations, sharing its indexes and lineage
-        and carrying triples, the access triples those associations expand to."""
+        and carrying triples: those associations' access triples, or None."""
         expanded = AssetModel(self.assets, associations, self.matrix)
         vars(expanded).update(_index=self._index, _positions=self._positions,
                               lineage=self.lineage, _triples=triples)

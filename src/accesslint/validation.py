@@ -22,12 +22,11 @@ read-down.  Interact needs never participate in level checks.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from enum import Enum
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import combinations, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import NamedTuple
 
 from .goals import GoalGraph, Permission
@@ -120,8 +119,8 @@ def expand_needs(model: AssetModel) -> list[AccessTriple]:
     """Break every adorned association end into single-need triples.
 
     Output is sorted by subject name, then resource name, then
-    read < write < interact, so repeated runs enumerate identically.  A
-    model that expand_hierarchy returns carries its triples, and a copy of
+    read < write < interact, so repeated runs enumerate identically.  Where
+    a model that expand_hierarchy returns carries its triples, a copy of
     them is returned.
     """
     if model._triples is not None:
@@ -132,11 +131,6 @@ def expand_needs(model: AssetModel) -> list[AccessTriple]:
             rows.append((source, target, ACCESS_ORDER[need]))
         for need in target_needs:
             rows.append((target, source, ACCESS_ORDER[need]))
-    return _sorted_triples(rows)
-
-
-def _sorted_triples(rows: list[tuple[str, str, int]]) -> list[AccessTriple]:
-    """The triples of (subject, resource, rank) rows, in expand_needs's order."""
     rows.sort()
     return [_triple((subject, _NEEDS[rank], resource)) for subject, resource, rank in rows]
 
@@ -149,8 +143,9 @@ _RANKED = {frozenset(needs): needs
 
 
 class _Held(NamedTuple):
-    """The needs an asset's ancestors hold: by resource, in declaration order,
-    and one per triple, in the order expand_needs sorts a subject's triples in."""
+    """The needs an asset and its ancestors hold: by resource, in declaration
+    order, and one per triple, in the order expand_needs sorts a subject's
+    triples in."""
 
     by_resource: _Needs
     accesses: tuple[AccessNeed, ...]
@@ -158,23 +153,26 @@ class _Held(NamedTuple):
 
 
 _HELD_NOTHING = _Held({}, (), ())
-_subject = itemgetter(0)
 
 
-def _ancestor_needs(model: AssetModel, own: dict[str, _Needs]) -> dict[str, _Held]:
-    """Asset name -> the needs all of its ancestors hold, by resource.
+def _lineage_needs(model: AssetModel, own: dict[str, _Needs]) -> dict[str, _Held]:
+    """Asset or holder name -> the needs it and all of its ancestors hold.
 
-    Reads model.lineage.  In a cycle, each member gets the other members'
-    needs; every other asset, ancestors first, gets its parent's entry
-    plus its parent's own needs.  An entry is built, and its resources
-    sorted both ways, only where an ancestor's own needs are merged in;
+    Reads model.lineage: the members of a cycle share one entry holding
+    all their needs, and every other asset, ancestors first, gets its
+    parent's entry plus its own needs; an undeclared holder gets its own.
+    An entry is built only where a holder's own needs are merged in;
     otherwise the parent's is handed on, so entries are shared and none
-    may be mutated.  A need upon an undeclared asset raises ValueError.
+    may be mutated.  An inherited need upon an undeclared asset raises
+    ValueError.
     """
     index, positions = model._index, model._positions
     held: dict[str, _Held] = {}
 
-    def plus_own(base: _Held, name: str | None) -> _Held:
+    # The parents of other assets, built at the first need upon an undeclared asset, if any.
+    heirs = cache(lambda: {asset.parent for asset in index.values() if asset.parent != asset.name})
+
+    def plus_own(base: _Held, name: str) -> _Held:
         extra = own.get(name)
         if not extra:
             return base
@@ -183,9 +181,11 @@ def _ancestor_needs(model: AssetModel, own: dict[str, _Needs]) -> dict[str, _Hel
             merged[resource] = merged.get(resource, _NO_NEEDS) | needs
         try:
             in_order = sorted(merged, key=positions.__getitem__)
-        except KeyError as missing:
-            raise ValueError(f"inherited need upon unknown asset {quote(missing.args[0])}") \
-                from None
+        except KeyError as missing:  # upon one of name's own resources: base's are sorted
+            if name in heirs():
+                raise ValueError(f"inherited need upon unknown asset {quote(missing.args[0])}") \
+                    from None
+            in_order = merged  # no asset inherits this entry, so none pairs it
         accesses: list[AccessNeed] = []
         resources: list[str] = []
         for resource in sorted(merged):
@@ -194,13 +194,12 @@ def _ancestor_needs(model: AssetModel, own: dict[str, _Needs]) -> dict[str, _Hel
             resources += repeat(resource, len(ranked))
         return _Held({r: merged[r] for r in in_order}, tuple(accesses), tuple(resources))
 
-    lineage = model.lineage
-    for ring in lineage.cycles:
-        for i, member in enumerate(ring):
-            held[member] = reduce(plus_own, ring[i + 1:] + ring[:i], _HELD_NOTHING)
-    for name in lineage.top_down:
-        parent = index[name].parent
-        held[name] = plus_own(held.get(parent, _HELD_NOTHING), parent)
+    for name in own.keys() - positions.keys():  # an undeclared holder: its own needs
+        held[name] = plus_own(_HELD_NOTHING, name)
+    for ring in model.lineage.cycles:
+        held.update(dict.fromkeys(ring, reduce(plus_own, ring, _HELD_NOTHING)))
+    for name in model.lineage.top_down:
+        held[name] = plus_own(held.get(index[name].parent, _HELD_NOTHING), name)
     return held
 
 
@@ -210,34 +209,32 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
     With a chain A <- B <- C where A reads R, the result lets B and C
     read R as well.  Needs held *upon* an ancestor are not inherited,
     and a need is never copied onto the descendant itself.  One pass
-    over the subjects, in declaration order, places each gained
-    (subject, resource) pair: in the first association between the two,
-    either way round, or else in a new one that also takes the reverse
-    pair, so mutual gains share one association.  New associations come
-    in order of subject then resource declaration.
+    over the subjects, in declaration order, places the needs of each
+    one's parent entry: each (subject, resource) pair goes in the first
+    association between the two, either way round, or else in a new one
+    that also takes the reverse pair, so mutual gains share one
+    association.  New associations come in order of subject then
+    resource declaration.  A cycle member's entry holds its own needs
+    too, which merge into its own association.
 
     The result shares the input's index and lineage, and carries its
-    access triples for expand_needs.  The rows of the subjects that hold
-    needs of their own, gains included, are sorted once, as expand_needs
-    sorts them; every other subject takes its inherited entry's triples in
-    the order they were sorted in once per distinct entry.
+    access triples for expand_needs: each subject's own entry, minus any
+    need upon itself.  A model some of whose associations repeat a pair,
+    either way round, may repeat a triple, so its result carries none.
     The input is left untouched.  It must pass check_structure, as
-    parse_model's result does by default; an ancestor's need upon an
+    parse_model's result does by default; an inherited need upon an
     undeclared asset raises ValueError.
     """
-    positions = model._positions
+    index, positions = model._index, model._positions
     subject_needs: dict[str, _Needs] = {}
-    rows = []  # (subject, resource, rank) of each need a subject of own needs holds
     for source, target, source_needs, target_needs, _, _ in model.associations:
         for subject, resource, needs in ((source, target, source_needs),
                                          (target, source, target_needs)):
             if needs:
                 by_resource = subject_needs.setdefault(subject, {})
                 by_resource[resource] = by_resource.get(resource, _NO_NEEDS) | needs
-                for need in needs:
-                    rows.append((subject, resource, ACCESS_ORDER[need]))
 
-    inherited_by = _ancestor_needs(model, subject_needs)
+    held = _lineage_needs(model, subject_needs)
     associations = list(model.associations)
     # Each pair of names, both ways round -> the position of its first association.
     first: dict[tuple[str, str], int] = {}
@@ -246,14 +243,12 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
         first.setdefault((target, source), position)
 
     for name, position in positions.items():
-        holds = name in subject_needs  # else its ends are bare and it gains all it inherits
-        for resource, needs in inherited_by[name].by_resource.items():
+        for resource, needs in held.get(index[name].parent, _HELD_NOTHING).by_resource.items():
             if resource == name:
                 continue
             at = first.get((name, resource))
             if at is None:
-                end = _NO_NEEDS
-                reverse = inherited_by[resource].by_resource.get(name)
+                reverse = held[resource].by_resource.get(name)
                 # Else added with the reverse pair, whose subject comes first.
                 if reverse is None or position < positions[resource]:
                     associations.append(_association((name, resource, needs,
@@ -261,34 +256,22 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
             else:
                 assoc = associations[at]
                 if assoc.source == name:
-                    end = assoc.source_needs
-                    associations[at] = assoc._replace(source_needs=end | needs)
+                    associations[at] = assoc._replace(source_needs=assoc.source_needs | needs)
                 else:
-                    end = assoc.target_needs
-                    associations[at] = assoc._replace(target_needs=end | needs)
-            if holds:
-                for need in needs - end:
-                    rows.append((name, resource, ACCESS_ORDER[need]))
+                    associations[at] = assoc._replace(target_needs=assoc.target_needs | needs)
 
-    holders = _sorted_triples(rows)
-    # Each other subject's triples go in between the holders', by subject name.
     triples: list[AccessTriple] = []
-    at = 0
-    for subject in sorted(name for name in positions
-                          if name not in subject_needs and inherited_by[name].resources):
-        cut = bisect_left(holders, subject, at, key=_subject)
-        triples += holders[at:cut]
-        at = cut
-        held = inherited_by[subject]
-        if subject in held.by_resource:  # needs upon itself are not inherited
+    for subject in sorted(held):
+        entry = held[subject]
+        if subject in entry.by_resource:  # needs upon itself are not inherited
             triples += [_triple((subject, access, resource))
-                        for access, resource in zip(held.accesses, held.resources)
+                        for access, resource in zip(entry.accesses, entry.resources)
                         if resource != subject]
         else:
-            triples += map(_triple, zip(repeat(subject), held.accesses, held.resources))
-    triples += holders[at:]
-
-    return model._expanded(tuple(associations), tuple(triples))
+            triples += map(_triple, zip(repeat(subject), entry.accesses, entry.resources))
+    # A pair repeated, either way round, may repeat a triple, which no entry does.
+    repeats = len(first) < 2 * len(model.associations)
+    return model._expanded(tuple(associations), None if repeats else tuple(triples))
 
 
 def validate_access(model: AssetModel, graph: GoalGraph) -> ValidationReport:

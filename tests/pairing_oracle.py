@@ -4,8 +4,9 @@ accesslint.validation places each gained (subject, resource) pair in one
 pass over the subjects.  This keeps the two-pass form it replaced: every
 gained pair goes into a dict in order of subject then resource
 declaration; each association pops its two pairs, and each pair left
-over pops its reverse and becomes one new association.  The ancestor
-walk is accesslint's own, so tests compare the pairing alone.
+over pops its reverse and becomes one new association.  The entry map
+of the needs each asset and its ancestors hold is accesslint's own, and
+each asset gains its parent's entry, so tests compare the pairing alone.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from accesslint.model import AssetModel, Association
-from accesslint.validation import _Needs, _ancestor_needs, _association
+from accesslint.validation import _HELD_NOTHING, _Needs, _association, _lineage_needs
 
 
 def expand_hierarchy(model: AssetModel) -> AssetModel:
@@ -28,11 +29,12 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
                 by_resource = subject_needs.setdefault(subject, {})
                 by_resource[resource] = by_resource.get(resource, frozenset()) | needs
 
-    inherited_by = _ancestor_needs(model, subject_needs)
+    entries = _lineage_needs(model, subject_needs)
     # In order of subject then resource declaration, the order new associations take;
-    # sorted here, so the order _ancestor_needs hands out is checked, not trusted.
+    # sorted here, so the order _lineage_needs hands out is checked, not trusted.
     gained = {(name, resource): held[resource]
-              for name in doc_order for held in (inherited_by[name].by_resource,)
+              for name in doc_order
+              for held in (entries.get(model.index[name].parent, _HELD_NOTHING).by_resource,)
               for resource in sorted(held, key=doc_order.__getitem__) if resource != name}
 
     associations: list[Association] = []

@@ -136,6 +136,23 @@ def test_events_per_unit_of_work_stay_flat(shape):
     assert not grown, {stage: [round(r, 4) for r in ratios] for stage, ratios in grown.items()}
 
 
+def test_needs_upon_undeclared_assets_stay_flat():
+    """expand_hierarchy on an unchecked model whose every asset, none of them
+    a parent, reads an undeclared asset: each need stays its holder's triple,
+    and the work per asset does not grow with the number of assets."""
+    per_asset = []
+    for n in (50, 400):
+        document = {"version": 1,
+                    "assets": [{"name": f"A{i}", "kind": "system"} for i in range(n)],
+                    "associations": [{"source": f"A{i}", "target": f"Ghost{i}",
+                                      "sourceNeeds": ["read"]} for i in range(n)]}
+        model, _ = parse_model(json.dumps(document), check=False)
+        events, expanded = _line_events(expand_hierarchy, model)
+        assert len(expand_needs(expanded)) == n
+        per_asset.append(events / n)
+    assert per_asset[1] <= GROWTH * per_asset[0], per_asset
+
+
 def _schema_error(text: str) -> SchemaError:
     try:
         parse_model(text, check=False)

@@ -338,6 +338,23 @@ _WRITE = frozenset({AccessNeed.WRITE})
 _BOTH = _READ | _WRITE
 
 
+def test_a_need_upon_an_undeclared_asset_that_no_asset_inherits_stays_a_triple():
+    """C, which has no descendant, reads Ghost: that need stays C's own triple,
+    as expand_needs gives it.  Ghost, undeclared, writes C, and K, whose
+    parent is Ghost, inherits that write.  The expansion carries its triples."""
+    model = AssetModel(
+        assets=(Asset("P", AssetKind.SYSTEM), Asset("C", AssetKind.SYSTEM, parent="P"),
+                Asset("R", AssetKind.INFORMATION), Asset("K", AssetKind.SYSTEM, parent="Ghost")),
+        associations=(Association("C", "Ghost", _READ, _WRITE), Association("P", "R", _READ)))
+    expanded = expand_hierarchy(model)
+    assert expanded._triples is not None
+    read, write = AccessNeed.READ, AccessNeed.WRITE
+    assert expand_needs(expanded) == expand_needs(_carry_free(expanded)) == [
+        ("C", read, "Ghost"), ("C", read, "R"), ("Ghost", write, "C"), ("K", write, "C"),
+        ("P", read, "R")]
+    assert expanded.associations == pairing_oracle.expand_hierarchy(model).associations
+
+
 def _with_graph(model: AssetModel, *allowed: tuple[str, AccessNeed, str]):
     """model with a graph whose one requirement allows each interaction given."""
     return model, GoalGraph(

@@ -228,6 +228,21 @@ class TestExpandHierarchy:
         ]
 
 
+    def test_a_cycle_members_own_need_merges_into_the_first_association_of_its_pair(self):
+        # Unchecked: A and B inherit from each other, and A - R is associated
+        # twice.  The ring's one entry holds A's own read upon R, which lands
+        # on the first A - R association; B gains it on a new one.
+        model = AssetModel(
+            assets=(Asset("A", AssetKind.SYSTEM, parent="B"),
+                    Asset("B", AssetKind.SYSTEM, parent="A"), Asset("R", AssetKind.SYSTEM)),
+            associations=(Association("R", "A"), Association("A", "R", frozenset({R}))),
+        )
+        assert expand_hierarchy(model).associations == (
+            Association("R", "A", target_needs=frozenset({R})),
+            Association("A", "R", frozenset({R})),
+            Association("B", "R", frozenset({R})),
+        )
+
     def test_the_result_carries_its_triples_and_shares_the_index(self):
         model = _chain_model()
         expanded = expand_hierarchy(model)
@@ -236,6 +251,17 @@ class TestExpandHierarchy:
         assert replace(expanded, matrix={})._triples is None
         assert pickle.loads(pickle.dumps(expanded))._triples == expanded._triples
         assert model._triples is None
+        # C reads R upon two associations, one each way round, so the
+        # triple repeats, which an entry cannot: none are carried.
+        repeated = replace(model, associations=model.associations + (
+            Association("C", "R", frozenset({R})),
+            Association("R", "C", target_needs=frozenset({R}))))
+        expanded = expand_hierarchy(repeated)
+        assert expanded._triples is None
+        assert expand_needs(expanded).count(("C", R, "R")) == 2
+        graph = _graph_allowing(("A", R, "R"), ("C", R, "R"))
+        assert validate_access(expanded, graph) == validate_access(
+            AssetModel(expanded.assets, expanded.associations, expanded.matrix), graph)
 
     def test_gained_associations_are_whole_records(self, data_dir):
         for model in (_chain_model(),
