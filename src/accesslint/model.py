@@ -113,11 +113,14 @@ class Lineage(NamedTuple):
 class AssetModel:
     """Assets, the associations between them, and the access-rule matrix.
 
-    A model indexes its asset names and walks its parents once, on first
-    use; index and lineage are read-only and not fields, so ==, repr and
-    dataclasses.replace ignore them.  A model that expand_hierarchy returns
-    holds the same assets, so it shares both, and unless a pair of assets is
-    associated twice it carries its sorted access triples for expand_needs.
+    A model indexes its asset names, walks its parents and records
+    check_structure's first finding (_fault) once, on first use; none of
+    them is a field, so ==, repr and dataclasses.replace ignore them.
+    parse_model's checked result is recorded sound when it is built, so a
+    hand-built model pays one check_structure on its first expansion or
+    validation.  A model that expand_hierarchy returns holds the same
+    assets, so it shares the index and lineage, is sound too, and carries
+    its sorted access triples for expand_needs.
     """
 
     assets: tuple[Asset, ...] = ()
@@ -140,7 +143,7 @@ class AssetModel:
         """Asset name -> its asset, in order of first declaration.
 
         A name declared more than once, which check_structure reports, maps
-        to its last declaration, as validation has always read it.
+        to its last declaration.
         """
         return MappingProxyType(self._index)
 
@@ -170,12 +173,17 @@ class AssetModel:
             top_down += trail
         return Lineage(tuple(top_down), tuple(cycles))
 
-    def _expanded(self, associations: tuple[Association, ...], triples: tuple | None) -> AssetModel:
-        """This model with other associations, sharing its indexes and lineage
-        and carrying triples: those associations' access triples, or None."""
+    @cached_property
+    def _fault(self) -> ModelError | None:
+        """check_structure's first finding, or None for a sound model."""
+        return next(iter(check_structure(self)), None)
+
+    def _expanded(self, associations: tuple[Association, ...], triples: tuple) -> AssetModel:
+        """This sound model with other associations, sharing its indexes and
+        lineage and carrying triples, those associations' access triples."""
         expanded = AssetModel(self.assets, associations, self.matrix)
         vars(expanded).update(_index=self._index, _positions=self._positions,
-                              lineage=self.lineage, _triples=triples)
+                              lineage=self.lineage, _fault=None, _triples=triples)
         return expanded
 
 

@@ -440,7 +440,8 @@ def parse_model(document: bytes | str, *, check: bool = True) -> tuple[AssetMode
 
     With check=True (the default) the structural checks run as part of
     parsing and any error-severity finding raises SemanticError; a
-    successfully returned pair therefore satisfies every invariant.
+    successfully returned pair therefore satisfies every invariant, and its
+    model is recorded sound, so expansion and validation do not check again.
     Pass check=False to obtain the raw structures and run the checks
     yourself (the CLI's check command does this to report all findings).
     """
@@ -483,6 +484,7 @@ def parse_model(document: bytes | str, *, check: bool = True) -> tuple[AssetMode
         errors = [f for f in findings if f.severity == "error"]
         if errors:
             raise SemanticError(errors)
+        vars(model)["_fault"] = None
 
     return model, graph
 

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from functools import cache, partial, reduce
+from functools import partial
 from itertools import combinations, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
 from .goals import GoalGraph, Permission
-from .model import ACCESS_ORDER, AccessNeed, AssetModel, Association, quote
+from .model import ACCESS_ORDER, AccessNeed, AssetModel, Association
 
 
 class WarningKind(Enum):
@@ -119,9 +119,9 @@ def expand_needs(model: AssetModel) -> list[AccessTriple]:
     """Break every adorned association end into single-need triples.
 
     Output is sorted by subject name, then resource name, then
-    read < write < interact, so repeated runs enumerate identically.  Where
-    a model that expand_hierarchy returns carries its triples, a copy of
-    them is returned.
+    read < write < interact, so repeated runs enumerate identically.  A
+    model that expand_hierarchy returns carries its triples, and gets a
+    copy of them.
     """
     if model._triples is not None:
         return list(model._triples)
@@ -156,51 +156,39 @@ _HELD_NOTHING = _Held({}, (), ())
 
 
 def _lineage_needs(model: AssetModel, own: dict[str, _Needs]) -> dict[str, _Held]:
-    """Asset or holder name -> the needs it and all of its ancestors hold.
+    """Asset name -> the needs it and all of its ancestors hold.
 
-    Reads model.lineage: the members of a cycle share one entry holding
-    all their needs, and every other asset, ancestors first, gets its
-    parent's entry plus its own needs; an undeclared holder gets its own.
-    An entry is built only where a holder's own needs are merged in;
-    otherwise the parent's is handed on, so entries are shared and none
-    may be mutated.  An inherited need upon an undeclared asset raises
-    ValueError.
+    Built top down over model.lineage, which holds every asset of a sound
+    model: each asset gets its parent's entry plus its own needs.  An entry
+    is built only where an asset's own needs are merged in; otherwise the
+    parent's is handed on, so entries are shared and none may be mutated.
     """
     index, positions = model._index, model._positions
     held: dict[str, _Held] = {}
-
-    # The parents of other assets, built at the first need upon an undeclared asset, if any.
-    heirs = cache(lambda: {asset.parent for asset in index.values() if asset.parent != asset.name})
-
-    def plus_own(base: _Held, name: str) -> _Held:
+    for name in model.lineage.top_down:
+        base = held.get(index[name].parent, _HELD_NOTHING)
         extra = own.get(name)
         if not extra:
-            return base
+            held[name] = base
+            continue
         merged = dict(base.by_resource)
         for resource, needs in extra.items():
             merged[resource] = merged.get(resource, _NO_NEEDS) | needs
-        try:
-            in_order = sorted(merged, key=positions.__getitem__)
-        except KeyError as missing:  # upon one of name's own resources: base's are sorted
-            if name in heirs():
-                raise ValueError(f"inherited need upon unknown asset {quote(missing.args[0])}") \
-                    from None
-            in_order = merged  # no asset inherits this entry, so none pairs it
         accesses: list[AccessNeed] = []
         resources: list[str] = []
         for resource in sorted(merged):
             ranked = _RANKED[merged[resource]]
             accesses += ranked
             resources += repeat(resource, len(ranked))
-        return _Held({r: merged[r] for r in in_order}, tuple(accesses), tuple(resources))
-
-    for name in own.keys() - positions.keys():  # an undeclared holder: its own needs
-        held[name] = plus_own(_HELD_NOTHING, name)
-    for ring in model.lineage.cycles:
-        held.update(dict.fromkeys(ring, reduce(plus_own, ring, _HELD_NOTHING)))
-    for name in model.lineage.top_down:
-        held[name] = plus_own(held.get(index[name].parent, _HELD_NOTHING), name)
+        held[name] = _Held({r: merged[r] for r in sorted(merged, key=positions.__getitem__)},
+                           tuple(accesses), tuple(resources))
     return held
+
+
+def _require_sound(model: AssetModel) -> None:
+    """Raise ValueError naming check_structure's first finding, if model has one."""
+    if model._fault is not None:
+        raise ValueError(f"model fails check_structure: {model._fault}")
 
 
 def expand_hierarchy(model: AssetModel) -> AssetModel:
@@ -210,21 +198,19 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
     read R as well.  Needs held *upon* an ancestor are not inherited,
     and a need is never copied onto the descendant itself.  One pass
     over the subjects, in declaration order, places the needs of each
-    one's parent entry: each (subject, resource) pair goes in the first
+    one's parent entry: each (subject, resource) pair goes in the
     association between the two, either way round, or else in a new one
     that also takes the reverse pair, so mutual gains share one
     association.  New associations come in order of subject then
-    resource declaration.  A cycle member's entry holds its own needs
-    too, which merge into its own association.
+    resource declaration.
 
     The result shares the input's index and lineage, and carries its
     access triples for expand_needs: each subject's own entry, minus any
-    need upon itself.  A model some of whose associations repeat a pair,
-    either way round, may repeat a triple, so its result carries none.
-    The input is left untouched.  It must pass check_structure, as
-    parse_model's result does by default; an inherited need upon an
-    undeclared asset raises ValueError.
+    need upon itself.  The input is left untouched.  It must pass
+    check_structure, as parse_model's result does by default; otherwise
+    ValueError names check_structure's first finding.
     """
+    _require_sound(model)
     index, positions = model._index, model._positions
     subject_needs: dict[str, _Needs] = {}
     for source, target, source_needs, target_needs, _, _ in model.associations:
@@ -236,17 +222,16 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
 
     held = _lineage_needs(model, subject_needs)
     associations = list(model.associations)
-    # Each pair of names, both ways round -> the position of its first association.
-    first: dict[tuple[str, str], int] = {}
+    # Each pair of names, both ways round -> the position of its association.
+    paired: dict[tuple[str, str], int] = {}
     for position, (source, target, _, _, _, _) in enumerate(associations):
-        first.setdefault((source, target), position)
-        first.setdefault((target, source), position)
+        paired[source, target] = paired[target, source] = position
 
     for name, position in positions.items():
         for resource, needs in held.get(index[name].parent, _HELD_NOTHING).by_resource.items():
             if resource == name:
                 continue
-            at = first.get((name, resource))
+            at = paired.get((name, resource))
             if at is None:
                 reverse = held[resource].by_resource.get(name)
                 # Else added with the reverse pair, whose subject comes first.
@@ -269,9 +254,7 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
                         if resource != subject]
         else:
             triples += map(_triple, zip(repeat(subject), entry.accesses, entry.resources))
-    # A pair repeated, either way round, may repeat a triple, which no entry does.
-    repeats = len(first) < 2 * len(model.associations)
-    return model._expanded(tuple(associations), None if repeats else tuple(triples))
+    return model._expanded(tuple(associations), tuple(triples))
 
 
 def validate_access(model: AssetModel, graph: GoalGraph) -> ValidationReport:
@@ -281,8 +264,9 @@ def validate_access(model: AssetModel, graph: GoalGraph) -> ValidationReport:
     to two level warnings (one confidentiality, one integrity), checked
     in the order read-up, write-down, write-up, read-down.  The model
     must pass check_structure, as parse_model's result does by default;
-    an allowed triple naming an undeclared asset raises ValueError.
+    otherwise ValueError names check_structure's first finding.
     """
+    _require_sound(model)
     assets = model._index
     resolve = graph._policy_index.get
     warnings: list[AccessWarning] = []
@@ -295,11 +279,7 @@ def validate_access(model: AssetModel, graph: GoalGraph) -> ValidationReport:
             warnings.append(_warning((_UNAUTHORISED_ACCESS, triple)))
         else:
             subject_name, access, resource_name = triple
-            try:
-                subject, resource = assets[subject_name], assets[resource_name]
-            except KeyError as missing:
-                raise ValueError(f"allowed need names unknown asset {quote(missing.args[0])}") \
-                    from None
+            subject, resource = assets[subject_name], assets[resource_name]
             if access is _READ:
                 if resource.confidentiality > subject.confidentiality:
                     warnings.append(_warning((_NO_READ_UP, triple)))

@@ -28,17 +28,21 @@ script builds one set of documents:
 Sizes and seed are fixed, so a run can be cited by them.
 
 Each document goes through six CLI commands (validate as text, as JSON
-and with --expand-inheritance, check, and export of both views) and two
+and with --expand-inheritance, check, and export of both views) and three
 API cases, whose text is compared as the commands' stdout is: serialize,
-serialize_model(*parse_model(document)), and trace, the JSON list of
+serialize_model(*parse_model(document)); trace, the JSON list of
 trace(graph, statement) for every statement of
 parse_model(document, check=False), each its paths or its ValueError's
-text.  Where parse_model raises, an API case exits 2 with the
+text; and unchecked, the JSON list of validate_access(model, graph) and
+validate_access(expand_hierarchy(model), graph) on
+parse_model(document, check=False), each its JSON report or its
+ValueError's text.  Where parse_model raises, an API case exits 2 with the
 ParseError's text, or "internal error" and the exception, as its stderr.
 They run in-process in one child interpreter per tree.
 Every case whose exit code, stdout or stderr differs between the trees
-is printed, followed by a summary; the exit status is 1 if any case
-differs, else 0.
+is printed, followed by a summary, which counts apart the differing cases
+on documents whose check case did not exit 2 in the second tree; the exit
+status is 1 if any case differs, else 0.
 
 The file name keeps it out of pytest's collection; it is a tool, not a test.
 """
@@ -73,7 +77,7 @@ COMMANDS = {
     "export-asset": ["export", "--view", "asset"],
     "export-goal": ["export", "--view", "goal"],
 }
-CASES = (*COMMANDS, "serialize", "trace")
+CASES = (*COMMANDS, "serialize", "trace", "unchecked")
 # The keys of each record section, as the document schema names them.
 KEYS = {
     "assets": ("name", "kind", "confidentiality", "integrity", "extraProperties", "parent"),
@@ -338,7 +342,8 @@ def worker(src: str, workdir: Path) -> None:
     import accesslint
     from accesslint import cli
     from accesslint.goals import trace
-    from accesslint.modelio import ParseError, parse_model, serialize_model
+    from accesslint.modelio import ParseError, parse_model, render_report, serialize_model
+    from accesslint.validation import expand_hierarchy, validate_access
 
     if not Path(accesslint.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"accesslint imported from {accesslint.__file__}, not {src}")
@@ -353,6 +358,16 @@ def worker(src: str, workdir: Path) -> None:
                 paths.append(str(exc))
         return json.dumps(paths)
 
+    def unchecked(document: bytes) -> str:
+        model, graph = parse_model(document, check=False)
+        reports = []
+        for case in (lambda: model, lambda: expand_hierarchy(model)):
+            try:
+                reports.append(render_report(validate_access(case(), graph), "json"))
+            except ValueError as exc:
+                reports.append(str(exc))
+        return json.dumps(reports)
+
     outcomes = []
     for path in json.loads((workdir / "manifest.json").read_text()):
         for argv in COMMANDS.values():
@@ -361,7 +376,8 @@ def worker(src: str, workdir: Path) -> None:
                 code = cli.main([*argv, str(workdir / path)])
             outcomes.append(_outcome(code, out.getvalue(), err.getvalue()))
         document = (workdir / path).read_bytes()
-        for case in (lambda: serialize_model(*parse_model(document)), lambda: traced(document)):
+        for case in (lambda: serialize_model(*parse_model(document)), lambda: traced(document),
+                     lambda: unchecked(document)):
             try:
                 text = case()
             except ParseError as exc:
@@ -397,11 +413,14 @@ def main() -> int:
     old, new = map(json.loads, outputs)
 
     cases = [(name, case) for name in docs for case in CASES]
-    differ = 0
+    checked = {name: outcome[0] != 2
+               for (name, case), outcome in zip(cases, new) if case == "check"}
+    differ = differ_checked = 0
     for (name, command), before, after in zip(cases, old, new):
         if before == after:
             continue
         differ += 1
+        differ_checked += checked[name]
         print(f"{name} {command}:")
         for what, x, y in zip(("exit", "stdout sha256", "stdout length", "stderr"),
                               before, after):
@@ -412,7 +431,8 @@ def main() -> int:
     internal = sum("internal error" in err for *_, err in new)
     origins = Counter(name.split("/")[0] for name in docs)
     print(f"{len(docs)} documents ({', '.join(f'{k} {v}' for k, v in origins.items())}), "
-          f"mutation seed {SEED}; {len(cases)} cases, {differ} differ")
+          f"mutation seed {SEED}; {len(cases)} cases, {differ} differ, {differ_checked} of "
+          f"them on documents whose check case did not exit 2")
     print(f"exit codes {dict(sorted(codes.items()))}; {schema} schema errors at a path "
           f"below $; {internal} internal errors")
     return 1 if differ else 0

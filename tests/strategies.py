@@ -37,8 +37,9 @@ extra_properties = st.dictionaries(
     st.sampled_from(["availability", "accountability"]) | names, levels, max_size=2)
 
 
-# A parent name no asset has: drawn names are at most four characters long.
-UNDECLARED_PARENT = "Undeclared"
+# A name no asset has, for parents and association ends: drawn names are at
+# most four characters long.
+UNDECLARED = "Undeclared"
 
 
 @st.composite
@@ -48,7 +49,7 @@ def asset_models(draw, max_assets: int = 6, with_parents: bool = False,
 
     with_parents keeps it structurally valid, with acyclic parents.
     free_parents instead draws any parent at all: a later asset, the
-    asset itself, a cycle with tails, or UNDECLARED_PARENT.
+    asset itself, a cycle with tails, or UNDECLARED.
     """
     count = draw(st.integers(min_value=1, max_value=max_assets))
     asset_names = draw(st.lists(names, min_size=count, max_size=count, unique=True))
@@ -58,7 +59,7 @@ def asset_models(draw, max_assets: int = 6, with_parents: bool = False,
         kind = draw(kinds)
         parent = None
         if free_parents:
-            parent = draw(st.none() | st.sampled_from(asset_names + [UNDECLARED_PARENT]))
+            parent = draw(st.none() | st.sampled_from(asset_names + [UNDECLARED]))
         elif with_parents:
             # Parents always point at earlier assets of the same kind, so
             # chains can never cycle.

@@ -93,6 +93,9 @@ def _per_unit(text: str, traced: bool, measure=_line_events) -> dict[str, float]
     events["parse_model"], (model, graph) = measure(parse_model, text, check=False)
     events["check_structure"], _ = measure(check_structure, model)
     events["check_goal_structure"], _ = measure(check_goal_structure, graph, model)
+    # Sound, and now recorded so, as parse_model's check records it: the stages
+    # below do not pay check_structure again.
+    assert model._fault is None
     events["expand_hierarchy"], expanded = measure(expand_hierarchy, model)
     events["validate_access"], plain = measure(validate_access, model, graph)
     events["validate_access carried"], report = measure(validate_access, expanded, graph)
@@ -134,23 +137,6 @@ def test_events_per_unit_of_work_stay_flat(shape):
     grown = {stage: ratios for stage, ratios in per_unit.items()
              if max(ratios) > GROWTH * ratios[0]}
     assert not grown, {stage: [round(r, 4) for r in ratios] for stage, ratios in grown.items()}
-
-
-def test_needs_upon_undeclared_assets_stay_flat():
-    """expand_hierarchy on an unchecked model whose every asset, none of them
-    a parent, reads an undeclared asset: each need stays its holder's triple,
-    and the work per asset does not grow with the number of assets."""
-    per_asset = []
-    for n in (50, 400):
-        document = {"version": 1,
-                    "assets": [{"name": f"A{i}", "kind": "system"} for i in range(n)],
-                    "associations": [{"source": f"A{i}", "target": f"Ghost{i}",
-                                      "sourceNeeds": ["read"]} for i in range(n)]}
-        model, _ = parse_model(json.dumps(document), check=False)
-        events, expanded = _line_events(expand_hierarchy, model)
-        assert len(expand_needs(expanded)) == n
-        per_asset.append(events / n)
-    assert per_asset[1] <= GROWTH * per_asset[0], per_asset
 
 
 def _schema_error(text: str) -> SchemaError:

@@ -3,7 +3,7 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from accesslint.goals import (
@@ -39,7 +39,7 @@ import json_reference
 import pairing_oracle
 import rule_oracle
 import trace_oracle
-from strategies import asset_models, goal_graphs, models_with_graphs, need_sets
+from strategies import UNDECLARED, asset_models, goal_graphs, models_with_graphs, need_sets
 
 LEVEL_KINDS = {
     WarningKind.NO_READ_UP,
@@ -243,7 +243,7 @@ def test_hierarchy_expansion_is_structurally_valid(model):
     assert check_structure(expand_hierarchy(model)) == []
 
 
-@given(asset_models(free_parents=True))
+@given(asset_models(with_parents=True))
 def test_hierarchy_expansion_matches_ancestor_closure(model):
     parent = {a.name: a.parent for a in model.assets}
     base = set(expand_needs(model))
@@ -261,23 +261,9 @@ def test_hierarchy_expansion_matches_ancestor_closure(model):
     assert set(expand_needs(expand_hierarchy(model))) == expected
 
 
-@st.composite
-def _with_repeated_associations(draw) -> AssetModel:
-    """A free-parent model, some of whose associations repeat, either way round."""
-    model = draw(asset_models(free_parents=True))
-    repeats = []
-    for assoc in draw(st.lists(st.sampled_from(model.associations), max_size=3)
-                      if model.associations else st.just([])):
-        needs = draw(st.tuples(need_sets, need_sets))
-        ends = (assoc.target, assoc.source) if draw(st.booleans()) else assoc[:2]
-        repeats.append(Association(*ends, *needs))
-    associations = list(model.associations)
-    for assoc in repeats:
-        associations.insert(draw(st.integers(0, len(associations))), assoc)
-    return replace(model, associations=tuple(associations))
-
-
 _READ = frozenset({AccessNeed.READ})
+_WRITE = frozenset({AccessNeed.WRITE})
+_BOTH = _READ | _WRITE
 # C inherits from P first G's read upon R2, then P's own read upon R1: the
 # order the two were merged in is not the order R1 and R2 are declared in.
 _MERGED_OUT_OF_ORDER = AssetModel(
@@ -301,16 +287,9 @@ _MERGED_OUT_OF_ORDER = AssetModel(
             Asset("PA", AssetKind.SYSTEM), Asset("A", AssetKind.SYSTEM, parent="PA")),
     associations=(Association("PA", "B", _READ), Association("A", "PB", target_needs=_READ)),
 ))
-# A and B are already associated twice, once each way round: the first takes both gains.
-@example(AssetModel(
-    assets=(Asset("PA", AssetKind.SYSTEM), Asset("A", AssetKind.SYSTEM, parent="PA"),
-            Asset("PB", AssetKind.SYSTEM), Asset("B", AssetKind.SYSTEM, parent="PB")),
-    associations=(Association("B", "A"), Association("A", "B"),
-                  Association("PA", "B", _READ), Association("PB", "A", _READ)),
-))
 @example(_MERGED_OUT_OF_ORDER)
 @settings(max_examples=300)
-@given(asset_models(free_parents=True) | _with_repeated_associations())
+@given(asset_models(with_parents=True))
 def test_hierarchy_pairing_matches_the_two_pass_reference(model):
     """Each gained pair lands where the dict-and-pop pairing puts it, in the same order."""
     assert (expand_hierarchy(model).associations
@@ -321,38 +300,33 @@ def test_an_inherited_need_upon_an_undeclared_asset_raises_value_error():
     model = AssetModel(
         assets=(Asset("P", AssetKind.SYSTEM), Asset("C", AssetKind.SYSTEM, parent="P")),
         associations=(Association("P", "Ghost", _READ),))
-    with pytest.raises(ValueError) as reference:
-        pairing_oracle.expand_hierarchy(model)
-    with pytest.raises(ValueError) as engine:
+    message = ("model fails check_structure: "
+               "UnknownAsset: association end references unknown asset 'Ghost'")
+    with pytest.raises(ValueError) as expanding:
         expand_hierarchy(model)
-    assert str(engine.value) == str(reference.value) == \
-        "inherited need upon unknown asset 'Ghost'"
+    with pytest.raises(ValueError) as validating:
+        validate_access(model, GoalGraph())
+    assert str(expanding.value) == str(validating.value) == message
+
+
+def test_a_need_upon_an_undeclared_asset_that_no_asset_inherits_raises():
+    """C, which has no descendant, reads Ghost, and K's parent is Ghost:
+    check_structure reports the parent first, so both calls name it."""
+    model = AssetModel(
+        assets=(Asset("P", AssetKind.SYSTEM), Asset("C", AssetKind.SYSTEM, parent="P"),
+                Asset("R", AssetKind.INFORMATION), Asset("K", AssetKind.SYSTEM, parent="Ghost")),
+        associations=(Association("C", "Ghost", _READ, _WRITE), Association("P", "R", _READ)))
+    message = ("model fails check_structure: "
+               "UnknownParent: asset 'K' names unknown parent 'Ghost'")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        expand_hierarchy(model)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        validate_access(model, GoalGraph())
 
 
 def _carry_free(model: AssetModel) -> AssetModel:
     """A model of the same fields that carries no triples and shares no index."""
     return AssetModel(model.assets, model.associations, model.matrix)
-
-
-_WRITE = frozenset({AccessNeed.WRITE})
-_BOTH = _READ | _WRITE
-
-
-def test_a_need_upon_an_undeclared_asset_that_no_asset_inherits_stays_a_triple():
-    """C, which has no descendant, reads Ghost: that need stays C's own triple,
-    as expand_needs gives it.  Ghost, undeclared, writes C, and K, whose
-    parent is Ghost, inherits that write.  The expansion carries its triples."""
-    model = AssetModel(
-        assets=(Asset("P", AssetKind.SYSTEM), Asset("C", AssetKind.SYSTEM, parent="P"),
-                Asset("R", AssetKind.INFORMATION), Asset("K", AssetKind.SYSTEM, parent="Ghost")),
-        associations=(Association("C", "Ghost", _READ, _WRITE), Association("P", "R", _READ)))
-    expanded = expand_hierarchy(model)
-    assert expanded._triples is not None
-    read, write = AccessNeed.READ, AccessNeed.WRITE
-    assert expand_needs(expanded) == expand_needs(_carry_free(expanded)) == [
-        ("C", read, "Ghost"), ("C", read, "R"), ("Ghost", write, "C"), ("K", write, "C"),
-        ("P", read, "R")]
-    assert expanded.associations == pairing_oracle.expand_hierarchy(model).associations
 
 
 def _with_graph(model: AssetModel, *allowed: tuple[str, AccessNeed, str]):
@@ -363,18 +337,10 @@ def _with_graph(model: AssetModel, *allowed: tuple[str, AccessNeed, str]):
                      for subject, access, resource in allowed))
 
 
-_models_and_graphs = (asset_models(free_parents=True) | _with_repeated_associations()).flatmap(
+_models_and_graphs = asset_models(with_parents=True).flatmap(
     lambda model: st.tuples(st.just(model), goal_graphs(model)))
 
 
-# C reads R itself, twice over, and inherits P's read and write upon R: its
-# first end gains only the write, and the triples hold both of its reads.
-@example(_with_graph(AssetModel(
-    assets=(Asset("R", AssetKind.SYSTEM, confidentiality=SecurityValue.HIGH),
-            Asset("P", AssetKind.SYSTEM), Asset("C", AssetKind.SYSTEM, parent="P")),
-    associations=(Association("C", "R", _READ), Association("P", "R", _BOTH),
-                  Association("R", "C", target_needs=_READ)),
-), ("C", AccessNeed.READ, "R"), ("C", AccessNeed.WRITE, "R")))
 # A and B gain needs upon each other from their parents: one new association
 # takes both, declared the way round of A, the subject declared first.
 @example(_with_graph(AssetModel(
@@ -383,14 +349,6 @@ _models_and_graphs = (asset_models(free_parents=True) | _with_repeated_associati
                                                  integrity=SecurityValue.LOW)),
     associations=(Association("PA", "B", _READ), Association("PB", "A", _WRITE)),
 ), ("A", AccessNeed.READ, "B"), ("B", AccessNeed.WRITE, "A")))
-# An unchecked model: A and B inherit from each other, C from A, and B holds
-# a need upon C, its descendant, which C does not inherit.
-@example(_with_graph(AssetModel(
-    assets=(Asset("A", AssetKind.SYSTEM, parent="B"), Asset("B", AssetKind.SYSTEM, parent="A"),
-            Asset("C", AssetKind.SYSTEM, parent="A"), Asset("R", AssetKind.INFORMATION)),
-    associations=(Association("A", "R", _READ), Association("B", "R", _WRITE),
-                  Association("B", "C", _READ)),
-), ("C", AccessNeed.WRITE, "R")))
 @settings(max_examples=300)
 @given(_models_and_graphs)
 def test_carried_triples_match_a_fresh_expansion(case):
@@ -401,6 +359,88 @@ def test_carried_triples_match_a_fresh_expansion(case):
     assert expand_needs(expanded) == expand_needs(plain)
     assert validate_access(expanded, graph) == validate_access(plain, graph)
     assert expand_needs(expanded) is not expand_needs(expanded)  # a fresh copy each call
+
+
+@st.composite
+def _with_unchecked_associations(draw) -> AssetModel:
+    """A free-parent model with up to three more associations, inserted anywhere:
+    each repeats one of its own, either way round, or has an undeclared end."""
+    model = draw(asset_models(free_parents=True))
+    extra = []
+    for assoc in draw(st.lists(st.sampled_from(model.associations), max_size=3)
+                      if model.associations else st.just([])):
+        ends = draw(st.sampled_from([assoc[:2], (assoc.target, assoc.source),
+                                     (assoc.source, UNDECLARED), (UNDECLARED, assoc.target)]))
+        extra.append(Association(*ends, *draw(st.tuples(need_sets, need_sets))))
+    associations = list(model.associations)
+    for assoc in extra:
+        associations.insert(draw(st.integers(0, len(associations))), assoc)
+    return replace(model, associations=tuple(associations))
+
+
+# One unsound model per asset finding code, which check_structure reports first.
+_UNSOUND = {
+    "UnknownAsset": AssetModel(
+        assets=(Asset("A", AssetKind.SYSTEM),), associations=(Association("A", "Ghost", _READ),)),
+    "UnknownParent": AssetModel(assets=(Asset("A", AssetKind.SYSTEM, parent="Ghost"),)),
+    "ParentKindMismatch": AssetModel(
+        assets=(Asset("P", AssetKind.SYSTEM), Asset("C", AssetKind.INFORMATION, parent="P"))),
+    # A and B inherit from each other, C from A, and B holds a need upon C.
+    "CyclicInheritance": AssetModel(
+        assets=(Asset("A", AssetKind.SYSTEM, parent="B"), Asset("B", AssetKind.SYSTEM, parent="A"),
+                Asset("C", AssetKind.SYSTEM, parent="A"), Asset("R", AssetKind.INFORMATION)),
+        associations=(Association("A", "R", _READ), Association("B", "R", _WRITE),
+                      Association("B", "C", _READ))),
+    "SelfAssociation": AssetModel(
+        assets=(Asset("A", AssetKind.SYSTEM),), associations=(Association("A", "A", _READ),)),
+    # A and B are associated twice, once each way round, and gain needs upon each other.
+    "DuplicateAssociation": AssetModel(
+        assets=(Asset("PA", AssetKind.SYSTEM), Asset("A", AssetKind.SYSTEM, parent="PA"),
+                Asset("PB", AssetKind.SYSTEM), Asset("B", AssetKind.SYSTEM, parent="PB")),
+        associations=(Association("B", "A"), Association("A", "B"),
+                      Association("PA", "B", _READ), Association("PB", "A", _READ))),
+    "DuplicateAssetName": AssetModel(
+        assets=(Asset("A", AssetKind.SYSTEM), Asset("A", AssetKind.INFORMATION))),
+    "EmptyAssetName": AssetModel(assets=(Asset("", AssetKind.SYSTEM),)),
+    "MatrixViolation": AssetModel(
+        assets=(Asset("S", AssetKind.SYSTEM), Asset("H", AssetKind.PEOPLE)),
+        associations=(Association("S", "H", _READ),)),
+}
+
+
+def test_each_unsound_example_is_reported_first_under_its_code():
+    assert {code: check_structure(model)[0].code for code, model in _UNSOUND.items()} == \
+        dict(zip(_UNSOUND, _UNSOUND))
+
+
+@example(_UNSOUND["UnknownAsset"])
+@example(_UNSOUND["UnknownParent"])
+@example(_UNSOUND["ParentKindMismatch"])
+@example(_UNSOUND["CyclicInheritance"])
+@example(_UNSOUND["SelfAssociation"])
+@example(_UNSOUND["DuplicateAssociation"])
+# C reads R itself twice over, once each way round, and inherits P's needs upon R.
+@example(AssetModel(
+    assets=(Asset("R", AssetKind.SYSTEM), Asset("P", AssetKind.SYSTEM),
+            Asset("C", AssetKind.SYSTEM, parent="P")),
+    associations=(Association("C", "R", _READ), Association("P", "R", _BOTH),
+                  Association("R", "C", target_needs=_READ))))
+@example(_UNSOUND["DuplicateAssetName"])
+@example(_UNSOUND["EmptyAssetName"])
+@example(_UNSOUND["MatrixViolation"])
+@settings(max_examples=300)
+@given(asset_models(free_parents=True) | _with_unchecked_associations())
+def test_an_unsound_model_raises_its_first_finding(model):
+    """expand_hierarchy and validate_access refuse a model that check_structure
+    rejects, each with one ValueError naming the first finding."""
+    findings = check_structure(model)
+    assume(findings)
+    message = f"model fails check_structure: {findings[0]}"
+    with pytest.raises(ValueError) as expanding:
+        expand_hierarchy(model)
+    with pytest.raises(ValueError) as validating:
+        validate_access(model, GoalGraph())
+    assert str(expanding.value) == str(validating.value) == message
 
 
 _POOL_NAMES = ["A", "B", "C"]

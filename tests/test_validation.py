@@ -208,7 +208,7 @@ class TestExpandHierarchy:
             AccessTriple("T", W, "B"),
         }
 
-    def test_cycle_members_and_their_descendants_pool_needs(self):
+    def test_an_inheritance_cycle_raises_its_finding(self):
         # A and B inherit from each other; T hangs off the ring at A.
         model = AssetModel(
             assets=(
@@ -222,26 +222,24 @@ class TestExpandHierarchy:
                 Association("B", "R", source_needs=frozenset({W})),
             ),
         )
-        assert expand_needs(expand_hierarchy(model)) == [
-            AccessTriple(subject, access, "R")
-            for subject in ("A", "B", "T") for access in (R, W)
-        ]
+        message = ("^model fails check_structure: "
+                   "CyclicInheritance: inheritance cycle: A -> B -> A$")
+        with pytest.raises(ValueError, match=message):
+            expand_hierarchy(model)
+        with pytest.raises(ValueError, match=message):
+            validate_access(model, GoalGraph())
 
-
-    def test_a_cycle_members_own_need_merges_into_the_first_association_of_its_pair(self):
-        # Unchecked: A and B inherit from each other, and A - R is associated
-        # twice.  The ring's one entry holds A's own read upon R, which lands
-        # on the first A - R association; B gains it on a new one.
+    def test_a_cycle_beside_a_repeated_pair_raises_the_cycle(self):
+        # A and B inherit from each other, and A - R is associated twice:
+        # check_structure reports the cycle before the repeat.
         model = AssetModel(
             assets=(Asset("A", AssetKind.SYSTEM, parent="B"),
                     Asset("B", AssetKind.SYSTEM, parent="A"), Asset("R", AssetKind.SYSTEM)),
             associations=(Association("R", "A"), Association("A", "R", frozenset({R}))),
         )
-        assert expand_hierarchy(model).associations == (
-            Association("R", "A", target_needs=frozenset({R})),
-            Association("A", "R", frozenset({R})),
-            Association("B", "R", frozenset({R})),
-        )
+        with pytest.raises(ValueError, match=r"^model fails check_structure: "
+                                             r"CyclicInheritance: inheritance cycle: A -> B -> A$"):
+            expand_hierarchy(model)
 
     def test_the_result_carries_its_triples_and_shares_the_index(self):
         model = _chain_model()
@@ -251,17 +249,14 @@ class TestExpandHierarchy:
         assert replace(expanded, matrix={})._triples is None
         assert pickle.loads(pickle.dumps(expanded))._triples == expanded._triples
         assert model._triples is None
-        # C reads R upon two associations, one each way round, so the
-        # triple repeats, which an entry cannot: none are carried.
+        # C reads R upon two associations, one each way round: the model is
+        # unsound, so it has no expansion to carry triples.
         repeated = replace(model, associations=model.associations + (
             Association("C", "R", frozenset({R})),
             Association("R", "C", target_needs=frozenset({R}))))
-        expanded = expand_hierarchy(repeated)
-        assert expanded._triples is None
-        assert expand_needs(expanded).count(("C", R, "R")) == 2
-        graph = _graph_allowing(("A", R, "R"), ("C", R, "R"))
-        assert validate_access(expanded, graph) == validate_access(
-            AssetModel(expanded.assets, expanded.associations, expanded.matrix), graph)
+        with pytest.raises(ValueError, match=r"^model fails check_structure: DuplicateAssociation: "
+                                             r"more than one association between 'R' and 'C'$"):
+            expand_hierarchy(repeated)
 
     def test_gained_associations_are_whole_records(self, data_dir):
         for model in (_chain_model(),
@@ -400,10 +395,21 @@ class TestValidateBranches:
 def test_an_allowed_need_upon_an_undeclared_asset_raises_value_error():
     model = AssetModel(assets=(Asset("A", AssetKind.SYSTEM),),
                        associations=(Association("A", "Gh'ost", frozenset({R})),))
-    with pytest.raises(ValueError, match=r"^allowed need names unknown asset 'Gh\\'ost'$"):
-        validate_access(model, _graph_allowing(("A", R, "Gh'ost")))
-    # Undefined and denied needs read no asset.
-    assert len(validate_access(model, _graph_denying(("A", R, "Gh'ost"))).warnings) == 1
+    # Undefined and denied needs read no asset, and raise all the same.
+    for graph in (_graph_allowing(("A", R, "Gh'ost")), _graph_denying(("A", R, "Gh'ost"))):
+        with pytest.raises(ValueError, match=r"^model fails check_structure: UnknownAsset: "
+                                             r"association end references unknown asset 'Gh\\'ost'$"):
+            validate_access(model, graph)
+
+
+def test_replace_drops_the_soundness_parse_model_recorded():
+    model, graph = load_fixture("works-diary")
+    validate_access(model, graph)
+    name = model.assets[0].name
+    looped = replace(model, associations=model.associations + (
+        Association(name, name, frozenset({R})),))
+    with pytest.raises(ValueError, match=r"^model fails check_structure: SelfAssociation: "):
+        validate_access(looped, graph)
 
 
 class TestRecordContract:
