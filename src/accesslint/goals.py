@@ -52,7 +52,7 @@ class Refinement(NamedTuple):
     child: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolicyStatement:
     requirement: str
     subject: str

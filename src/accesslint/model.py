@@ -7,10 +7,10 @@ be adorned with the access needs (read, write, interact) one asset has
 upon the other.  Which asset kinds may act as subjects on which resource
 kinds is governed by an access-rule matrix.
 
-Associations and findings are NamedTuples; assets and the model are frozen
-dataclasses whose dict fields nothing here mutates.  The checks are pure
-functions that return error lists rather than raising.  Each proves a sound
-model sound on whole columns, and visits records one at a time only to report.
+Associations and findings are NamedTuples, assets slotted frozen dataclasses
+(no __dict__) and the model a frozen dataclass; nothing here mutates a dict field.
+The checks are pure functions that return error lists rather than raising.  Each
+proves a sound model sound on whole columns, and visits records only to report.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ ACCESS_ORDER: Mapping[AccessNeed, int] = {need: i for i, need in enumerate(Acces
 MULTIPLICITIES = ("1", "0..1", "1..*", "*")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Asset:
     """A named thing of value: a system, some information, or people.
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import deque
 from dataclasses import MISSING, fields as class_fields
 from functools import partial
 from itertools import chain, islice, permutations, repeat
@@ -223,7 +224,10 @@ def _needs(values: list) -> list:
 # Writers give a field's canonical JSON text at record depth (members six spaces in),
 # as a function or a table of each value's text.
 _json_bool = {False: "false", True: "true"}
-_QUOTED = {member: _quote(text) for member, text in TEXT.items()}  # a need or warning kind
+_ROW_HEADS = {(k, a): (f',\n    {{\n      "access": {_quote(TEXT[a])},\n      "kind": '
+                       f'{_quote(TEXT[k])},\n      "message": {_quote(p + ": ")[:-1]}',
+                       _quote(f" --{TEXT[a]}--> ")[1:-1])  # row texts to subject, then to resource
+              for k, p in _MESSAGE_PREFIX.items() for a in AccessNeed}
 
 
 def _object(members, indent: str) -> str:
@@ -291,14 +295,15 @@ _TOP_KEYS = frozenset(("version", *_RECORDS))
 _CONTAINERS = {list: "(a list)", dict: "(an object)"}
 _RECORD_KEYS = {section: frozenset(key for key, *_ in fields)
                 for section, (_, fields) in _RECORDS.items()}
-# Sections by column: (json key, default() or MISSING if required) in class order.
-_COLUMNS = {section: [(key, default) for name, default in _defaults(cls).items()
+# Sections by column: (json key, default() or MISSING if required, slot setter) in class order.
+_COLUMNS = {section: [(key, default, vars(cls)[name].__set__)  # frozen guards __setattr__ only
+                      for name, default in _defaults(cls).items()
                       for key, attribute, *_ in fields if attribute == name]
             for section, (cls, fields) in _RECORDS.items()}
 # Sections as a record's texts: (constant, None) or (column writer, attribute getter).  A member
 # omitted at its class default, unless a table writes that, is one column of whole texts or "".
 def _layout(section: str, fields: tuple) -> tuple:
-    defaults, layout, comma = dict(_COLUMNS[section]), [(",\n    {", None)], ""
+    defaults, layout, comma = {k: d for k, d, _ in _COLUMNS[section]}, [(",\n    {", None)], ""
     for key, attribute, _, write in sorted(fields):
         table, get, default = type(write) is dict, attrgetter(attribute), defaults[key]
         text, lead = write.__getitem__ if table else write, f"{comma}\n      {_quote(key)}: "
@@ -321,7 +326,7 @@ _LAYOUTS = {section: _layout(section, fields) for section, (_, fields) in _RECOR
 
 
 def _read(items: list, section: str):
-    """The records of a list, read a column at a time; at a fault, _Bad.
+    """The records of a list, read and built a column at a time; at a fault, _Bad.
 
     For a one-record list the fault is exact, the first of: the record's keys,
     then its required keys in class order, then its values in _RECORDS order.
@@ -333,7 +338,7 @@ def _read(items: list, section: str):
             _object_keys(obj, keys)
     every = sum(map(len, items)) == len(items) * len(keys)  # as none holds another key
     columns = {}  # json key -> the values present, in class order
-    for key, default in _COLUMNS[section]:
+    for key, default, _ in _COLUMNS[section]:
         columns[key] = ([*map(itemgetter(key), items)] if every  # one pass in C
                         else [obj[key] for obj in items if key in obj])
         if default is MISSING and len(columns[key]) < len(items):
@@ -343,12 +348,16 @@ def _read(items: list, section: str):
             columns[key] = read(columns[key])
     except _Bad as bad:
         raise _Bad(f".{key}{bad.suffix}", bad.reason) from None
-    for key, default in _COLUMNS[section]:
+    for key, default, _ in _COLUMNS[section]:
         if len(columns[key]) < len(items):
             values = iter(columns[key])
             columns[key] = [next(values) if key in obj else default() for obj in items]
-    return (map(partial(tuple.__new__, cls), zip(*columns.values()))  # a NamedTuple, in C
-            if issubclass(cls, tuple) else map(cls, *columns.values()))
+    if issubclass(cls, tuple):
+        return map(partial(tuple.__new__, cls), zip(*columns.values()))  # a NamedTuple, in C
+    records = [*map(object.__new__, repeat(cls, len(items)))]  # a slotted dataclass, set in C
+    for key, _, setter in _COLUMNS[section]:
+        deque(map(setter, records, columns[key]), 0)
+    return records
 
 
 def _records(root: dict, section: str):
@@ -524,14 +533,10 @@ def render_report(report: ValidationReport, format: str = "text") -> str:
     """
     counts = report.summary
     if format == "json":
-        # Each row is an AccessWarning's members by sorted key, its message spelled
-        # out, after the comma that ends the row before.
-        rows = [f',\n    {{\n      "access": {_QUOTED[access]},\n      "kind": {_QUOTED[kind]},'
-                f'\n      "message": '
-                f'{_quote(f"{_MESSAGE_PREFIX[kind]}: {subject} --{TEXT[access]}--> {resource}")},'
-                f'\n      "resource": {_quote(resource)},'
-                f'\n      "subject": {_quote(subject)}\n    }}'
-                for kind, (subject, access, resource) in report.warnings]
+        # An AccessWarning's members by sorted key, each name quoted once, after a comma.
+        rows = [f'{head}{s}{arrow}{r}",\n      "resource": "{r}",\n      "subject": "{s}"\n    }}'
+                for kind, (subject, access, resource) in report.warnings for (head, arrow), s, r
+                in [(_ROW_HEADS[kind, access], _quote(subject)[1:-1], _quote(resource)[1:-1])]]
         if rows:  # the first row has no row before it
             rows[0] = rows[0][1:]
         return "".join([

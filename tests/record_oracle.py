@@ -21,7 +21,7 @@ def record(obj: Any, section: str) -> Any:
     """The record obj of a section, or _Bad at its first fault."""
     cls, fields = _RECORDS[section]
     _object_keys(obj, _RECORD_KEYS[section])
-    for key, default in _COLUMNS[section]:
+    for key, default, _ in _COLUMNS[section]:
         if default is MISSING and key not in obj:
             raise _Bad("", f"missing required key {quote(key)}")
     values = {}

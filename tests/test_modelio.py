@@ -1,7 +1,9 @@
 """Document parsing, canonical serialization, and report rendering."""
 
+import dataclasses
 import inspect
 import json
+import pickle
 import re
 
 import pytest
@@ -575,6 +577,39 @@ def test_column_pass_builds_whole_named_tuples(source, data_dir):
         for record in records:
             assert type(record) is cls and len(record) == len(cls._fields)
             assert record == cls(*record)
+
+
+# chain.json names a parent in some assets and extraProperties in none; wide(20) the
+# reverse; pyramid holds neither, and policy statements.
+@pytest.mark.parametrize("source", ["pyramid", "chain.json", "wide"])
+def test_column_pass_builds_whole_slotted_records(source, data_dir):
+    """Records set a slot at a time are exactly their class, with every field set."""
+    text = (fixture_text(source) if source == "pyramid" else json.dumps(documents.wide(20))
+            if source == "wide" else (data_dir / source).read_text(encoding="utf-8"))
+    model, graph = parse_model(text)
+    assert model.assets and (graph.policy or source == "chain.json")
+    for cls, records in ((Asset, model.assets), (PolicyStatement, graph.policy)):
+        for record in records:
+            fields = {spec.name: getattr(record, spec.name) for spec in dataclasses.fields(cls)}
+            assert type(record) is cls and record == cls(**fields)
+
+
+def test_parsed_records_are_frozen_slotted_dataclasses():
+    model, graph = parse_model(fixture_text("pyramid"))
+    asset, statement = model.assets[0], graph.policy[0]
+    for record in (asset, statement):
+        first = dataclasses.fields(record)[0].name
+        copy = dataclasses.replace(record, **{first: "Other"})
+        assert type(copy) is type(record) and getattr(copy, first) == "Other"
+        assert dataclasses.replace(copy, **{first: getattr(record, first)}) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, first, "Other")
+        with pytest.raises(TypeError):  # slotted: no __dict__
+            vars(record)
+    with pytest.raises(TypeError):  # extra_properties is a dict
+        hash(asset)
+    assert hash(statement) == hash(dataclasses.replace(statement))
 
 
 _names = st.sampled_from(["A", "B", "C", "A:B"])
