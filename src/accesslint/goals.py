@@ -13,12 +13,12 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress, filterfalse
+from itertools import chain, compress, count, filterfalse
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .model import AccessNeed, AssetModel, ModelError, _name, index_names, printable, quote
+from .model import AccessNeed, AssetModel, ModelError, index_names, printable, quote
 
 
 class GoalKind(Enum):
@@ -100,34 +100,34 @@ class GoalGraph:
         return MappingProxyType(self._parents)
 
 
-def _refinement_cycles(graph: GoalGraph) -> list[list[str]]:
-    """Strongly connected components of size > 1 (or with a self loop).
+def _refinement_cycles(graph: GoalGraph, by_name: Mapping[str, Goal]) -> list[list[str]]:
+    """Strongly connected components of size > 1 (or with a self loop), in by_name's order.
 
     One peel, taking each goal once no parent is left above it, proves
     most graphs acyclic.  Else pass one walks down the child edges and
     records the order goals finish in; pass two, last finished first,
     gathers each component upward along graph.parents.  None recurses,
-    as chains may be long.  Edges to unknown goals count for nothing.
+    as chains may be long.  An edge to a goal that by_name, index_names'
+    map, lacks (an undeclared or empty name) counts for nothing.
     """
-    order = {node.name: i for i, node in enumerate(graph.nodes)}
     children: dict[str, list[str]] = {}
     for ref in graph.refinements:
-        if ref.parent in order and ref.child in order:
+        if ref.parent in by_name and ref.child in by_name:
             children.setdefault(ref.parent, []).append(ref.child)
 
     above = Counter(chain.from_iterable(children.values()))
-    peeled = [*filterfalse(above.__contains__, order)]
+    peeled = [*filterfalse(above.__contains__, by_name)]
     for node in peeled:  # grows as goals lose their last parent
         for child in children.get(node, ()):
             above[child] -= 1
             if not above[child]:
                 peeled.append(child)
-    if len(peeled) == len(order):
+    if len(peeled) == len(by_name):
         return []
 
     finished: list[str] = []
     seen: set[str] = set()
-    for root in order:
+    for root in by_name:
         pending = [(root, False)]
         while pending:
             node, done = pending.pop()
@@ -140,7 +140,7 @@ def _refinement_cycles(graph: GoalGraph) -> list[list[str]]:
 
     # Every known goal is in seen now; a component claims its goals by
     # taking them out.
-    parents = graph._parents
+    parents, order = graph._parents, dict(zip(by_name, count()))
     cycles: list[list[str]] = []
     for root in reversed(finished):
         if root not in seen:
@@ -171,9 +171,7 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
     policy statement and are not refined further are reported at warning
     severity: they may legitimately cover concerns other than access.
     """
-    by_name, errors = dict(zip(map(_name, graph.nodes), graph.nodes)), []
-    if len(by_name) < len(graph.nodes) or "" in by_name:  # a name repeated, or empty
-        by_name, errors = index_names(graph.nodes, "goal")
+    by_name, errors = index_names(graph.nodes, "goal")
     assets = model._index
     requirements = {name for name, node in by_name.items() if node.kind is _REQUIREMENT}
     parents, children = [*zip(*graph.refinements)] or [(), ()]
@@ -208,7 +206,7 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
                 f"requirement {quote(parent)} cannot be refined by goal {quote(child)}",
             ))
 
-    for members in _refinement_cycles(graph):
+    for members in _refinement_cycles(graph, by_name):
         errors.append(ModelError(
             "CyclicRefinement", printable(members[0]),
             "refinement cycle: " + " -> ".join(map(printable, members + [members[0]])),

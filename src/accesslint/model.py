@@ -132,28 +132,25 @@ class AssetModel:
     # Hot readers take the plain dicts: a view's get is a slower call.
     @cached_property
     def _index(self) -> dict[str, Asset]:
-        return dict(zip(map(_name, self.assets), self.assets))
+        return index_names(self.assets, "asset")[0]
 
     @cached_property
     def _positions(self) -> dict[str, int]:
-        return dict(zip(map(_name, self.assets), count()))
+        return dict(zip(self._index, count()))
 
     @property
     def index(self) -> Mapping[str, Asset]:
-        """Asset name -> its asset, in order of first declaration.
-
-        A name declared more than once, which check_structure reports, maps
-        to its last declaration.
-        """
+        """Asset name -> its first declaration, in document order.  The empty name
+        and each later declaration are left out, as index_names leaves them."""
         return MappingProxyType(self._index)
 
     @cached_property
     def lineage(self) -> Lineage:
-        """One walk up the parent links from each asset name, in index order.
+        """One walk up the parent links of the index, from each name in its order.
 
-        A walk stops at a name an earlier walk took, at a name that is not
-        an asset, or above a root (None); meeting its own trail, it closes
-        a new cycle.
+        A walk stops at a name an earlier walk took, at a name the index
+        lacks, or above a root (None); meeting its own trail, it closes a
+        new cycle.  So a repeated name follows its first declaration's parent.
         """
         untaken = dict(self._index)
         top_down: list[str] = []
@@ -219,10 +216,13 @@ class ModelError(NamedTuple):
 
 
 def index_names(items: Sequence[Any], noun: str) -> tuple[dict[str, Any], list[ModelError]]:
-    """Map each name to its first declaration in one pass; report Empty<Noun>Name
-    and Duplicate<Noun>Name (each later declaration) in document order."""
-    by_name: dict[str, Any] = {}
-    errors: list[ModelError] = []
+    """Map each name but the empty one to its first declaration, in document order:
+    the one reading of a name for every check, walk and index.  Only an empty or repeated
+    name takes the loop, which reports Empty<Noun>Name and Duplicate<Noun>Name in order."""
+    by_name = dict(zip(map(_name, items), items))
+    if len(by_name) == len(items) and "" not in by_name:
+        return by_name, []
+    by_name, errors = {}, []
     for item in items:
         if not item.name:
             errors.append(ModelError(
@@ -240,14 +240,14 @@ def check_structure(model: AssetModel) -> list[ModelError]:
     """Check every asset-model invariant; an empty result means the model is sound.
 
     Findings come out in document order so identical inputs always yield
-    identical error lists.
+    identical error lists.  Every rule reads model.index, so a name's later
+    declarations and an empty-named asset are each reported once, by index_names.
     """
-    by_name, errors = model._index, []
-    if len(by_name) < len(model.assets) or "" in by_name:  # a name repeated, or empty
-        by_name, errors = index_names(model.assets, "asset")
+    by_name = model._index
+    errors = index_names(model.assets, "asset")[1] if len(by_name) < len(model.assets) else []
 
-    for asset in model.assets:
-        if asset.parent is None or asset.name not in by_name:
+    for asset in by_name.values():
+        if asset.parent is None:
             continue
         parent = by_name.get(asset.parent)
         if parent is None:

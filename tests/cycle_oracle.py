@@ -25,15 +25,15 @@ def reachable(edges: list[tuple[str, str]], start: str) -> set[str]:
 def refinement_cycles(names: list[str], edges: list[tuple[str, str]]) -> list[list[str]]:
     """Each refinement cycle as its member names, in report order.
 
-    Only edges between declared goals count.  Two goals share a cycle
-    when each reaches the other; a goal alone is a cycle when it reaches
-    itself, which takes a self-loop.  A name declared more than once
-    sorts by its last declaration.  Members come out in that order, and
-    cycles by their first member.
+    Only edges between declared goals count, and the empty name declares
+    none.  Two goals share a cycle when each reaches the other; a goal
+    alone is a cycle when it reaches itself, which takes a self-loop.  A
+    name declared more than once sorts by its first declaration.  Members
+    come out in that order, and cycles by their first member.
     """
-    known = set(names)
+    known = set(names) - {""}
     edges = [(p, c) for p, c in edges if p in known and c in known]
-    position = {name: i for i, name in enumerate(names)}
+    position = {name: i for i, name in reversed([*enumerate(names)])}
     reach = {name: reachable(edges, name) for name in known}
     cycles = []
     for name in known:

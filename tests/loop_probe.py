@@ -75,8 +75,7 @@ def faults(asset_model: model.AssetModel, graph: goals.GoalGraph) -> dict[str, b
     """For each loop in LOOPS: whether the model breaks a rule that loop reports.
 
     A name declared more than once is read at its first declaration, and an
-    empty name declares nothing, as the checks read them; a policy asset may
-    be any name an asset declares.
+    empty name declares nothing, as the checks read them, policy assets too.
     """
     assets, nodes = {}, {}
     for records, first in ((asset_model.assets, assets), (graph.nodes, nodes)):
@@ -89,7 +88,6 @@ def faults(asset_model: model.AssetModel, graph: goals.GoalGraph) -> dict[str, b
                                                 (a.target, a.source, a.target_needs)) if needs]
     edges = [(r.parent, r.child) for r in graph.refinements]
     goal, requirement = goals.GoalKind
-    declared = {a.name for a in asset_model.assets}
     return {
         "associations": (
             any(s not in assets or t not in assets or s == t for s, t in ends)
@@ -101,6 +99,6 @@ def faults(asset_model: model.AssetModel, graph: goals.GoalGraph) -> dict[str, b
             or any((nodes[p].kind, nodes[c].kind) == (requirement, goal) for p, c in edges)),
         "policy": any(
             s.requirement not in nodes or nodes[s.requirement].kind is not requirement
-            or s.subject not in declared or s.resource not in declared for s in graph.policy),
+            or s.subject not in assets or s.resource not in assets for s in graph.policy),
         "cycles": bool(cycle_oracle.refinement_cycles([n.name for n in graph.nodes], edges)),
     }

@@ -1,4 +1,4 @@
-"""Hypothesis strategies for random but always-valid models and graphs."""
+"""Hypothesis strategies for random models and graphs, valid unless asked for unsound ones."""
 
 from __future__ import annotations
 
@@ -45,14 +45,19 @@ UNDECLARED = "Undeclared"
 @st.composite
 def asset_models(draw, max_assets: int = 6, with_parents: bool = False,
                  free_parents: bool = False) -> AssetModel:
-    """A model with unique names and legal needs.
+    """A model with unique names and legal needs, unless free_parents.
 
     with_parents keeps it structurally valid, with acyclic parents.
     free_parents instead draws any parent at all: a later asset, the
-    asset itself, a cycle with tails, or UNDECLARED.
+    asset itself, a cycle with tails, or UNDECLARED; and it may declare
+    a name again, so an association may join a name to itself or hold
+    needs that its ends' first declarations forbid.
     """
     count = draw(st.integers(min_value=1, max_value=max_assets))
     asset_names = draw(st.lists(names, min_size=count, max_size=count, unique=True))
+    if free_parents and draw(st.booleans()):
+        asset_names = draw(st.lists(st.sampled_from(asset_names), min_size=count,
+                                    max_size=count))
     matrix = default_matrix()
     assets: list[Asset] = []
     for i in range(count):

@@ -1,6 +1,9 @@
 """Level ordering, the access-rule matrix, and structural checks."""
 
+import ast
 import pickle
+import re
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,7 @@ from accesslint.model import (
     AssetKind,
     AssetModel,
     Association,
+    Lineage,
     ModelError,
     SecurityValue,
     check_structure,
@@ -261,10 +265,9 @@ class TestCheckStructure:
         )
         assert check_structure(model) == check_structure(model)
 
-    def test_cycle_members_keep_the_last_declaration_of_a_repeated_name(self):
-        # A's last declaration, the one the walk follows, closes the cycle
-        # A -> B -> A and places A after B, while A's first declaration
-        # (a root) is the one the parent checks read.
+    def test_a_later_declaration_is_reported_only_as_a_duplicate(self):
+        # A's last declaration would close the cycle A -> B -> A, but every
+        # rule reads A's first declaration, a root.
         model = AssetModel(assets=(
             Asset("A", AssetKind.SYSTEM),
             Asset("B", AssetKind.SYSTEM, parent="A"),
@@ -272,8 +275,19 @@ class TestCheckStructure:
         ))
         assert [(e.code, e.message) for e in check_structure(model)] == [
             ("DuplicateAssetName", "asset name 'A' is declared more than once"),
-            ("CyclicInheritance", "inheritance cycle: B -> A -> B"),
         ]
+
+    def test_index_and_lineage_read_the_first_declaration(self):
+        assets = (
+            Asset("", AssetKind.SYSTEM, parent="B"),
+            Asset("A", AssetKind.SYSTEM),
+            Asset("B", AssetKind.SYSTEM, parent="A"),
+            Asset("A", AssetKind.SYSTEM, parent="B"),
+            Asset("", AssetKind.SYSTEM),
+        )
+        model = AssetModel(assets=assets)
+        assert list(model.index.items()) == [("A", assets[1]), ("B", assets[2])]
+        assert model.lineage == Lineage(("A", "B"), ())
 
     def test_override_matrix_tightens_rules(self):
         cells = default_matrix()
@@ -342,3 +356,18 @@ def test_records_are_named_tuples(record, values):
     copied = record._replace(**{first: "Other"})
     assert type(copied) is type(record) and copied == ("Other", *values[1:])
     assert record == values
+
+
+def test_warnings_doc_lists_every_structural_code():
+    """docs/warnings.md's table of structural findings names exactly the codes
+    the checks build: each ModelError's code literal, and index_names' four."""
+    root = Path(__file__).resolve().parent.parent
+    built = {f"{kind}{noun}Name" for kind in ("Empty", "Duplicate") for noun in ("Asset", "Goal")}
+    for source in (root / "src" / "accesslint").glob("*.py"):
+        for call in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "ModelError"
+                    and isinstance(call.args[0], ast.Constant)):
+                built.add(call.args[0].value)
+    doc = (root / "docs" / "warnings.md").read_text(encoding="utf-8")
+    section = doc.split("## Structural findings", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"^\| `(\w+)` +\|", section, re.MULTILINE)) == built

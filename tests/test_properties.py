@@ -39,7 +39,7 @@ import json_reference
 import pairing_oracle
 import rule_oracle
 import trace_oracle
-from strategies import UNDECLARED, asset_models, goal_graphs, models_with_graphs, need_sets
+from strategies import UNDECLARED, asset_models, goal_graphs, kinds, models_with_graphs, need_sets
 
 LEVEL_KINDS = {
     WarningKind.NO_READ_UP,
@@ -500,12 +500,67 @@ def test_resolution_matches_plain_scans(case):
     assert got == rule_oracle.validate(model, graph)
 
 
+# Names from a short alphabet with the empty name, so that names repeat; an
+# end may also be a name no record declares.
+_few_names = st.sampled_from(["", "A", "B", "C"])
+_few_ends = st.sampled_from(["", "A", "B", "C", UNDECLARED])
+
+
+def _first_declarations(records: tuple) -> tuple:
+    """records less every later declaration of a name and every empty-named one."""
+    first: dict = {}
+    for record in records:
+        if record.name:
+            first.setdefault(record.name, record)
+    return tuple(first.values())
+
+
+# An empty-named asset is its own parent.
+@example([("", AssetKind.SYSTEM, "")], [])
+# A's second declaration would close the cycle A -> B -> A.
+@example([("A", AssetKind.SYSTEM, None), ("B", AssetKind.SYSTEM, "A"),
+          ("A", AssetKind.SYSTEM, "B")], [])
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_few_names, kinds, st.none() | _few_ends), max_size=7),
+       st.lists(st.tuples(_few_ends, _few_ends, need_sets, need_sets), max_size=6))
+def test_asset_checks_read_a_name_at_its_first_declaration(assets, associations):
+    """Past its own finding, a later declaration of a name or an empty-named
+    asset changes nothing: the rest is what the model without them gives."""
+    model = AssetModel(assets=tuple(Asset(name, kind, parent=parent)
+                                    for name, kind, parent in assets),
+                       associations=tuple(Association(*ends) for ends in associations))
+    findings = check_structure(model)
+    named = [f for f in findings if f.code in ("EmptyAssetName", "DuplicateAssetName")]
+    assert findings == named + check_structure(
+        replace(model, assets=_first_declarations(model.assets)))
+
+
+# An empty-named goal refines into itself.
+@example([("", GoalKind.GOAL)], [("", "")], [])
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_few_names, st.sampled_from(list(GoalKind))), max_size=7),
+       st.lists(st.tuples(_few_ends, _few_ends), max_size=8),
+       st.lists(st.tuples(_few_ends, st.sampled_from(list(Permission))), max_size=4))
+def test_goal_checks_read_a_name_at_its_first_declaration(nodes, edges, statements):
+    """As for assets: each goal name is read at its first declaration, or not at all."""
+    model = AssetModel(assets=(Asset("S", AssetKind.SYSTEM), Asset("R", AssetKind.INFORMATION)))
+    graph = GoalGraph(
+        nodes=tuple(Goal(name, kind) for name, kind in nodes),
+        refinements=tuple(Refinement(parent, child) for parent, child in edges),
+        policy=tuple(PolicyStatement(owner, "S", AccessNeed.READ, "R", permission)
+                     for owner, permission in statements))
+    findings = check_goal_structure(graph, model)
+    named = [f for f in findings if f.code in ("EmptyGoalName", "DuplicateGoalName")]
+    assert findings == named + check_goal_structure(
+        replace(graph, nodes=_first_declarations(graph.nodes)), model)
+
+
 # Goal graphs with repeated names, repeated edges and self-loops; a name
 # the list of goals leaves out is an unknown end.
 _goal_names = st.sampled_from("ABCDE")
 
 
-# A is declared twice, so its last declaration sorts it after B.
+# A is declared twice, and its first declaration sorts it before B.
 @example(["A", "B", "A"], [("A", "B"), ("B", "A")])
 # C reaches A only as A's second parent.
 @example(["A", "B", "C"], [("B", "A"), ("C", "A"), ("A", "B"), ("A", "C")])
