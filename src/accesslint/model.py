@@ -15,9 +15,10 @@ proves a sound model sound on whole columns, and visits records only to report.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import compress, count, filterfalse
 from operator import attrgetter
 from types import MappingProxyType
@@ -102,6 +103,22 @@ def default_matrix() -> dict[tuple[AssetKind, AssetKind], bool]:
 
 
 _name, _kind = attrgetter("name"), attrgetter("kind")
+
+
+def acyclic(build):
+    """build, run with the cyclic garbage collector paused if on: each container accesslint
+    builds is acyclic, so reference counting frees it and the collector finds nothing to free.
+    Its state is process-wide: a thread that turns it off during the call finds it on after."""
+    @wraps(build)
+    def call(*args, **kwargs):
+        paused = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if paused:
+                gc.enable()
+    return call
 
 
 class Lineage(NamedTuple):

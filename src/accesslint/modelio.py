@@ -4,11 +4,11 @@ A model document is UTF-8 JSON with top-level keys
 {version, assets, associations, goals, refinements, policy, matrixOverride}.
 The parser is deliberately strict: unknown and repeated keys anywhere are
 hard errors with the offending path named, because a silently ignored typo
-in a security model is worse than a parse failure.  The per-record schema
-lives in one table, _RECORDS, read by columns; at a fault the same reader
-re-reads the section a record at a time to name the first.  A key is required
-where its record class gives the field no default.  A schema fault is located
-by its path below the document root, as in $.assets[2].kind.
+in a security model is worse than a parse failure.  The per-record schema,
+_RECORDS, is read in one C pass per key; a count proves the values taken are
+all of a section's members, or it is re-read a record at a time to name the
+first fault.  A key is required where its record class gives the field no
+default.  A schema fault is located by its path below $, as in $.assets[2].kind.
 
 A document is decoded once, by json.loads without a hook, and read; then a
 count proves that no key repeated.  Each colon outside a string separates one
@@ -39,7 +39,7 @@ from dataclasses import MISSING, fields as class_fields
 from functools import partial
 from itertools import chain, islice, permutations, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter, itemgetter
+from operator import attrgetter, is_not, itemgetter
 from typing import Any, NamedTuple
 
 from .goals import (
@@ -60,6 +60,7 @@ from .model import (
     ModelError,
     MULTIPLICITIES,
     SecurityValue,
+    acyclic,
     check_structure,
     default_matrix,
     printable,
@@ -255,9 +256,8 @@ class _Override(NamedTuple):  # a matrixOverride entry: one matrix cell and its 
     allowed: bool
 
 
-# The per-record schema: section -> (class, (json key, attribute, reader, writer)).
-# A section is read by columns, values field by field in this order; at a fault it
-# is re-read a record at a time.  A key whose field has no class default is required.
+# The per-record schema: section -> (class, (json key, attribute, reader, writer)), its
+# values read field by field in this order.  A key whose field has no class default is required.
 _RECORDS = {
     "assets": (Asset, (
         ("name", "name", _names, _quote),
@@ -332,26 +332,31 @@ def _read(items: list, section: str):
     then its required keys in class order, then its values in _RECORDS order.
     """
     cls, fields = _RECORDS[section]
-    keys = _RECORD_KEYS[section]
-    if not (all(type(obj) is dict for obj in items) and all(map(keys.issuperset, items))):
-        for obj in items:
-            _object_keys(obj, keys)
-    every = sum(map(len, items)) == len(items) * len(keys)  # as none holds another key
-    columns = {}  # json key -> the values present, in class order
-    for key, default, _ in _COLUMNS[section]:
-        columns[key] = ([*map(itemgetter(key), items)] if every  # one pass in C
-                        else [obj[key] for obj in items if key in obj])
-        if default is MISSING and len(columns[key]) < len(items):
-            raise _Bad("", f"missing required key {quote(key)}")
+    columns, raw = {}, {}  # json key -> the values present / each record's, MISSING if it omits it
+    try:  # a record that is no object fails len, itemgetter or dict.get
+        members = sum(map(len, items))
+        for key, default, _ in _COLUMNS[section]:
+            if default is MISSING or members == len(items) * len(fields):
+                columns[key] = [*map(itemgetter(key), items)]  # a KeyError if one omits it
+            else:
+                raw[key] = [*map(dict.get, items, repeat(key), repeat(MISSING))]
+                columns[key] = [*filter(partial(is_not, MISSING), raw[key])]
+    except (KeyError, TypeError):
+        members = None
+    if members != sum(map(len, columns.values())):  # a record holds another key, or a fault raised
+        deque(map(_object_keys, items, repeat(_RECORD_KEYS[section])), 0)
+        for key, default, _ in _COLUMNS[section]:
+            if default is MISSING and not all(key in obj for obj in items):
+                raise _Bad("", f"missing required key {quote(key)}")
     try:
         for key, _, read, _ in fields:
             columns[key] = read(columns[key])
     except _Bad as bad:
         raise _Bad(f".{key}{bad.suffix}", bad.reason) from None
     for key, default, _ in _COLUMNS[section]:
-        if len(columns[key]) < len(items):
+        if len(columns[key]) < len(items):  # one pass: a default where a record omits the key
             values = iter(columns[key])
-            columns[key] = [next(values) if key in obj else default() for obj in items]
+            columns[key] = [default() if value is MISSING else next(values) for value in raw[key]]
     if issubclass(cls, tuple):
         return map(partial(tuple.__new__, cls), zip(*columns.values()))  # a NamedTuple, in C
     records = [*map(object.__new__, repeat(cls, len(items)))]  # a slotted dataclass, set in C
@@ -361,18 +366,23 @@ def _read(items: list, section: str):
 
 
 def _records(root: dict, section: str):
-    """Yield each record of a top-level list; at the first bad one, _Bad with its path below $."""
+    """The records of a top-level list; at a fault, one at a time up to the first bad one."""
     items = root.get(section, [])
     if type(items) is not list:
         raise _Bad(f".{section}", f"expected a list, got {type(items).__name__}")
     try:
-        yield from _read(items, section)
-    except _Bad:  # yield a record at a time up to the first bad one, and name its fault
-        for i, obj in enumerate(items):
-            try:
-                yield from _read([obj], section)
-            except _Bad as bad:
-                raise _Bad(f".{section}[{i}]{bad.suffix}", bad.reason) from None
+        return _read(items, section)
+    except _Bad:
+        return _one_at_a_time(items, section)
+
+
+def _one_at_a_time(items: list, section: str):
+    """Yield each record up to the first bad one; there, _Bad with its path below $."""
+    for i, obj in enumerate(items):
+        try:
+            yield from _read([obj], section)
+        except _Bad as bad:
+            raise _Bad(f".{section}[{i}]{bad.suffix}", bad.reason) from None
 
 
 def _read_root(root: Any) -> tuple[AssetModel, GoalGraph]:
@@ -444,6 +454,7 @@ def _reject_unpaired_surrogates(document: str) -> None:
                                        document, match.start())
 
 
+@acyclic
 def parse_model(document: bytes | str, *, check: bool = True) -> tuple[AssetModel, GoalGraph]:
     """Parse a model document into an asset model and goal graph.
 

@@ -30,7 +30,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .goals import GoalGraph, Permission
-from .model import ACCESS_ORDER, AccessNeed, AssetModel, Association
+from .model import ACCESS_ORDER, AccessNeed, AssetModel, Association, acyclic
 
 
 class WarningKind(Enum):
@@ -191,6 +191,7 @@ def _require_sound(model: AssetModel) -> None:
         raise ValueError(f"model fails check_structure: {model._fault}")
 
 
+@acyclic
 def expand_hierarchy(model: AssetModel) -> AssetModel:
     """Copy each ancestor's subject-side needs down to its descendants.
 
@@ -257,6 +258,7 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
     return model._expanded(tuple(associations), tuple(triples))
 
 
+@acyclic
 def validate_access(model: AssetModel, graph: GoalGraph) -> ValidationReport:
     """Resolve every expanded need against the policy and the lattice rules.
 

@@ -11,7 +11,9 @@ script builds one set of documents:
   the policy-churn base);
 - MUTATIONS mutations of the small ones, drawn from SEED, each with 1-3
   edits: junk values, dropped, unknown and repeated keys, duplicated and
-  dropped records, and records with several faults at once;
+  dropped records, records with several faults at once, an asset or goal
+  renamed to an earlier one's name (keeping its own kind and parent), and
+  a name emptied along with every reference to it;
 - RESTATEMENTS restatements of those that hold a policy, drawn from
   SEED, each restating one policy statement once or twice, with its own
   permission or the other one;
@@ -97,6 +99,12 @@ JUNK = (
     {"cost": 1}, {"availability": "low"}, {"read": 1},
 )
 UNKNOWN_KEYS = ("colour", "Name", "kind ", "source_needs", "", "version", "assets")
+# The keys of each record section that name an asset or a goal, by the section named.
+REFERENCES = {
+    "assets": {"assets": ("parent",), "associations": ("source", "target"),
+               "policy": ("subject", "resource")},
+    "goals": {"refinements": ("parent", "child"), "policy": ("requirement",)},
+}
 # The keys of each record section whose values are free text.
 FREE_TEXT = {"assets": ("name", "parent"), "associations": ("source", "target"),
              "goals": ("name", "definition"), "refinements": ("parent", "child"),
@@ -156,6 +164,31 @@ def _edit_record(rng: random.Random, section: str, record, edit: str):
     return pairs
 
 
+def _rename(rng: random.Random, data: dict, edit: str) -> None:
+    """Give an asset or goal an earlier one's name ("rename"), or empty its name
+    and every reference to it ("unname"); a no-op where no record qualifies."""
+    named = [(section, i) for section in REFERENCES if type(data.get(section)) is list
+             for i, record in enumerate(data[section])
+             if type(record) is dict and type(record.get("name")) is str
+             and (edit == "unname" or i > 0)]
+    if not named:
+        return
+    section, i = rng.choice(named)
+    record = data[section][i]
+    if edit == "rename":
+        earlier = [r["name"] for r in data[section][:i] if type(r) is dict and "name" in r]
+        if earlier:
+            record["name"] = rng.choice(earlier)
+        return
+    name, record["name"] = record["name"], ""
+    for referring, keys in REFERENCES[section].items():
+        others = data.get(referring)
+        for other in others if type(others) is list else ():
+            for key in keys:
+                if type(other) is dict and other.get(key) == name:
+                    other[key] = ""
+
+
 def mutate(rng: random.Random, data: dict) -> dict:
     """data with 1-3 seeded edits."""
     if rng.random() < 0.25:  # most documents hold no override, so add some to spoil
@@ -163,11 +196,13 @@ def mutate(rng: random.Random, data: dict) -> dict:
             {"subject": rng.choice(KINDS), "resource": rng.choice(KINDS),
              "allowed": rng.random() < 0.5} for _ in range(rng.randint(1, 3))]
     for _ in range(rng.randint(1, 3)):
-        edit = rng.choice(("junk", "drop-key", "unknown-key", "repeat-key",
-                           "dup-record", "drop-record", "multi-fault", "top-level"))
+        edit = rng.choice(("junk", "drop-key", "unknown-key", "repeat-key", "dup-record",
+                           "drop-record", "multi-fault", "top-level", "rename", "unname"))
         section, items = _records(rng, data)
         i = rng.randrange(len(items))
-        if edit == "dup-record":
+        if edit in ("rename", "unname"):
+            _rename(rng, data, edit)
+        elif edit == "dup-record":
             items.insert(rng.randint(0, len(items)), items[i])
         elif edit == "drop-record":
             del items[i]

@@ -271,7 +271,15 @@ class TestParse:
 
 
 _ASSET = {"name": "A", "kind": "system"}
+_FULL_ASSET = dict(_ASSET, confidentiality="low", integrity="low", extraProperties={},
+                   parent="B")
+_STATEMENT = {"requirement": "R", "subject": "A", "access": "read", "resource": "B",
+              "permission": "allow"}
 _OVERRIDE = {"subject": "people", "resource": "people", "allowed": False}
+
+
+def _without(record: dict, key: str) -> dict:
+    return {k: v for k, v in record.items() if k != key}
 
 
 # Each message is a location below the document root $, then the reason.
@@ -387,6 +395,35 @@ _OVERRIDE = {"subject": "people", "resource": "people", "allowed": False}
     # counted, or the decoded colons would balance the member dropped.
     ('{"version": 1, "assets": [{"name": "a:b\\u003Ac", "kind": "system", "kind": "system"}]}',
      "assets[0].kind: duplicate key 'kind'"),
+    # A section is read whole when its members are all counted among its
+    # columns.  Here an unknown key and a key left out balance the members of
+    # a section where every record holds every key, in either order.
+    ({"policy": [dict(_STATEMENT, colour="red"), _without(_STATEMENT, "permission")]},
+     "policy[0].colour: unknown key 'colour'"),
+    ({"policy": [_without(_STATEMENT, "permission"), dict(_STATEMENT, colour="red")]},
+     "policy[0]: missing required key 'permission'"),
+    ({"assets": [dict(_FULL_ASSET, colour="red"), _without(_FULL_ASSET, "parent")]},
+     "assets[0].colour: unknown key 'colour'"),
+    ({"assets": [_without(_FULL_ASSET, "parent"), dict(_FULL_ASSET, colour="red")]},
+     "assets[1].colour: unknown key 'colour'"),
+    ({"assets": [dict(_ASSET, colour="red"), dict(_ASSET, name="B", parent="A")]},
+     "assets[0].colour: unknown key 'colour'"),
+    # A record that is no object, between two good ones; a list or a string
+    # as long as a record would be makes the member count come out right.
+    ({"assets": [_ASSET, [], _ASSET]}, "assets[1]: expected an object, got list"),
+    ({"assets": [_ASSET, "AB", _ASSET]}, "assets[1]: expected an object, got str"),
+    ({"assets": [_ASSET, 7, _ASSET]}, "assets[1]: expected an object, got int"),
+    ({"assets": [_ASSET, None, _ASSET]}, "assets[1]: expected an object, got NoneType"),
+    ({"policy": [_STATEMENT, ["a", "b", "c", "d", "e"], _STATEMENT]},
+     "policy[1]: expected an object, got list"),
+    ({"policy": [_STATEMENT, "abcde", _STATEMENT]}, "policy[1]: expected an object, got str"),
+    # A repeated key in a section whose records leave optional keys out.
+    ('{"version": 1, "assets": [{"name": "A", "kind": "system"},'
+     ' {"name": "B", "kind": "system", "kind": "system"}]}',
+     "assets[1].kind: duplicate key 'kind'"),
+    ('{"version": 1, "goals": [{"name": "G", "kind": "goal", "definition": "d"},'
+     ' {"name": "H", "name": "I", "kind": "goal"}]}',
+     "goals[1].name: duplicate key 'name'"),
 ])
 def test_first_fault_wins_with_exact_text(document, message):
     if isinstance(document, dict):
@@ -491,8 +528,24 @@ def test_each_key_is_required_or_takes_the_class_default(section, key):
     assert (value, type(value)) == (default, type(default)) != (full, type(full))
 
 
-_STATEMENT = {"requirement": "R", "subject": "A", "access": "read", "resource": "B",
-              "permission": "allow"}
+@pytest.mark.parametrize("section", [section for section, entry in _ONE_RECORD.items()
+                                     if entry[-1] is not None])
+def test_records_with_and_without_optional_keys_read_as_each_alone(section):
+    record, required, _, _ = _ONE_RECORD[section]
+    bare = {key: record[key] for key in required}
+    optional = [key for key in record if key not in required]
+    records = [record, bare, *({**bare, key: record[key]} for key in optional),
+               *(_without(record, key) for key in optional), bare]
+
+    def read(items: list) -> tuple:
+        model, graph = parse_model(json.dumps({"version": 1, section: items}), check=False)
+        return {"assets": model.assets, "associations": model.associations,
+                "goals": graph.nodes}[section]
+
+    whole = read(records)
+    assert whole == tuple(read([item])[0] for item in records)
+    if section == "assets":  # each asset that leaves them out gets a dict of its own
+        assert len({id(asset.extra_properties) for asset in whole}) == len(whole)
 
 
 def _policy(*edits) -> str:
