@@ -13,8 +13,8 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress, count, filterfalse
-from operator import attrgetter
+from itertools import chain, compress, count, filterfalse, repeat
+from operator import attrgetter, lt
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -103,13 +103,19 @@ class GoalGraph:
 def _refinement_cycles(graph: GoalGraph, by_name: Mapping[str, Goal]) -> list[list[str]]:
     """Strongly connected components of size > 1 (or with a self loop), in by_name's order.
 
-    One peel, taking each goal once no parent is left above it, proves
-    most graphs acyclic.  Else pass one walks down the child edges and
+    One C pass proves most graphs acyclic: every edge runs down by_name's
+    order.  Else one peel, taking each goal once no parent is left above
+    it, may prove it.  Else pass one walks down the child edges and
     records the order goals finish in; pass two, last finished first,
     gathers each component upward along graph.parents.  None recurses,
     as chains may be long.  An edge to a goal that by_name, index_names'
     map, lacks (an undeclared or empty name) counts for nothing.
     """
+    order = dict(zip(by_name, count()))  # an unknown end ranks past the edge's other end
+    uppers, lowers = [*zip(*graph.refinements)] or [(), ()]
+    if all(map(lt, map(order.get, uppers, repeat(-1)), map(order.get, lowers, repeat(len(order))))):
+        return []
+
     children: dict[str, list[str]] = {}
     for ref in graph.refinements:
         if ref.parent in by_name and ref.child in by_name:
@@ -140,7 +146,7 @@ def _refinement_cycles(graph: GoalGraph, by_name: Mapping[str, Goal]) -> list[li
 
     # Every known goal is in seen now; a component claims its goals by
     # taking them out.
-    parents, order = graph._parents, dict(zip(by_name, count()))
+    parents = graph._parents
     cycles: list[list[str]] = []
     for root in reversed(finished):
         if root not in seen:

@@ -19,8 +19,8 @@ import gc
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property, wraps
-from itertools import compress, count, filterfalse
-from operator import attrgetter
+from itertools import compress, count, filterfalse, repeat
+from operator import attrgetter, lt
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple, Sequence
 
@@ -102,7 +102,7 @@ def default_matrix() -> dict[tuple[AssetKind, AssetKind], bool]:
             for subject in AssetKind for resource in AssetKind}
 
 
-_name, _kind = attrgetter("name"), attrgetter("kind")
+_name, _kind, _parent = map(attrgetter, ("name", "kind", "parent"))
 
 
 def acyclic(build):
@@ -168,7 +168,12 @@ class AssetModel:
         A walk stops at a name an earlier walk took, at a name the index
         lacks, or above a root (None); meeting its own trail, it closes a
         new cycle.  So a repeated name follows its first declaration's parent.
+        When one C pass finds each parent declared before its child, or unknown,
+        each walk would take one name, in index order, so none is walked.
         """
+        ranks = map(self._positions.get, map(_parent, self._index.values()), repeat(-1))
+        if all(map(lt, ranks, count())):
+            return Lineage(tuple(self._index), ())
         untaken = dict(self._index)
         top_down: list[str] = []
         cycles: list[tuple[str, ...]] = []

@@ -225,6 +225,8 @@ def _needs(values: list) -> list:
 # Writers give a field's canonical JSON text at record depth (members six spaces in),
 # as a function or a table of each value's text.
 _json_bool = {False: "false", True: "true"}
+# The ASCII bytes a text report writes as they stand: str.isprintable() holds for 0x20-0x7E.
+_PLAIN_ASCII = bytes(range(0x20, 0x7F)).replace(b"\\", b"")
 _ROW_HEADS = {(k, a): (f',\n    {{\n      "access": {_quote(TEXT[a])},\n      "kind": '
                        f'{_quote(TEXT[k])},\n      "message": {_quote(p + ": ")[:-1]}',
                        _quote(f" --{TEXT[a]}--> ")[1:-1])  # row texts to subject, then to resource
@@ -538,12 +540,15 @@ def render_report(report: ValidationReport, format: str = "text") -> str:
     """Render a validation report as human-readable text or as JSON.
 
     The text form lists one warning per line followed by a five-row
-    security-rule summary with Y/N flags; the JSON form carries the
-    warnings, per-kind counts, and rule flags.  Both forms count the summary
-    once and write each warning from its kind and triple alone.
+    security-rule summary with Y/N flags, read from the set of kinds; the
+    JSON form carries the warnings, per-kind counts, and rule flags, and
+    counts the summary once.  Both write each warning from its kind and
+    triple alone.  Text that one C pass finds to be plain ASCII, printable
+    and without a backslash, is written as it stands; else each line goes
+    through printable.
     """
-    counts = report.summary
     if format == "json":
+        counts = report.summary
         # An AccessWarning's members by sorted key, each name quoted once, after a comma.
         rows = [f'{head}{s}{arrow}{r}",\n      "resource": "{r}",\n      "subject": "{s}"\n    }}'
                 for kind, (subject, access, resource) in report.warnings for (head, arrow), s, r
@@ -563,11 +568,14 @@ def render_report(report: ValidationReport, format: str = "text") -> str:
     lines = [f"{TEXT[kind]}: {subject} --{TEXT[access]}--> {resource}"
              for kind, (subject, access, resource) in report.warnings]
     joined = "".join(lines)
-    if not joined.isprintable() or "\\" in joined:
+    if (joined.encode().translate(None, _PLAIN_ASCII) if joined.isascii()
+            else not joined.isprintable() or "\\" in joined):
         lines = list(map(printable, lines))
     if lines:
         lines.append("")
+    kinds = {*map(itemgetter(0), report.warnings)}
     width = max(len(label) for _, label, _ in RULE_RESULTS)
     for _, label, kind in RULE_RESULTS:
-        lines.append(f"{label:<{width}} {'Y' if counts[kind] else 'N'}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"{label:<{width}} {'Y' if kind in kinds else 'N'}")
+    lines.append("")
+    return "\n".join(lines)

@@ -12,8 +12,9 @@ script builds one set of documents:
 - MUTATIONS mutations of the small ones, drawn from SEED, each with 1-3
   edits: junk values, dropped, unknown and repeated keys, duplicated and
   dropped records, records with several faults at once, an asset or goal
-  renamed to an earlier one's name (keeping its own kind and parent), and
-  a name emptied along with every reference to it;
+  renamed to an earlier one's name (keeping its own kind and parent), a
+  name emptied along with every reference to it, and the assets or the
+  goals reversed, so that children come before their parents;
 - RESTATEMENTS restatements of those that hold a policy, drawn from
   SEED, each restating one policy statement once or twice, with its own
   permission or the other one;
@@ -197,11 +198,16 @@ def mutate(rng: random.Random, data: dict) -> dict:
              "allowed": rng.random() < 0.5} for _ in range(rng.randint(1, 3))]
     for _ in range(rng.randint(1, 3)):
         edit = rng.choice(("junk", "drop-key", "unknown-key", "repeat-key", "dup-record",
-                           "drop-record", "multi-fault", "top-level", "rename", "unname"))
+                           "drop-record", "multi-fault", "top-level", "rename", "unname",
+                           "reverse"))
         section, items = _records(rng, data)
         i = rng.randrange(len(items))
         if edit in ("rename", "unname"):
             _rename(rng, data, edit)
+        elif edit == "reverse":  # the parent walk and the goal peel run on the result
+            records = data.get(rng.choice(tuple(REFERENCES)))
+            if type(records) is list:
+                records.reverse()
         elif edit == "dup-record":
             items.insert(rng.randint(0, len(items)), items[i])
         elif edit == "drop-record":

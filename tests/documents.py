@@ -2,7 +2,8 @@
 
 Every document parses and passes the structure checks, except that the
 duplicate-statement shape holds DuplicateStatement and ConflictingPermission
-findings by design.  The documents are dicts for json.dumps.
+findings by design.  The documents are dicts for json.dumps.  Each shape
+declares parents before their children, but for the two bottom-up twins.
 """
 
 from __future__ import annotations
@@ -163,13 +164,21 @@ def duplicate_statements(n: int) -> dict:
                      [statements[i % 3] for i in range(n)])
 
 
+def bottom_up(document: dict, section: str) -> dict:
+    """document with the records of section, its assets or goals, in reverse order,
+    so that each child is declared before its parent."""
+    return {**document, section: document[section][::-1]}
+
+
 # Shape -> (generator, base size n); documents are built at n, 2n, 4n and 8n.
 SHAPES = {
     "wide": (wide, 40),
     "parent-chain": (parent_chain, 80),
+    "parent-chain-bottom-up": (lambda n: bottom_up(parent_chain(n), "assets"), 80),
     "owned-needs-chain": (owned_needs_chain, 6),
     "mutual-gains": (mutual_gains, 40),
     "refinement-chain": (refinement_chain, 80),
+    "refinement-chain-bottom-up": (lambda n: bottom_up(refinement_chain(n), "goals"), 80),
     "diamonds": (diamonds, 40),
     "duplicate-statements": (duplicate_statements, 100),
 }

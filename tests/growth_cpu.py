@@ -63,7 +63,7 @@ def main() -> int:
         small, large = (per_unit(json.dumps(build(size)), traced) for size in (n, 16 * n))
         for stage in small:
             ratio = large[stage] / small[stage]
-            print(f"{shape:22} {stage:24} {small[stage] * 1e6:10.3f} {large[stage] * 1e6:10.3f}"
+            print(f"{shape:26} {stage:24} {small[stage] * 1e6:10.3f} {large[stage] * 1e6:10.3f}"
                   f" us/unit  x{ratio:.2f}")
             if ratio > RATIO:
                 grown.append(f"{shape}: {stage} x{ratio:.2f}")

@@ -9,6 +9,10 @@ under sys.settrace and tells, for each loop, whether its first body line ran
 and whether a finding that loop makes was reported.  A proof that holds
 wrongly stops its loop from reporting at all, so faults tells, from the
 rules written out afresh, whether each loop has something to report.
+
+AssetModel.lineage and _refinement_cycles likewise prove on one column pass
+that each parent is declared before its children, and walk the parent links
+or peel the goals only when that fails; walks tells which of the two ran.
 """
 
 from __future__ import annotations
@@ -48,9 +52,16 @@ LOOPS = {
 }
 
 
-def probe(asset_model: model.AssetModel, graph: goals.GoalGraph) -> dict[str, tuple[bool, bool]]:
-    """For each loop in LOOPS: whether it ran, and whether a finding it makes was reported."""
-    codes = {code for (code, _), _ in LOOPS.values()}
+# Order walk -> its first body line.
+WALKS = {
+    "lineage": _line(model.AssetModel.lineage.func, "untaken = dict(self._index)"),
+    "peel": _line(goals._refinement_cycles, "children: dict[str, list[str]] = {}"),
+}
+
+
+def _run(lines, stage, *args) -> tuple[set[tuple[object, int]], object]:
+    """Which of lines, each a (code, line number) pair, ran while stage ran, and its result."""
+    codes = {code for code, _ in lines}
     ran: set[tuple[object, int]] = set()
 
     def local(frame, event, arg):
@@ -64,11 +75,23 @@ def probe(asset_model: model.AssetModel, graph: goals.GoalGraph) -> dict[str, tu
     before = sys.gettrace()
     sys.settrace(call)
     try:
-        findings = (model.check_structure(asset_model)
-                    + goals.check_goal_structure(graph, asset_model))
+        result = stage(*args)
     finally:
         sys.settrace(before)
+    return ran.intersection(lines), result
+
+
+def probe(asset_model: model.AssetModel, graph: goals.GoalGraph) -> dict[str, tuple[bool, bool]]:
+    """For each loop in LOOPS: whether it ran, and whether a finding it makes was reported."""
+    ran, findings = _run([line for line, _ in LOOPS.values()], lambda: (
+        model.check_structure(asset_model) + goals.check_goal_structure(graph, asset_model)))
     return {loop: (line in ran, any(map(owns, findings))) for loop, (line, owns) in LOOPS.items()}
+
+
+def walks(stage, *args) -> tuple[dict[str, bool], object]:
+    """For each walk in WALKS, whether it ran while stage ran; and stage's result."""
+    ran, result = _run(WALKS.values(), stage, *args)
+    return {walk: line in ran for walk, line in WALKS.items()}, result
 
 
 def faults(asset_model: model.AssetModel, graph: goals.GoalGraph) -> dict[str, bool]:

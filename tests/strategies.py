@@ -47,7 +47,8 @@ def asset_models(draw, max_assets: int = 6, with_parents: bool = False,
                  free_parents: bool = False) -> AssetModel:
     """A model with unique names and legal needs, unless free_parents.
 
-    with_parents keeps it structurally valid, with acyclic parents.
+    with_parents keeps it structurally valid, with acyclic parents, and
+    declares the assets in any order, so a child may come before its parent.
     free_parents instead draws any parent at all: a later asset, the
     asset itself, a cycle with tails, or UNDECLARED; and it may declare
     a name again, so an association may join a name to itself or hold
@@ -66,8 +67,8 @@ def asset_models(draw, max_assets: int = 6, with_parents: bool = False,
         if free_parents:
             parent = draw(st.none() | st.sampled_from(asset_names + [UNDECLARED]))
         elif with_parents:
-            # Parents always point at earlier assets of the same kind, so
-            # chains can never cycle.
+            # Parents point at assets of the same kind drawn earlier, so
+            # chains can never cycle; the shuffle below keeps that.
             candidates = [a.name for a in assets if a.kind is kind]
             if candidates and draw(st.booleans()):
                 parent = draw(st.sampled_from(candidates))
@@ -79,6 +80,8 @@ def asset_models(draw, max_assets: int = 6, with_parents: bool = False,
             extra_properties=draw(extra_properties),
             parent=parent,
         ))
+    if with_parents:
+        assets = draw(st.permutations(assets))
 
     pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) \

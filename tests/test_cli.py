@@ -491,6 +491,11 @@ class TestOneLinePerDiagnostic:
     @pytest.mark.parametrize("subject, resource, line", [
         ("Back\\slash", "Log", "undefined_access: Back\\\\slash --read--> Log"),
         ("Zed", "Log\a", "undefined_access: Zed --read--> Log\\x07"),
+        # DEL is the one ASCII character above 0x1F that str.isprintable() rejects.
+        ("Zed", "Log\x7f", "undefined_access: Zed --read--> Log\\x7f"),
+        ("Tab\there", "Log", "undefined_access: Tab\\there --read--> Log"),
+        ("Zed", "Log\xa0", "undefined_access: Zed --read--> Log\\xa0"),
+        ("Zed", "Log\u2028", "undefined_access: Zed --read--> Log\\u2028"),
     ])
     def test_report_escapes_a_line_after_plain_ones(self, capsys, tmp_path,
                                                      subject, resource, line):

@@ -1,5 +1,6 @@
 """The structure checks prove a model sound on whole columns, and run a record
-loop exactly when the rules it reports are broken (see loop_probe.py)."""
+loop exactly when the rules it reports are broken; the parent walk and the goal
+peel run only when a parent is declared after its child (see loop_probe.py)."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from accesslint import expand_hierarchy, render_report, validate_access
+from accesslint.fixtures import fixture_text
 from accesslint.goals import (
     Goal,
     GoalGraph,
@@ -23,7 +26,8 @@ from accesslint.model import AccessNeed, AssetKind, AssetModel, Association, che
 from accesslint.modelio import parse_model
 
 import cycle_oracle
-from loop_probe import LOOPS, faults, probe
+import documents
+from loop_probe import LOOPS, WALKS, faults, probe, walks
 from strategies import models_with_graphs
 
 GHOST = "Ghost"  # drawn names are at most four characters long, so no asset or goal has it
@@ -213,3 +217,26 @@ def test_the_peel_falls_back_exactly_when_the_reference_finds_a_cycle(names, edg
                       refinements=tuple(Refinement(p, c) for p, c in edges))
     ran, reported = probe(AssetModel(), graph)["cycles"]
     assert ran == reported == bool(cycle_oracle.refinement_cycles(names, edges))
+
+
+def _checked(text: str) -> tuple[list[str], str]:
+    """text's check findings and its report with inheritance expanded."""
+    model, graph = parse_model(text, check=False)
+    findings = check_structure(model) + check_goal_structure(graph, model)
+    report = validate_access(expand_hierarchy(model), graph)
+    return [str(f) for f in findings], render_report(report)
+
+
+@pytest.mark.parametrize("document, section, walk", [
+    pytest.param(json.loads(fixture_text("pyramid")), "goals", "peel", id="pyramid"),
+    pytest.param(documents.parent_chain(20), "assets", "lineage", id="parent-chain"),
+    pytest.param(documents.owned_needs_chain(60), "assets", "lineage", id="owned-needs-chain"),
+])
+def test_a_walk_runs_only_on_the_bottom_up_twin(document, section, walk):
+    """Declared top down, a document takes neither walk; with one section reversed,
+    it takes that section's walk, and gives the same findings and report."""
+    ran, checked = walks(_checked, json.dumps(document))
+    assert ran == dict.fromkeys(WALKS, False)
+    ran, twin_checked = walks(_checked, json.dumps(documents.bottom_up(document, section)))
+    assert ran == {other: other == walk for other in WALKS}
+    assert twin_checked == checked

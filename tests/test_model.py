@@ -101,6 +101,19 @@ class TestModelIndex:
         assert model.lineage is model.lineage
         assert pickle.loads(pickle.dumps(model)) == model
 
+    @pytest.mark.parametrize("parents, lineage", [
+        pytest.param((None, "A", "B"), (("A", "B", "C"), ()), id="top-down"),
+        pytest.param(("B", "C", None), (("C", "B", "A"), ()), id="child-before-parent"),
+        pytest.param(("Ghost", "A", None), (("A", "B", "C"), ()), id="unknown-parent"),
+        pytest.param((None, "B", "B"), (("A", "C"), (("B",),)), id="self-parent"),
+    ])
+    def test_lineage_of_parents_in_any_order(self, parents, lineage):
+        """The C pass that proves each parent declared earlier, or unknown, gives
+        what the walk gives; any other order takes the walk."""
+        model = AssetModel(assets=tuple(Asset(name, AssetKind.SYSTEM, parent=parent)
+                                        for name, parent in zip("ABC", parents)))
+        assert model.lineage == lineage
+
     def test_a_mutation_raises_and_changes_nothing(self):
         model = _works_diary()
         findings = check_structure(model)

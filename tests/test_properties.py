@@ -564,6 +564,11 @@ _goal_names = st.sampled_from("ABCDE")
 @example(["A", "B", "A"], [("A", "B"), ("B", "A")])
 # C reaches A only as A's second parent.
 @example(["A", "B", "C"], [("B", "A"), ("C", "A"), ("A", "B"), ("A", "C")])
+# Every edge runs down the order of declaration, which proves the graph acyclic.
+@example(["A", "B", "C"], [("A", "B"), ("B", "C"), ("A", "C")])
+# C, declared last, refines into B: an edge running up, but no cycle.
+@example(["A", "B", "C"], [("A", "B"), ("C", "B")])
+@example(["A", "B"], [("A", "B"), ("B", "B")])  # a self-loop below a goal
 @settings(max_examples=300)
 @given(st.lists(_goal_names, max_size=7),
        st.lists(st.tuples(_goal_names, _goal_names), max_size=12))
