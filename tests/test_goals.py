@@ -50,6 +50,19 @@ class TestCheckGoalStructure:
         assert [e.code for e in check_goal_structure(graph, _assets())] \
             == ["CyclicRefinement"]
 
+    def test_cycles_reported_by_first_member_though_a_later_one_is_met_first(self):
+        # A walk up from d meets c1-c2 before x1-x2; inheritance cycles
+        # would come out in that order, refinement cycles by first member.
+        graph = GoalGraph(
+            nodes=tuple(Goal(name, GoalKind.GOAL) for name in ("d", "x1", "x2", "c1", "c2")),
+            refinements=tuple(Refinement(*edge) for edge in (
+                ("c1", "d"), ("x2", "x1"), ("x1", "x2"), ("c2", "c1"), ("c1", "c2"))),
+        )
+        assert [str(e) for e in check_goal_structure(graph, _assets())] == [
+            "CyclicRefinement: refinement cycle: x1 -> x2 -> x1",
+            "CyclicRefinement: refinement cycle: c1 -> c2 -> c1",
+        ]
+
     def test_conflicting_permissions_reported_once(self):
         graph = GoalGraph(
             nodes=(Goal("R", REQ),),

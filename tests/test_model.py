@@ -267,6 +267,18 @@ class TestCheckStructure:
             ("CyclicInheritance", "B", "inheritance cycle: B -> C -> B"),
         ]
 
+    def test_a_cycle_met_first_is_reported_first_though_declared_later(self):
+        # d's walk reaches c1-c2 before x1's finds x1-x2; refinement cycles
+        # would come out the other way round, by their first member.
+        model = AssetModel(assets=tuple(
+            Asset(name, AssetKind.SYSTEM, parent=parent)
+            for name, parent in (("d", "c1"), ("x1", "x2"), ("x2", "x1"),
+                                 ("c1", "c2"), ("c2", "c1"))))
+        assert [str(e) for e in check_structure(model)] == [
+            "CyclicInheritance: inheritance cycle: c1 -> c2 -> c1",
+            "CyclicInheritance: inheritance cycle: x1 -> x2 -> x1",
+        ]
+
     def test_deterministic(self):
         model = AssetModel(
             assets=(
