@@ -3,22 +3,22 @@
 Goals are refined into subgoals and requirements; each policy statement (subject,
 access, resource, allow|deny) hangs off exactly one requirement, so every permitted
 or denied interaction stays traceable to the requirement that justifies it.  The graph
-check proves a sound graph sound on whole columns, and visits records one at a time
-only to report.  trace walks up on one stack of parent iterators and keeps no table.
+check proves a sound graph sound on whole columns, visits records one at a time
+only to report, and finds refinement cycles with model.hierarchy.  trace walks up
+on one stack of parent iterators and keeps no table.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress, count, filterfalse, repeat
-from operator import attrgetter, lt
+from itertools import compress, count, filterfalse
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .model import AccessNeed, AssetModel, ModelError, index_names, printable, quote
+from .model import AccessNeed, AssetModel, ModelError, hierarchy, index_names, printable, quote
 
 
 class GoalKind(Enum):
@@ -100,71 +100,6 @@ class GoalGraph:
         return MappingProxyType(self._parents)
 
 
-def _refinement_cycles(graph: GoalGraph, by_name: Mapping[str, Goal]) -> list[list[str]]:
-    """Strongly connected components of size > 1 (or with a self loop), in by_name's order.
-
-    One C pass proves most graphs acyclic: every edge runs down by_name's
-    order.  Else one peel, taking each goal once no parent is left above
-    it, may prove it.  Else pass one walks down the child edges and
-    records the order goals finish in; pass two, last finished first,
-    gathers each component upward along graph.parents.  None recurses,
-    as chains may be long.  An edge to a goal that by_name, index_names'
-    map, lacks (an undeclared or empty name) counts for nothing.
-    """
-    order = dict(zip(by_name, count()))  # an unknown end ranks past the edge's other end
-    uppers, lowers = [*zip(*graph.refinements)] or [(), ()]
-    if all(map(lt, map(order.get, uppers, repeat(-1)), map(order.get, lowers, repeat(len(order))))):
-        return []
-
-    children: dict[str, list[str]] = {}
-    for ref in graph.refinements:
-        if ref.parent in by_name and ref.child in by_name:
-            children.setdefault(ref.parent, []).append(ref.child)
-
-    above = Counter(chain.from_iterable(children.values()))
-    peeled = [*filterfalse(above.__contains__, by_name)]
-    for node in peeled:  # grows as goals lose their last parent
-        for child in children.get(node, ()):
-            above[child] -= 1
-            if not above[child]:
-                peeled.append(child)
-    if len(peeled) == len(by_name):
-        return []
-
-    finished: list[str] = []
-    seen: set[str] = set()
-    for root in by_name:
-        pending = [(root, False)]
-        while pending:
-            node, done = pending.pop()
-            if done:
-                finished.append(node)
-            elif node not in seen:
-                seen.add(node)
-                pending.append((node, True))
-                pending.extend((child, False) for child in children.get(node, ()))
-
-    # Every known goal is in seen now; a component claims its goals by
-    # taking them out.
-    parents = graph._parents
-    cycles: list[list[str]] = []
-    for root in reversed(finished):
-        if root not in seen:
-            continue
-        seen.discard(root)
-        component = [root]
-        for node in component:  # grows as the walk goes up
-            for parent in parents.get(node, ()):
-                if parent in seen:
-                    seen.discard(parent)
-                    component.append(parent)
-        if len(component) > 1 or root in parents.get(root, ()):
-            cycles.append(sorted(component, key=order.__getitem__))
-
-    cycles.sort(key=lambda members: order[members[0]])
-    return cycles
-
-
 def _policy_where(stmt: PolicyStatement) -> str:
     return (f"policy {quote(stmt.subject)} {stmt.access.value} {quote(stmt.resource)} "
             f"{stmt.permission.value}")
@@ -212,10 +147,12 @@ def check_goal_structure(graph: GoalGraph, model: AssetModel) -> list[ModelError
                 f"requirement {quote(parent)} cannot be refined by goal {quote(child)}",
             ))
 
-    for members in _refinement_cycles(graph, by_name):
+    order = dict(zip(by_name, count()))
+    for members in sorted(hierarchy(order, parents, children).cycles,
+                          key=lambda members: order[members[0]]):
         errors.append(ModelError(
             "CyclicRefinement", printable(members[0]),
-            "refinement cycle: " + " -> ".join(map(printable, members + [members[0]])),
+            "refinement cycle: " + " -> ".join(map(printable, members + members[:1])),
         ))
 
     for stmt in () if policy_sound else graph.policy:

@@ -11,6 +11,7 @@ Associations and findings are NamedTuples, assets slotted frozen dataclasses
 (no __dict__) and the model a frozen dataclass; nothing here mutates a dict field.
 The checks are pure functions that return error lists rather than raising.  Each
 proves a sound model sound on whole columns, and visits records only to report.
+hierarchy gives both hierarchies, parent links and refinements, their order and cycles.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property, wraps
 from itertools import compress, count, filterfalse, repeat
 from operator import attrgetter, lt
 from types import MappingProxyType
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Collection, Mapping, NamedTuple, Sequence
 
 
 class SecurityValue(IntEnum):
@@ -122,8 +123,73 @@ def acyclic(build):
 
 
 class Lineage(NamedTuple):
-    top_down: tuple[str, ...]  # every asset name outside a cycle, each after its parent
-    cycles: tuple[tuple[str, ...], ...]  # each cycle's members, as the walk met them
+    top_down: tuple[str, ...]  # every name outside a cycle, each after its parents
+    cycles: tuple[tuple[str, ...], ...]  # each cycle's members, in declaration order
+
+
+def hierarchy(order: Mapping[str, int], uppers: Collection[str | None],
+              lowers: Collection[str]) -> Lineage:
+    """order's names parent first, and the cycles that the edges uppers[i] -> lowers[i],
+    parent to child, close.
+
+    order maps each name to its declaration position.  One C pass proves most
+    hierarchies acyclic: every edge runs down the order, an unknown parent ranking
+    before every name and an unknown child after.  Else one strongly connected
+    components walk (Tarjan's) goes up the parent lists from each name in order,
+    on a stack of iterators, as chains may be long; an edge with an unknown end
+    counts for nothing.  top_down holds the names outside every cycle as the walk
+    finishes them, so each after its parents.  Cycles come in the order the walk
+    closes them, and a name alone is one only when it is its own parent.
+    """
+    if all(map(lt, map(order.get, uppers, repeat(-1)), map(order.get, lowers, repeat(len(order))))):
+        return Lineage(tuple(order), ())
+    parents: dict[str, list[str]] = {}
+    for parent, child in zip(uppers, lowers):
+        if parent in order and child in order:
+            parents.setdefault(child, []).append(parent)
+    # A name on the stack -> the lowest stack height the walk up from it reaches;
+    # a name whose component is closed -> a height above any.
+    low: dict[str, int] = {}
+    closed = len(order)
+    stack: list[str] = []
+    top_down: list[str] = []
+    cycles: list[tuple[str, ...]] = []
+    for root in filterfalse(low.__contains__, order):
+        if root not in parents:  # a name with no parent closes alone at once
+            low[root] = closed
+            top_down.append(root)
+            continue
+        low[root] = 0
+        stack.append(root)
+        walk = [(root, 0, iter(parents[root]))]
+        while walk:
+            name, height, ups = walk[-1]
+            for parent in ups:
+                if parent not in low:
+                    if parent not in parents:
+                        low[parent] = closed
+                        top_down.append(parent)
+                        continue
+                    low[parent] = len(stack)
+                    walk.append((parent, len(stack), iter(parents[parent])))
+                    stack.append(parent)
+                    break
+                if low[parent] < low[name]:
+                    low[name] = low[parent]
+            else:
+                del walk[-1]
+                if low[name] < height:  # name's component closes below it
+                    caller = walk[-1][0]
+                    low[caller] = min(low[caller], low[name])
+                elif len(stack) == height + 1 and name not in parents[name]:
+                    low[name] = closed
+                    top_down.append(stack.pop())
+                else:  # name roots a component of more names, or its own parent
+                    members = stack[height:]
+                    del stack[height:]
+                    low.update(zip(members, repeat(closed)))
+                    cycles.append(tuple(sorted(members, key=order.__getitem__)))
+    return Lineage(tuple(top_down), tuple(cycles))
 
 
 @dataclass(frozen=True)
@@ -163,34 +229,9 @@ class AssetModel:
 
     @cached_property
     def lineage(self) -> Lineage:
-        """One walk up the parent links of the index, from each name in its order.
-
-        A walk stops at a name an earlier walk took, at a name the index
-        lacks, or above a root (None); meeting its own trail, it closes a
-        new cycle.  So a repeated name follows its first declaration's parent.
-        When one C pass finds each parent declared before its child, or unknown,
-        each walk would take one name, in index order, so none is walked.
-        """
-        ranks = map(self._positions.get, map(_parent, self._index.values()), repeat(-1))
-        if all(map(lt, ranks, count())):
-            return Lineage(tuple(self._index), ())
-        untaken = dict(self._index)
-        top_down: list[str] = []
-        cycles: list[tuple[str, ...]] = []
-        for current in self._index:
-            if current not in untaken:
-                continue
-            trail: list[str] = []
-            while current in untaken:
-                trail.append(current)
-                current = untaken.pop(current).parent
-            if current in trail:
-                closed = trail.index(current)
-                cycles.append(tuple(trail[closed:]))
-                del trail[closed:]
-            trail.reverse()
-            top_down += trail
-        return Lineage(tuple(top_down), tuple(cycles))
+        """The index's names ancestors first, and its inheritance cycles: hierarchy
+        on its parent links, so a repeated name follows its first declaration's parent."""
+        return hierarchy(self._positions, [*map(_parent, self._index.values())], self._index)
 
     @cached_property
     def _fault(self) -> ModelError | None:
@@ -285,7 +326,7 @@ def check_structure(model: AssetModel) -> list[ModelError]:
             ))
 
     for ring in model.lineage.cycles:
-        members = list(map(printable, sorted(ring, key=model._positions.__getitem__)))
+        members = list(map(printable, ring))
         errors.append(ModelError(
             "CyclicInheritance", members[0],
             "inheritance cycle: " + " -> ".join(members + [members[0]]),

@@ -204,7 +204,7 @@ def mutate(rng: random.Random, data: dict) -> dict:
         i = rng.randrange(len(items))
         if edit in ("rename", "unname"):
             _rename(rng, data, edit)
-        elif edit == "reverse":  # the parent walk and the goal peel run on the result
+        elif edit == "reverse":  # the hierarchy walk runs on the result
             records = data.get(rng.choice(tuple(REFERENCES)))
             if type(records) is list:
                 records.reverse()

@@ -1,9 +1,10 @@
 """Generated model documents of a few shapes, each growing with a size n.
 
-Every document parses and passes the structure checks, except that the
-duplicate-statement shape holds DuplicateStatement and ConflictingPermission
+Every document in SHAPES parses and passes the structure checks, except that
+the duplicate-statement shape holds DuplicateStatement and ConflictingPermission
 findings by design.  The documents are dicts for json.dumps.  Each shape
 declares parents before their children, but for the two bottom-up twins.
+The documents in RINGS parse too, but hold inheritance or refinement cycles.
 """
 
 from __future__ import annotations
@@ -164,6 +165,22 @@ def duplicate_statements(n: int) -> dict:
                      [statements[i % 3] for i in range(n)])
 
 
+def inheritance_rings(count: int, size: int) -> dict:
+    """count disjoint inheritance rings of size assets, each a parent of the one before."""
+    assets = [_asset(f"Ring {r} asset {i}", "system", i, parent=f"Ring {r} asset {(i + 1) % size}")
+              for r in range(count) for i in range(size)]
+    return _document(assets)
+
+
+def refinement_rings(count: int, size: int) -> dict:
+    """count disjoint refinement rings of size goals, each refined by the one before."""
+    goals = [{"name": f"Ring {r} goal {i}", "kind": "goal"}
+             for r in range(count) for i in range(size)]
+    refinements = [{"parent": f"Ring {r} goal {(i + 1) % size}", "child": f"Ring {r} goal {i}"}
+                   for r in range(count) for i in range(size)]
+    return _document(*_PAIR, goals, refinements)
+
+
 def bottom_up(document: dict, section: str) -> dict:
     """document with the records of section, its assets or goals, in reverse order,
     so that each child is declared before its parent."""
@@ -181,4 +198,13 @@ SHAPES = {
     "refinement-chain-bottom-up": (lambda n: bottom_up(refinement_chain(n), "goals"), 80),
     "diamonds": (diamonds, 40),
     "duplicate-statements": (duplicate_statements, 100),
+}
+
+# Unsound shapes for the structure checks alone: one ring of n records, and n
+# rings of two, of each hierarchy.
+RINGS = {
+    "inheritance-ring": (lambda n: inheritance_rings(1, n), 80),
+    "inheritance-pairs": (lambda n: inheritance_rings(n, 2), 40),
+    "refinement-ring": (lambda n: refinement_rings(1, n), 80),
+    "refinement-pairs": (lambda n: refinement_rings(n, 2), 40),
 }

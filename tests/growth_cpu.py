@@ -7,7 +7,8 @@ done inside one C call is invisible to it: a `p not in list(path)` in a
 loop, or a list.index, costs one event however long the list grows.  This
 script times the same stages on the same documents.py shapes with
 time.process_time, per unit of work as test_growth.py defines it, at n and
-16n (trace again skipped on the diamonds shape).  Each stage runs once per
+16n (trace again skipped on the diamonds shape), and the two structure
+checks alone on the unsound RINGS shapes, per record.  Each stage runs once per
 run on inputs built in that run, so lazily built indexes are timed where
 they are built, with the cyclic garbage collector off; the fastest of RUNS
 runs counts for each size.  Every stage's time per unit at n and 16n is
@@ -47,20 +48,29 @@ def _cpu(stage, *args, **kwargs) -> tuple[float, object]:
         gc.enable()
 
 
-def per_unit(text: str, traced: bool) -> dict[str, float]:
-    """Each stage's fewest CPU seconds per unit over RUNS fresh runs."""
-    fastest: dict[str, float] = {}
+def fastest(per_unit, text: str) -> dict[str, float]:
+    """Each stage's fewest CPU seconds per unit over RUNS fresh runs of per_unit."""
+    best: dict[str, float] = {}
     for _ in range(RUNS):
-        for stage, seconds in test_growth._per_unit(text, traced, _cpu).items():
-            fastest[stage] = min(seconds, fastest.get(stage, seconds))
-    return fastest
+        for stage, seconds in per_unit(text, measure=_cpu).items():
+            best[stage] = min(seconds, best.get(stage, seconds))
+    return best
+
+
+def _shapes():
+    """Each shape's name, build, base size and per-unit function."""
+    for shape, (build, n) in documents.SHAPES.items():
+        traced = shape not in test_growth.UNTRACED
+        yield shape, build, n, lambda text, measure, traced=traced: test_growth._per_unit(
+            text, traced, measure)
+    for shape, (build, n) in documents.RINGS.items():
+        yield shape, build, n, test_growth._checks_per_record
 
 
 def main() -> int:
     grown = []
-    for shape, (build, n) in documents.SHAPES.items():
-        traced = shape not in test_growth.UNTRACED
-        small, large = (per_unit(json.dumps(build(size)), traced) for size in (n, 16 * n))
+    for shape, build, n, per_unit in _shapes():
+        small, large = (fastest(per_unit, json.dumps(build(size))) for size in (n, 16 * n))
         for stage in small:
             ratio = large[stage] / small[stage]
             print(f"{shape:26} {stage:24} {small[stage] * 1e6:10.3f} {large[stage] * 1e6:10.3f}"

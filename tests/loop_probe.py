@@ -1,8 +1,7 @@
 """Which record loops the structure checks ran, read from line events.
 
-check_structure, check_goal_structure and _refinement_cycles each try to
-prove a model sound on whole columns first, and run a record loop only when
-the proof fails.  A proof that holds on a faulty model would hide a finding,
+check_structure and check_goal_structure each try to prove a model sound
+on whole columns first, and run a record loop only when the proof fails.  A proof that holds on a faulty model would hide a finding,
 and one that fails on a sound model costs the work it should save, so each
 loop must run exactly when it reports something.  probe runs both checks
 under sys.settrace and tells, for each loop, whether its first body line ran
@@ -10,9 +9,10 @@ and whether a finding that loop makes was reported.  A proof that holds
 wrongly stops its loop from reporting at all, so faults tells, from the
 rules written out afresh, whether each loop has something to report.
 
-AssetModel.lineage and _refinement_cycles likewise prove on one column pass
-that each parent is declared before its children, and walk the parent links
-or peel the goals only when that fails; walks tells which of the two ran.
+model.hierarchy, which AssetModel.lineage and check_goal_structure call,
+likewise proves on one column pass that each parent is declared before its
+children, and walks the hierarchy only when that fails; walks tells for
+which of the two callers it walked.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import inspect
 import sys
 
 from accesslint import goals, model
-
-import cycle_oracle
 
 
 def _line(function, text: str) -> tuple[object, int]:
@@ -46,27 +44,26 @@ LOOPS = {
         _line(goals.check_goal_structure, "owner = by_name.get(stmt.requirement)"),
         lambda f: f.code in ("UnknownRequirement", "NotARequirement")
         or f.code == "UnknownAsset" and f.where.startswith("policy ")),
-    "cycles": (
-        _line(goals._refinement_cycles, "finished: list[str] = []"),
-        lambda f: f.code == "CyclicRefinement"),
 }
 
 
-# Order walk -> its first body line.
-WALKS = {
-    "lineage": _line(model.AssetModel.lineage.func, "untaken = dict(self._index)"),
-    "peel": _line(goals._refinement_cycles, "children: dict[str, list[str]] = {}"),
-}
+# The first line of hierarchy's walk, which runs only when its order proof fails.
+WALK = _line(model.hierarchy, "parents: dict[str, list[str]] = {}")
+
+# Hierarchy -> the function that hands it to model.hierarchy.
+WALKS = {"lineage": model.AssetModel.lineage.func.__code__,
+         "cycles": goals.check_goal_structure.__code__}
 
 
-def _run(lines, stage, *args) -> tuple[set[tuple[object, int]], object]:
-    """Which of lines, each a (code, line number) pair, ran while stage ran, and its result."""
+def _run(lines, stage, *args) -> tuple[dict[tuple[object, int], set[object]], object]:
+    """For each of lines, a (code, line number) pair, the code of each function
+    whose call ran it while stage ran; and stage's result."""
     codes = {code for code, _ in lines}
-    ran: set[tuple[object, int]] = set()
+    callers: dict[tuple[object, int], set[object]] = {line: set() for line in lines}
 
     def local(frame, event, arg):
-        if event == "line":
-            ran.add((frame.f_code, frame.f_lineno))
+        if event == "line" and (frame.f_code, frame.f_lineno) in callers:
+            callers[frame.f_code, frame.f_lineno].add(frame.f_back.f_code)
         return local
 
     def call(frame, event, arg):
@@ -78,20 +75,22 @@ def _run(lines, stage, *args) -> tuple[set[tuple[object, int]], object]:
         result = stage(*args)
     finally:
         sys.settrace(before)
-    return ran.intersection(lines), result
+    return callers, result
 
 
 def probe(asset_model: model.AssetModel, graph: goals.GoalGraph) -> dict[str, tuple[bool, bool]]:
     """For each loop in LOOPS: whether it ran, and whether a finding it makes was reported."""
     ran, findings = _run([line for line, _ in LOOPS.values()], lambda: (
         model.check_structure(asset_model) + goals.check_goal_structure(graph, asset_model)))
-    return {loop: (line in ran, any(map(owns, findings))) for loop, (line, owns) in LOOPS.items()}
+    return {loop: (bool(ran[line]), any(map(owns, findings)))
+            for loop, (line, owns) in LOOPS.items()}
 
 
 def walks(stage, *args) -> tuple[dict[str, bool], object]:
-    """For each walk in WALKS, whether it ran while stage ran; and stage's result."""
-    ran, result = _run(WALKS.values(), stage, *args)
-    return {walk: line in ran for walk, line in WALKS.items()}, result
+    """For each hierarchy in WALKS, whether hierarchy walked it while stage ran;
+    and stage's result."""
+    ran, result = _run([WALK], stage, *args)
+    return {walk: caller in ran[WALK] for walk, caller in WALKS.items()}, result
 
 
 def faults(asset_model: model.AssetModel, graph: goals.GoalGraph) -> dict[str, bool]:
@@ -123,5 +122,4 @@ def faults(asset_model: model.AssetModel, graph: goals.GoalGraph) -> dict[str, b
         "policy": any(
             s.requirement not in nodes or nodes[s.requirement].kind is not requirement
             or s.subject not in assets or s.resource not in assets for s in graph.policy),
-        "cycles": bool(cycle_oracle.refinement_cycles([n.name for n in graph.nodes], edges)),
     }

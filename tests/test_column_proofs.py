@@ -1,6 +1,6 @@
 """The structure checks prove a model sound on whole columns, and run a record
-loop exactly when the rules it reports are broken; the parent walk and the goal
-peel run only when a parent is declared after its child (see loop_probe.py)."""
+loop exactly when the rules it reports are broken; the hierarchy walk runs only
+when a parent is declared after its child (see loop_probe.py)."""
 
 from __future__ import annotations
 
@@ -180,7 +180,8 @@ PLANTED = [
     pytest.param("policy", _denial("Read data", GHOST, "Data"), "policy",
                  "UnknownAsset: policy statement references unknown asset 'Ghost'",
                  id="unknown-policy-asset"),
-    pytest.param("refinements", {"parent": "Read data", "child": "Read data"}, "cycles",
+    # The hierarchy walk finds a cycle, and no record loop runs.
+    pytest.param("refinements", {"parent": "Read data", "child": "Read data"}, None,
                  "CyclicRefinement: refinement cycle: Read data -> Read data", id="self-loop"),
 ]
 
@@ -202,21 +203,28 @@ def test_a_planted_fault_runs_its_own_loop_alone(section, record, loop, finding)
 
 
 # Goal graphs with repeated names, repeated edges, self-loops and edges to
-# undeclared goals: the peel leaves a goal exactly when the reference finds a cycle.
+# undeclared goals: the walk runs exactly when an edge between declared goals
+# runs up the order of declaration, and finds the reference's cycles.
 _goal_names = st.sampled_from("ABCDE")
 
 
 @example(["A", "B"], [("A", "A"), ("A", "B")])  # a self-loop above a goal
 @example(["A", "B"], [("A", "C"), ("C", "B"), ("B", "A")])  # no cycle: C is undeclared
+@example(["A", "B", "C"], [("A", "B"), ("C", "B")])  # an edge runs up, but no cycle
 @example(["A", "B", "A"], [("A", "B"), ("B", "A")])
 @settings(max_examples=300)
 @given(st.lists(_goal_names, max_size=7),
        st.lists(st.tuples(_goal_names, _goal_names), max_size=12))
-def test_the_peel_falls_back_exactly_when_the_reference_finds_a_cycle(names, edges):
+def test_the_walk_runs_exactly_when_an_edge_runs_up(names, edges):
     graph = GoalGraph(nodes=tuple(Goal(name, GoalKind.GOAL) for name in names),
                       refinements=tuple(Refinement(p, c) for p, c in edges))
-    ran, reported = probe(AssetModel(), graph)["cycles"]
-    assert ran == reported == bool(cycle_oracle.refinement_cycles(names, edges))
+    ran, findings = walks(check_goal_structure, graph, AssetModel())
+    position = {name: i for i, name in reversed([*enumerate(names)])}
+    up = any(p in position and c in position and position[p] >= position[c] for p, c in edges)
+    assert ran == {"lineage": False, "cycles": up}
+    assert [(f.where, f.message) for f in findings if f.code == "CyclicRefinement"] == [
+        (members[0], "refinement cycle: " + " -> ".join(members + [members[0]]))
+        for members in cycle_oracle.refinement_cycles(names, edges)]
 
 
 def _checked(text: str) -> tuple[list[str], str]:
@@ -228,13 +236,13 @@ def _checked(text: str) -> tuple[list[str], str]:
 
 
 @pytest.mark.parametrize("document, section, walk", [
-    pytest.param(json.loads(fixture_text("pyramid")), "goals", "peel", id="pyramid"),
+    pytest.param(json.loads(fixture_text("pyramid")), "goals", "cycles", id="pyramid"),
     pytest.param(documents.parent_chain(20), "assets", "lineage", id="parent-chain"),
     pytest.param(documents.owned_needs_chain(60), "assets", "lineage", id="owned-needs-chain"),
 ])
 def test_a_walk_runs_only_on_the_bottom_up_twin(document, section, walk):
-    """Declared top down, a document takes neither walk; with one section reversed,
-    it takes that section's walk, and gives the same findings and report."""
+    """Declared top down, a document takes the walk for neither hierarchy; with one
+    section reversed, it walks that section's, and gives the same findings and report."""
     ran, checked = walks(_checked, json.dumps(document))
     assert ran == dict.fromkeys(WALKS, False)
     ran, twin_checked = walks(_checked, json.dumps(documents.bottom_up(document, section)))

@@ -22,8 +22,10 @@ CPU time to see it.  trace is not run on the diamonds shape, whose
 path count is exponential by design and passes MAX_TRACE_PATHS already at
 n = 40.
 
-A second test spoils the last record of each shape's largest section, so
-that parse_model must locate the fault; its unit is a document byte too.
+A second test runs the two structure checks alone on the unsound RINGS
+shapes, per record, so that the cycle path is held to the same bound.  A
+third spoils the last record of each shape's largest section, so that
+parse_model must locate the fault; its unit is a document byte too.
 """
 
 from __future__ import annotations
@@ -127,16 +129,40 @@ def _per_unit(text: str, traced: bool, measure=_line_events) -> dict[str, float]
     return {stage: count / units[stage] for stage, count in events.items()}
 
 
+def _grown(build, n: int, per_unit) -> dict[str, list[float]]:
+    """Each stage whose per_unit events, on build's documents at n, 2n, 4n and 8n,
+    grow past GROWTH times those at n: stage -> its rounded ratios."""
+    ratios: dict[str, list[float]] = {}
+    for size in (n, 2 * n, 4 * n, 8 * n):
+        for stage, ratio in per_unit(json.dumps(build(size))).items():
+            ratios.setdefault(stage, []).append(ratio)
+    return {stage: [round(r, 4) for r in rs] for stage, rs in ratios.items()
+            if max(rs) > GROWTH * rs[0]}
+
+
 @pytest.mark.parametrize("shape", documents.SHAPES)
 def test_events_per_unit_of_work_stay_flat(shape):
     build, n = documents.SHAPES[shape]
-    per_unit = {}  # stage -> events per unit at n, 2n, 4n, 8n
-    for size in (n, 2 * n, 4 * n, 8 * n):
-        for stage, ratio in _per_unit(json.dumps(build(size)), shape not in UNTRACED).items():
-            per_unit.setdefault(stage, []).append(ratio)
-    grown = {stage: ratios for stage, ratios in per_unit.items()
-             if max(ratios) > GROWTH * ratios[0]}
-    assert not grown, {stage: [round(r, 4) for r in ratios] for stage, ratios in grown.items()}
+    traced = shape not in UNTRACED
+    assert not _grown(build, n, lambda text: _per_unit(text, traced))
+
+
+def _checks_per_record(text: str, measure=_line_events) -> dict[str, float]:
+    """The structure checks' cost on one document, as measure gives it, per record."""
+    model, graph = parse_model(text, check=False)
+    events = {}
+    events["check_structure"], asset_findings = measure(check_structure, model)
+    events["check_goal_structure"], goal_findings = measure(check_goal_structure, graph, model)
+    assert {f.code for f in asset_findings + goal_findings} & {"CyclicInheritance",
+                                                                  "CyclicRefinement"}
+    records = sum(map(len, (model.assets, model.associations, graph.nodes,
+                            graph.refinements, graph.policy)))
+    return {stage: count / records for stage, count in events.items()}
+
+
+@pytest.mark.parametrize("shape", documents.RINGS)
+def test_cycle_checks_stay_flat(shape):
+    assert not _grown(*documents.RINGS[shape], _checks_per_record)
 
 
 def _schema_error(text: str) -> SchemaError:

@@ -25,6 +25,7 @@ from accesslint.model import (
     Association,
     SecurityValue,
     check_structure,
+    printable,
 )
 from accesslint.modelio import parse_model, render_report, serialize_model
 from accesslint.validation import (
@@ -581,6 +582,26 @@ def test_refinement_cycles_match_reference(names, edges):
         (members[0], "refinement cycle: " + " -> ".join(members + [members[0]]))
         for members in cycle_oracle.refinement_cycles(names, edges)]
 
+
+# d's chain reaches the c1-c2 ring before x1's reaches x1-x2.
+@example(AssetModel(assets=tuple(
+    Asset(name, AssetKind.SYSTEM, parent=parent)
+    for name, parent in (("d", "c1"), ("x1", "x2"), ("x2", "x1"), ("c1", "c2"), ("c2", "c1")))))
+@settings(max_examples=300)
+@given(asset_models(max_assets=8, free_parents=True))
+def test_inheritance_cycles_match_reference(model):
+    """The cycles come in the reference's order, and the lineage holds every
+    other name once, each after its parent when that parent is one of them."""
+    rings = cycle_oracle.inheritance_cycles([a.name for a in model.assets],
+                                            [a.parent for a in model.assets])
+    found = [(f.where, f.message) for f in check_structure(model) if f.code == "CyclicInheritance"]
+    assert found == [
+        (printable(ring[0]), "inheritance cycle: " + " -> ".join(map(printable, ring + ring[:1])))
+        for ring in rings]
+    rank = {name: i for i, name in enumerate(model.lineage.top_down)}
+    assert len(rank) == len(model.lineage.top_down)
+    assert rank.keys() == model.index.keys() - {name for ring in rings for name in ring}
+    assert all(rank.get(model.index[name].parent, -1) < i for name, i in rank.items())
 
 # A refines into R, B into A twice, R into itself and A into B, closing a
 # cycle; E, which no goal declares, refines into B.
