@@ -25,6 +25,7 @@ import gc
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -60,9 +61,8 @@ def fastest(per_unit, text: str) -> dict[str, float]:
 def _shapes():
     """Each shape's name, build, base size and per-unit function."""
     for shape, (build, n) in documents.SHAPES.items():
-        traced = shape not in test_growth.UNTRACED
-        yield shape, build, n, lambda text, measure, traced=traced: test_growth._per_unit(
-            text, traced, measure)
+        yield shape, build, n, partial(test_growth._per_unit,
+                                       traced=shape not in test_growth.UNTRACED)
     for shape, (build, n) in documents.RINGS.items():
         yield shape, build, n, test_growth._checks_per_record
 

@@ -1,9 +1,10 @@
 """Which record loops the structure checks ran, read from line events.
 
 check_structure and check_goal_structure each try to prove a model sound
-on whole columns first, and run a record loop only when the proof fails.  A proof that holds on a faulty model would hide a finding,
-and one that fails on a sound model costs the work it should save, so each
-loop must run exactly when it reports something.  probe runs both checks
+on whole columns first, and run a record loop only when the proof fails.
+A proof that holds on a faulty model would hide a finding, and one that
+fails on a sound model costs the work it should save, so each loop must
+run exactly when it reports something.  probe runs both checks
 under sys.settrace and tells, for each loop, whether its first body line ran
 and whether a finding that loop makes was reported.  A proof that holds
 wrongly stops its loop from reporting at all, so faults tells, from the
