@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .goals import GoalGraph, GoalKind
-from .model import AccessNeed, AssetKind, AssetModel, SecurityValue
+from .model import NEED_ORDER, AccessNeed, AssetKind, AssetModel, SecurityValue
 
 # Texts built once, not per item through Enum's descriptors.  A need set's
 # adornment lists the conventional letters of its needs in declaration order.
-_ADORNMENT = {frozenset(need for need, _ in pairs): ",".join(letter for _, letter in pairs)
-              for size in range(4) for pairs in combinations(zip(AccessNeed, "rwx"), size)}
+_ADORNMENT = {needs: ",".join(map(dict(zip(AccessNeed, "rwx")).__getitem__, order))
+              for needs, order in NEED_ORDER.items()}
 _KIND_TEXT = {kind: f"[{kind.value}]" for kind in AssetKind}
 _LEVEL_TEXT = {level: level.name.lower() for level in SecurityValue}
 _SHAPE = {GoalKind.GOAL: "parallelogram", GoalKind.REQUIREMENT: "box"}

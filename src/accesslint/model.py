@@ -20,7 +20,7 @@ import gc
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property, wraps
-from itertools import compress, count, filterfalse, repeat
+from itertools import combinations, compress, count, filterfalse, repeat
 from operator import attrgetter, lt
 from types import MappingProxyType
 from typing import Any, Collection, Mapping, NamedTuple, Sequence
@@ -51,6 +51,10 @@ class AccessNeed(Enum):
 
 # Rank of each need in declaration order, the canonical order of needs.
 ACCESS_ORDER: Mapping[AccessNeed, int] = {need: i for i, need in enumerate(AccessNeed)}
+# Each set of needs -> its members in that order.
+NEED_ORDER: Mapping[frozenset[AccessNeed], tuple[AccessNeed, ...]] = {
+    frozenset(needs): needs
+    for size in range(len(AccessNeed) + 1) for needs in combinations(AccessNeed, size)}
 
 # The only multiplicity strings the parser accepts on association ends.
 MULTIPLICITIES = ("1", "0..1", "1..*", "*")

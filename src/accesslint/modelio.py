@@ -6,9 +6,10 @@ The parser is deliberately strict: unknown and repeated keys anywhere are
 hard errors with the offending path named, because a silently ignored typo
 in a security model is worse than a parse failure.  The per-record schema,
 _RECORDS, is read in one C pass per key; a count proves the values taken are
-all of a section's members, or it is re-read a record at a time to name the
-first fault.  A key is required where its record class gives the field no
-default.  A schema fault is located by its path below $, as in $.assets[2].kind.
+all of a section's members; at a fault the list is halved, and each failing
+half again, down to the first bad record, whose first fault is named.  A key is
+required where its record class gives the field no default.  A schema fault
+is located by its path below $, as in $.assets[2].kind.
 
 A document is decoded once, by json.loads without a hook, and read; then a
 count proves that no key repeated.  Each colon outside a string separates one
@@ -59,6 +60,7 @@ from .model import (
     Association,
     ModelError,
     MULTIPLICITIES,
+    NEED_ORDER,
     SecurityValue,
     acyclic,
     check_structure,
@@ -200,13 +202,12 @@ def _levels(values: list) -> list:
     return [{prop: _LEVEL_NAMES[raw] for prop, raw in value.items()} for value in values]
 
 
-# Each need list the reader accepts, as its set (a repeat is not a key); the
-# writer lists a nonempty set as the first such list, in declaration order.
-_NEED_SETS = {order: frozenset(map(_NEED_NAMES.__getitem__, order))
-              for size in range(len(_NEED_NAMES) + 1)
-              for order in permutations(_NEED_NAMES, size)}
-_NEED_LISTS = {needs: "[" + ",".join(f"\n        {_quote(n)}" for n in order) + "\n      ]"
-               for order, needs in reversed(_NEED_SETS.items()) if order}
+# Each need list the reader accepts, in any order, as its set (a repeat is not a
+# key); the writer lists a nonempty set in declaration order.
+_NEED_SETS = {tuple(need.value for need in names): needs
+              for needs, order in NEED_ORDER.items() for names in permutations(order)}
+_NEED_LISTS = {needs: "[" + ",".join(f"\n        {_need_text[n]}" for n in order) + "\n      ]"
+               for needs, order in NEED_ORDER.items() if order}
 
 
 def _needs(values: list) -> list:
@@ -338,7 +339,7 @@ def _read(items: list, section: str):
     try:  # a record that is no object fails len, itemgetter or dict.get
         members = sum(map(len, items))
         for key, default, _ in _COLUMNS[section]:
-            if default is MISSING or members == len(items) * len(fields):
+            if default is MISSING:
                 columns[key] = [*map(itemgetter(key), items)]  # a KeyError if one omits it
             else:
                 raw[key] = [*map(dict.get, items, repeat(key), repeat(MISSING))]
@@ -367,24 +368,20 @@ def _read(items: list, section: str):
     return records
 
 
-def _records(root: dict, section: str):
-    """The records of a top-level list; at a fault, one at a time up to the first bad one."""
-    items = root.get(section, [])
+def _records(items: Any, section: str, start: int = 0):
+    """The records of a section's list, its first being record start; at a fault, _Bad at
+    the first bad record, found by halving: a failing list's left half is read, then its
+    right half once the records before are taken, as _read_root checks the overrides."""
     if type(items) is not list:
         raise _Bad(f".{section}", f"expected a list, got {type(items).__name__}")
     try:
         return _read(items, section)
-    except _Bad:
-        return _one_at_a_time(items, section)
-
-
-def _one_at_a_time(items: list, section: str):
-    """Yield each record up to the first bad one; there, _Bad with its path below $."""
-    for i, obj in enumerate(items):
-        try:
-            yield from _read([obj], section)
-        except _Bad as bad:
-            raise _Bad(f".{section}[{i}]{bad.suffix}", bad.reason) from None
+    except _Bad as bad:
+        if len(items) == 1:
+            raise _Bad(f".{section}[{start}]{bad.suffix}", bad.reason) from None
+    half = len(items) // 2
+    return chain(_records(items[:half], section, start), chain.from_iterable(
+        map(_records, [items[half:]], [section], [start + half])))
 
 
 def _read_root(root: Any) -> tuple[AssetModel, GoalGraph]:
@@ -398,13 +395,13 @@ def _read_root(root: Any) -> tuple[AssetModel, GoalGraph]:
         shown = _CONTAINERS.get(type(version)) or repr(version)
         raise _Bad(".version", f"unsupported document version {shown}, "
                                f"expected {DOCUMENT_VERSION}")
-    assets = tuple(_records(root, "assets"))
-    associations = tuple(_records(root, "associations"))
-    goals = tuple(_records(root, "goals"))
-    refinements = tuple(_records(root, "refinements"))
-    policy = tuple(_records(root, "policy"))
-    overrides = {}
-    for i, (subject, resource, allowed) in enumerate(_records(root, "matrixOverride")):
+    assets = tuple(_records(root.get("assets", []), "assets"))
+    associations = tuple(_records(root.get("associations", []), "associations"))
+    goals = tuple(_records(root.get("goals", []), "goals"))
+    refinements = tuple(_records(root.get("refinements", []), "refinements"))
+    policy = tuple(_records(root.get("policy", []), "policy"))
+    overrides, cells = {}, _records(root.get("matrixOverride", []), "matrixOverride")
+    for i, (subject, resource, allowed) in enumerate(cells):
         if (subject, resource) in overrides:
             raise _Bad(f".matrixOverride[{i}]",
                        f"duplicate override for ({subject.value}, {resource.value})")

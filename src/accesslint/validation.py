@@ -25,12 +25,12 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from functools import partial
-from itertools import combinations, repeat
+from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
 
 from .goals import GoalGraph, Permission
-from .model import ACCESS_ORDER, AccessNeed, AssetModel, Association, acyclic
+from .model import ACCESS_ORDER, NEED_ORDER, AccessNeed, AssetModel, Association, acyclic
 
 
 class WarningKind(Enum):
@@ -137,9 +137,6 @@ def expand_needs(model: AssetModel) -> list[AccessTriple]:
 
 _Needs = dict[str, frozenset[AccessNeed]]
 _NO_NEEDS: frozenset[AccessNeed] = frozenset()
-# Each set of needs -> its members in rank order.
-_RANKED = {frozenset(needs): needs
-           for size in range(len(_NEEDS) + 1) for needs in combinations(_NEEDS, size)}
 
 
 class _Held(NamedTuple):
@@ -177,7 +174,7 @@ def _lineage_needs(model: AssetModel, own: dict[str, _Needs]) -> dict[str, _Held
         accesses: list[AccessNeed] = []
         resources: list[str] = []
         for resource in sorted(merged):
-            ranked = _RANKED[merged[resource]]
+            ranked = NEED_ORDER[merged[resource]]
             accesses += ranked
             resources += repeat(resource, len(ranked))
         held[name] = _Held({r: merged[r] for r in sorted(merged, key=positions.__getitem__)},
@@ -213,13 +210,12 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
     """
     _require_sound(model)
     index, positions = model._index, model._positions
-    subject_needs: dict[str, _Needs] = {}
+    subject_needs: dict[str, _Needs] = {}  # a sound model links each pair once
     for source, target, source_needs, target_needs, _, _ in model.associations:
         for subject, resource, needs in ((source, target, source_needs),
                                          (target, source, target_needs)):
             if needs:
-                by_resource = subject_needs.setdefault(subject, {})
-                by_resource[resource] = by_resource.get(resource, _NO_NEEDS) | needs
+                subject_needs.setdefault(subject, {})[resource] = needs
 
     held = _lineage_needs(model, subject_needs)
     associations = list(model.associations)
@@ -239,12 +235,11 @@ def expand_hierarchy(model: AssetModel) -> AssetModel:
                 if reverse is None or position < positions[resource]:
                     associations.append(_association((name, resource, needs,
                                                       reverse or _NO_NEEDS, None, None)))
-            else:
-                assoc = associations[at]
-                if assoc.source == name:
-                    associations[at] = assoc._replace(source_needs=assoc.source_needs | needs)
-                else:
-                    associations[at] = assoc._replace(target_needs=assoc.target_needs | needs)
+            else:  # rebuilt from both ends' entries: their own needs and their ancestors'
+                source, target, _, _, *multiplicities = associations[at]
+                associations[at] = _association((
+                    source, target, held[source].by_resource.get(target, _NO_NEEDS),
+                    held[target].by_resource.get(source, _NO_NEEDS), *multiplicities))
 
     triples: list[AccessTriple] = []
     for subject in sorted(held):

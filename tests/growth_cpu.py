@@ -1,19 +1,23 @@
-"""CPU time per unit of work of each stage, at sizes n and 16n.
+"""CPU time per unit of work of each stage, at sizes SMALL * n and 16 times that.
 
     PYTHONPATH=src python tests/growth_cpu.py
 
 tests/test_growth.py counts the Python line events of each stage, so work
 done inside one C call is invisible to it: a `p not in list(path)` in a
-loop, or a list.index, costs one event however long the list grows.  This
-script times the same stages on the same documents.py shapes with
-time.process_time, per unit of work as test_growth.py defines it, at n and
-16n (trace again skipped on the diamonds shape), and the two structure
-checks alone on the unsound RINGS shapes, per record.  Each stage runs once per
+loop, a list.index, or a list sliced once per record costs one event however
+long the list grows.  This script times the same stages on the same
+documents.py shapes with time.process_time, per unit of work as test_growth.py
+defines it (trace again skipped on the diamonds shape); the two structure
+checks alone on the unsound RINGS shapes, per record; and parse_model naming a
+fault in the last record of each shape, per byte.  Each stage runs once per
 run on inputs built in that run, so lazily built indexes are timed where
 they are built, with the cyclic garbage collector off; the fastest of RUNS
-runs counts for each size.  Every stage's time per unit at n and 16n is
+runs counts for each size.  Every stage's time per unit at both sizes is
 printed with their ratio.  A linear stage reads near 1, a quadratic one
-near 16; the exit status is 1 if some stage reads more than RATIO, else 0.
+near 16, once the document is large enough that a stage's fixed cost no
+longer hides the quadratic part: from n, a walk that scanned its stack for
+each name it closed could read under RATIO; from SMALL * n it reads well
+over.  The exit status is 1 if some stage reads more than RATIO, else 0.
 
 The file name keeps it out of pytest's collection: CPU time depends on the
 host, so this is a tool, not a test.
@@ -35,6 +39,7 @@ import test_growth  # noqa: E402
 
 RATIO = 3.0
 RUNS = 5
+SMALL = 4  # times each shape's n, the smaller size timed
 
 
 def _cpu(stage, *args, **kwargs) -> tuple[float, object]:
@@ -65,12 +70,15 @@ def _shapes():
                                        traced=shape not in test_growth.UNTRACED)
     for shape, (build, n) in documents.RINGS.items():
         yield shape, build, n, test_growth._checks_per_record
+    for shape, (build, n) in documents.SHAPES.items():
+        yield shape, build, n, test_growth._locating_per_byte
 
 
 def main() -> int:
     grown = []
     for shape, build, n, per_unit in _shapes():
-        small, large = (fastest(per_unit, json.dumps(build(size))) for size in (n, 16 * n))
+        small, large = (fastest(per_unit, json.dumps(build(size)))
+                        for size in (SMALL * n, 16 * SMALL * n))
         for stage in small:
             ratio = large[stage] / small[stage]
             print(f"{shape:26} {stage:24} {small[stage] * 1e6:10.3f} {large[stage] * 1e6:10.3f}"

@@ -1,11 +1,12 @@
 """The row reader: a record at a time, for cross-checking the column reader.
 
 accesslint.modelio reads a section a column at a time, and at a fault
-re-reads it a record at a time through that same reader.  This reads one
-record field by field, in the order the schema names a record's faults:
-its keys, then its required keys in class order, then its values in
-_RECORDS order.  Tests compare the two on the records built and on the
-first fault named.
+halves it, reading each half with that same reader, down to the first bad
+record.  This reads one record field by field, in the order the schema
+names a record's faults: its keys, then its required keys in class order,
+then its values in _RECORDS order; and a section one record after another,
+up to the first fault.  Tests compare the two on the records built and on
+the first fault named.
 """
 
 from __future__ import annotations
@@ -32,3 +33,23 @@ def record(obj: Any, section: str) -> Any:
     except _Bad as bad:
         raise _Bad(f".{key}{bad.suffix}", bad.reason) from None
     return cls(**values)
+
+
+def section(items: list, name: str) -> tuple[list, str | None]:
+    """The records of section name's items up to the first fault, and that fault as
+    parse_model names it, or None.  As parse_model reads overrides into one matrix,
+    an override of a cell an earlier one set is a fault too."""
+    records, cells = [], set()
+    for i, obj in enumerate(items):
+        try:
+            read = record(obj, name)
+        except _Bad as bad:
+            return records, f"$.{name}[{i}]{bad.suffix}: {bad.reason}"
+        if name == "matrixOverride":
+            subject, resource, _ = read
+            if (subject, resource) in cells:
+                return records, (f"$.{name}[{i}]: duplicate override for "
+                                 f"({subject.value}, {resource.value})")
+            cells.add((subject, resource))
+        records.append(read)
+    return records, None

@@ -276,6 +276,21 @@ _FULL_ASSET = dict(_ASSET, confidentiality="low", integrity="low", extraProperti
 _STATEMENT = {"requirement": "R", "subject": "A", "access": "read", "resource": "B",
               "permission": "allow"}
 _OVERRIDE = {"subject": "people", "resource": "people", "allowed": False}
+_KINDS = ("system", "information", "people")
+
+
+def _cell(i: int) -> dict:
+    """Override i of a list whose first nine each set a cell of their own."""
+    return {"subject": _KINDS[i % 3], "resource": _KINDS[i // 3 % 3], "allowed": i % 2 == 0}
+
+
+def _overrides(repeat: int, bad: int) -> dict:
+    """Nine overrides, but record repeat sets the first one's cell again and record
+    bad holds an int where a boolean belongs."""
+    cells = [_cell(i) for i in range(9)]
+    cells[repeat] = _cell(0)
+    cells[bad] = dict(cells[bad], allowed=1)
+    return {"matrixOverride": cells}
 
 
 def _without(record: dict, key: str) -> dict:
@@ -373,6 +388,10 @@ def _without(record: dict, key: str) -> dict:
      "system"),
     ({"matrixOverride": [_OVERRIDE, _OVERRIDE, dict(_OVERRIDE, subject="x")]},
      "matrixOverride[1]: duplicate override for (people, people)"),
+    # Overrides are checked as they are read, so either fault is named first, though
+    # both lie in the half of the list that halving reads last.
+    (_overrides(5, 7), "matrixOverride[5]: duplicate override for (system, system)"),
+    (_overrides(7, 5), "matrixOverride[5].allowed: expected a boolean"),
     # Documents whose colons are counted to fool the test that no key repeated.
     # An escaped colon, decoded in a name, balances the member the repeat drops.
     ('{"version": 1, "assets": [{"name": "x\\u003ay", "kind": "system", "kind": "system"}]}',
@@ -753,21 +772,7 @@ def _json(value, colon: str = ":") -> str:
 def test_column_pass_reads_as_the_row_reader(case):
     """parse_model reads a section as the row reader does, and names its first fault."""
     section, items, colon = case
-    expected, fault, cells = [], None, set()
-    for i, obj in enumerate(items):  # the row reader, one record at a time
-        try:
-            record = record_oracle.record(obj, section)
-        except modelio._Bad as bad:
-            fault = f"$.{section}[{i}]{bad.suffix}: {bad.reason}"
-            break
-        if section == "matrixOverride":  # parse_model reads overrides into one matrix
-            subject, resource, _ = record
-            if (subject, resource) in cells:
-                fault = (f"$.{section}[{i}]: duplicate override for "
-                         f"({subject.value}, {resource.value})")
-                break
-            cells.add((subject, resource))
-        expected.append(record)
+    expected, fault = record_oracle.section(items, section)
     document = f'{{"version": 1, {json.dumps(section)}: {_json(items, colon)}}}'
     if fault:
         with pytest.raises(SchemaError) as info:
@@ -787,6 +792,63 @@ def test_column_pass_reads_as_the_row_reader(case):
     assert _field_types(records) == _field_types(expected)
     if section == "assets":
         assert len({id(a.extra_properties) for a in records}) == len(records)
+
+
+# The four ways the depth test spoils a record: a bad value, an unknown key, a
+# missing required key, and no object at all.
+_BAD_VALUE = {"assets": {"kind": "bogus"}, "associations": {"targetNeeds": ["write", "delete"]},
+              "goals": {"kind": "wish"}, "refinements": {"child": 7},
+              "policy": {"access": "execute"}, "matrixOverride": {"allowed": 1}}
+_SPOILS = (lambda record, section: {**record, **_BAD_VALUE[section]},
+           lambda record, section: dict(record, colour="red"),
+           lambda record, section: _without(record, _ONE_RECORD[section][1][0]),
+           lambda record, section: 7)
+
+
+def _legal(section: str, i: int) -> dict:
+    """Record i of a section, clean until a tenth override repeats a cell: every key,
+    or the required ones, in turn."""
+    if section == "matrixOverride":
+        return _cell(i)
+    record, required = _ONE_RECORD[section][:2]
+    return record if i % 2 else {key: record[key] for key in required}
+
+
+@pytest.mark.parametrize("section", sorted(_ONE_RECORD))
+def test_halving_names_the_first_fault_at_every_position(section):
+    """In sections of 1-17 records, each kind of fault at each position, with
+    another fault after it, is named as the row reader names it."""
+    for size in range(1, 18):
+        for first in range(size):
+            for kind, spoil in enumerate(_SPOILS):
+                for later in {min(first + 1, size - 1), size - 1}:
+                    items = [_legal(section, i) for i in range(size)]
+                    items[first] = spoil(items[first], section)
+                    if later > first:
+                        items[later] = _SPOILS[(kind + 1) % 4](items[later], section)
+                    _, fault = record_oracle.section(items, section)
+                    with pytest.raises(SchemaError) as info:
+                        parse_model(json.dumps({"version": 1, section: items}), check=False)
+                    assert fault and str(info.value) == fault
+
+
+def test_a_fault_in_the_last_of_many_records_takes_a_few_column_reads(monkeypatch):
+    """The halving reads a section of 1,000 statements 21 times, at most, to name
+    a fault in the last: the whole, then two halves of a half at each of 10 steps."""
+    reads, read = [], modelio._read
+
+    def counted(items: list, section: str):
+        if section == "policy":
+            reads.append(len(items))
+        return read(items, section)
+
+    monkeypatch.setattr(modelio, "_read", counted)
+    policy = [_STATEMENT] * 999 + [dict(_STATEMENT, access="fly")]
+    with pytest.raises(SchemaError) as info:
+        parse_model(json.dumps({"version": 1, "policy": policy}), check=False)
+    assert info.value.location == "$.policy[999].access"
+    # parse_model reads the document twice at a fault: once decoded plain, then marking repeats.
+    assert len(reads) <= 2 * 21 and sum(reads) <= 2 * 3000, reads
 
 
 # A clean document with a colon in every free-text string: asset names, a
