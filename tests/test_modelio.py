@@ -388,10 +388,6 @@ def _without(record: dict, key: str) -> dict:
      "system"),
     ({"matrixOverride": [_OVERRIDE, _OVERRIDE, dict(_OVERRIDE, subject="x")]},
      "matrixOverride[1]: duplicate override for (people, people)"),
-    # Overrides are checked as they are read, so either fault is named first, though
-    # both lie in the half of the list that halving reads last.
-    (_overrides(5, 7), "matrixOverride[5]: duplicate override for (system, system)"),
-    (_overrides(7, 5), "matrixOverride[5].allowed: expected a boolean"),
     # Documents whose colons are counted to fool the test that no key repeated.
     # An escaped colon, decoded in a name, balances the member the repeat drops.
     ('{"version": 1, "assets": [{"name": "x\\u003ay", "kind": "system", "kind": "system"}]}',
@@ -443,6 +439,10 @@ def _without(record: dict, key: str) -> dict:
     ('{"version": 1, "goals": [{"name": "G", "kind": "goal", "definition": "d"},'
      ' {"name": "H", "name": "I", "kind": "goal"}]}',
      "goals[1].name: duplicate key 'name'"),
+    # Overrides are checked as they are read, so either fault is named first, though
+    # both lie in the half of the list that halving reads last.
+    (_overrides(5, 7), "matrixOverride[5]: duplicate override for (system, system)"),
+    (_overrides(7, 5), "matrixOverride[5].allowed: expected a boolean"),
 ])
 def test_first_fault_wins_with_exact_text(document, message):
     if isinstance(document, dict):
