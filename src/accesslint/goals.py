@@ -221,9 +221,10 @@ def lookup_statement(
     stmt = graph._policy_index.get(interaction)
     if stmt is None or stmt.permission is permission:
         return stmt
-    return None if stmt.permission is _DENY else next(  # the indexed allow hides the deny
-        (s for s in graph.policy
-         if s.permission is permission and (s.subject, s.access, s.resource) == interaction), None)
+    if stmt.permission is _DENY or len(graph._policy_index) == len(graph.policy):
+        return None  # only an interaction stated twice can hide a deny behind its allow
+    return next((s for s in graph.policy if s.permission is permission
+                 and (s.subject, s.access, s.resource) == interaction), None)
 
 
 # The most paths trace returns; stacked diamonds double the count per level.

@@ -333,6 +333,7 @@ def _read(items: list, section: str):
 
     For a one-record list the fault is exact, the first of: the record's keys,
     then its required keys in class order, then its values in _RECORDS order.
+    A longer list whose member count is off raises at once, naming nothing.
     """
     cls, fields = _RECORDS[section]
     columns, raw = {}, {}  # json key -> the values present / each record's, MISSING if it omits it
@@ -347,9 +348,11 @@ def _read(items: list, section: str):
     except (KeyError, TypeError):
         members = None
     if members != sum(map(len, columns.values())):  # a record holds another key, or a fault raised
-        deque(map(_object_keys, items, repeat(_RECORD_KEYS[section])), 0)
+        if len(items) > 1:
+            raise _Bad("", "")  # _records halves the list down to the bad record
+        _object_keys(items[0], _RECORD_KEYS[section])
         for key, default, _ in _COLUMNS[section]:
-            if default is MISSING and not all(key in obj for obj in items):
+            if default is MISSING and key not in items[0]:
                 raise _Bad("", f"missing required key {quote(key)}")
     try:
         for key, _, read, _ in fields:

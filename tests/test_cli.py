@@ -22,6 +22,8 @@ from accesslint.goals import (
 from accesslint.model import AccessNeed, check_structure
 from accesslint.modelio import ParseError, parse_model
 
+import documents
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -125,26 +127,6 @@ class TestCheck:
         assert code == 0
         assert out == "" and err == ""
 
-    def test_conflicting_permissions_printed(self, capsys, tmp_path):
-        path = tmp_path / "conflict.json"
-        path.write_text(json.dumps({
-            "version": 1,
-            "assets": [
-                {"name": "S", "kind": "system"},
-                {"name": "T", "kind": "system"},
-            ],
-            "goals": [{"name": "R", "kind": "requirement"}],
-            "policy": [
-                {"requirement": "R", "subject": "S", "access": "read",
-                 "resource": "T", "permission": "allow"},
-                {"requirement": "R", "subject": "S", "access": "read",
-                 "resource": "T", "permission": "deny"},
-            ],
-        }), encoding="utf-8")
-        code, out, err = run(capsys, "check", str(path))
-        assert code == 2
-        assert "ConflictingPermission" in err
-
     def test_warnings_print_but_exit_zero(self, capsys, tmp_path):
         path = tmp_path / "warn.json"
         path.write_text(json.dumps({
@@ -180,24 +162,6 @@ class TestCheck:
         code, out, err = run(capsys, "check", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: $.version: unsupported document version {shown}, expected 1\n"
-
-    def test_each_finding_on_its_own_line(self, capsys, tmp_path):
-        path = tmp_path / "two.json"
-        path.write_text(json.dumps({
-            "version": 1,
-            "assets": [
-                {"name": "A", "kind": "system"},
-                {"name": "A", "kind": "system"},
-                {"name": "B", "kind": "information", "parent": "Ghost"},
-            ],
-        }), encoding="utf-8")
-        code, _, err = run(capsys, "check", str(path))
-        assert code == 2
-        lines = err.strip().splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("DuplicateAssetName")
-        assert lines[1].startswith("UnknownParent")
-
 
 class TestExport:
     def test_asset_view_to_stdout(self, capsys, pyramid_path):
@@ -356,6 +320,39 @@ _FINDINGS = [
      SHOWN, f"requirement {QUOTED} owns no policy statement"),
 ]
 
+# The same, with plain names, by the case's id.
+_PLAIN_FINDINGS = {
+    "goal-cycle": ({"goals": [{"name": "G", "kind": "goal"}, {"name": "H", "kind": "goal"}],
+                    "refinements": [{"parent": "G", "child": "H"}, {"parent": "H", "child": "G"}]},
+                   "CyclicRefinement", "G", "refinement cycle: G -> H -> G"),
+    "goal-dag-beside-a-cycle": (
+        {"goals": [{"name": n, "kind": "goal"} for n in ("Root", "Left", "Right", "Leaf", "C", "D")],
+         "refinements": [{"parent": p, "child": c} for p, c in (
+             ("Root", "Left"), ("Root", "Right"), ("Left", "Leaf"), ("Right", "Leaf"),
+             ("C", "D"), ("D", "C"))]},
+        "CyclicRefinement", "C", "refinement cycle: C -> D -> C"),
+    # The second A would close the ring A -> B -> A, but every check reads the first.
+    "later-declaration": ({"assets": [SYSTEM, {"name": "B", "kind": "system", "parent": "A"},
+                                      {"name": "A", "kind": "system", "parent": "B"}]},
+                          "DuplicateAssetName", "A", "asset name 'A' is declared more than once"),
+    "quoted-name": ({"assets": [{"name": "it's", "kind": "system"}] * 2}, "DuplicateAssetName",
+                    "it's", "asset name 'it\\'s' is declared more than once"),
+    # The parse check names the ring before expansion could refuse the model.
+    "inheritance-ring": ({"assets": [dict(SYSTEM, parent="B"), dict(SYSTEM, name="B", parent="A"),
+                                     {"name": "R", "kind": "information"}],
+                          "associations": [{"source": "A", "target": "R", "sourceNeeds": ["read"]}]},
+                         "CyclicInheritance", "A", "inheritance cycle: A -> B -> A"),
+    # An end the default matrix allows, forbidden by an override alone.
+    "override-only-violation": (
+        {"assets": [{"name": "App", "kind": "system"}, {"name": "Data", "kind": "information"},
+                    {"name": "Clerk", "kind": "people"}],
+         "associations": [{"source": "Clerk", "target": "App", "sourceNeeds": ["interact"]},
+                          {"source": "App", "target": "Data", "sourceNeeds": ["read"]}],
+         "matrixOverride": [{"subject": "system", "resource": "information", "allowed": False}]},
+        "MatrixViolation", "association 'App' - 'Data'",
+        "system asset 'App' may not hold access needs upon information asset 'Data'"),
+}
+
 # (document text, location, reason) of a ParseError.
 _PARSE_ERRORS = [
     pytest.param(json.dumps({"version": 1, HOSTILE: 1}),
@@ -383,6 +380,19 @@ _PARSE_ERRORS = [
     # json's own text names no document string; its backslash is printed as is.
     pytest.param('{"version": 1, "a\\q": 1}', "line 1, column 18", "Invalid \\escape",
                  id="json-message"),
+    pytest.param('{"version": 1, "assets": [{"name": "A", "kind": "system", "kind": "people"}]}',
+                 "$.assets[0].kind", "duplicate key 'kind'", id="repeated-record-key"),
+    # An escaped colon in a name, which json decodes, balances the member the repeat drops.
+    pytest.param('{"version": 1, "assets": [{"name": "x\\u003ay", "kind": "system",'
+                 ' "kind": "system"}]}',
+                 "$.assets[0].kind", "duplicate key 'kind'", id="repeat-beside-escaped-colon"),
+    # Of a record's two faults, the first in schema order is named.
+    pytest.param(json.dumps({"version": 1, "associations": [
+                     {"source": 1, "target": "A", "sourceMultiplicity": "many"}]}),
+                 "$.associations[0].sourceMultiplicity",
+                 "invalid multiplicity 'many', expected one of: '1', '0..1', '1..*', '*'",
+                 id="first-of-two-faults"),
+    pytest.param(b"\xff{}", "byte 0", "document is not valid UTF-8", id="bad-utf8"),
 ]
 
 
@@ -402,8 +412,41 @@ class TestOneLinePerDiagnostic:
         assert out == ""
         assert err == "error: $.bogus\\nkey: unknown key 'bogus\\nkey'\n"
 
-    @pytest.mark.parametrize("document, code, where, message", _FINDINGS,
-                             ids=[case[1] for case in _FINDINGS])
+    # (document, where validate places its first finding, check's findings, each a line).
+    @pytest.mark.parametrize("document, where, findings", [
+        pytest.param({"assets": [SYSTEM, SYSTEM, dict(INFORMATION, parent="Ghost")]}, "A",
+                     ["DuplicateAssetName: asset name 'A' is declared more than once",
+                      "UnknownParent: asset 'B' names unknown parent 'Ghost'"], id="asset-faults"),
+        # The empty name names no goal, so both ends of its refinement are unknown.
+        pytest.param({"goals": [{"name": "", "kind": "goal"}],
+                      "refinements": [{"parent": "", "child": ""}]}, "<unnamed goal>",
+                     ["EmptyGoalName: goal has an empty name",
+                      *["UnknownGoal: refinement references unknown goal ''"] * 2],
+                     id="empty-goal-name"),
+        # One statement stated twice and then contradicted.
+        pytest.param({"assets": [SYSTEM, INFORMATION],
+                      "goals": [{"name": "R", "kind": "requirement"}],
+                      "policy": [_policy("A"), _policy("A"), _policy("A", "deny")]},
+                     "policy 'A' read 'B' allow",
+                     ["DuplicateStatement: statement ('A', read, 'B', allow) "
+                      "is declared more than once",
+                      "ConflictingPermission: ('A', read, 'B') is both allowed and denied"],
+                     id="restated-statement"),
+        pytest.param({"assets": [{"name": "urn:a", "kind": "system"},
+                                 {"name": "urn:b", "kind": "system"}]}, "", [],
+                     id="names-with-colons"),
+    ])
+    def test_each_finding_on_its_own_line(self, capsys, tmp_path, document, where, findings):
+        path = self._write(tmp_path, {"version": 1, **document})
+        assert run(capsys, "check", path) == (
+            2 if findings else 0, "", "".join(f"{line}\n" for line in findings))
+        code, _, err = run(capsys, "validate", path)
+        assert (code, err) == ((2, f"error: {where}: {len(findings)} structural error(s), "
+                                   f"first: {findings[0]}\n") if findings else (0, ""))
+
+    @pytest.mark.parametrize("document, code, where, message",
+                             [*_FINDINGS, *_PLAIN_FINDINGS.values()],
+                             ids=[*(case[1] for case in _FINDINGS), *_PLAIN_FINDINGS])
     def test_finding_escapes_each_name_once(self, capsys, tmp_path,
                                             document, code, where, message):
         model, graph = parse_model(json.dumps({"version": 1, **document}), check=False)
@@ -416,8 +459,9 @@ class TestOneLinePerDiagnostic:
             assert run(capsys, "validate", path)[0] == 0
         else:
             assert run(capsys, "check", path) == (2, "", f"{code}: {message}\n")
-            assert run(capsys, "validate", path) == (
-                2, "", f"error: {where}: 1 structural error(s), first: {code}: {message}\n")
+            for flags in ([], ["--expand-inheritance"]):
+                assert run(capsys, "validate", *flags, path) == (
+                    2, "", f"error: {where}: 1 structural error(s), first: {code}: {message}\n")
 
     @pytest.mark.parametrize("text, location, reason", _PARSE_ERRORS)
     def test_parse_error_escapes_each_name_once(self, capsys, tmp_path,
@@ -427,7 +471,7 @@ class TestOneLinePerDiagnostic:
         assert (info.value.location, info.value.reason) == (location, reason)
         assert str(info.value) == f"{location}: {reason}"
         path = tmp_path / "model.json"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text if type(text) is bytes else text.encode())
         for command in ("check", "validate"):
             assert run(capsys, command, str(path)) == (2, "", f"error: {location}: {reason}\n")
 
@@ -496,6 +540,8 @@ class TestOneLinePerDiagnostic:
         ("Tab\there", "Log", "undefined_access: Tab\\there --read--> Log"),
         ("Zed", "Log\xa0", "undefined_access: Zed --read--> Log\\xa0"),
         ("Zed", "Log\u2028", "undefined_access: Zed --read--> Log\\u2028"),
+        # A quote, a backslash, a newline and a non-ASCII letter, which JSON escapes too.
+        ("it's \"\\\n\xe9", "Log", "undefined_access: it's \"\\\\\\n\xe9 --read--> Log"),
     ])
     def test_report_escapes_a_line_after_plain_ones(self, capsys, tmp_path,
                                                      subject, resource, line):
@@ -511,6 +557,9 @@ class TestOneLinePerDiagnostic:
         lines = out.splitlines()
         assert lines[:3] == ["undefined_access: Able --read--> Dog", line, ""]
         assert len(lines) == 2 + 1 + 5
+        code, out, _ = run(capsys, "validate", "--format", "json", path)
+        assert code == 1 and len(json.loads(out)["warnings"]) == 2
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
     def test_backslash_is_told_from_an_escape(self, capsys, tmp_path):
         newline, backslash = "G\nH", "G\\nH"
@@ -555,26 +604,60 @@ def test_unknown_command_is_a_usage_error(capsys):
     assert info.value.code == 2
 
 
-@pytest.mark.parametrize("document", ["pyramid", "works-diary", "chain"])
+_SRC = str(pathlib.Path(accesslint.__file__).parent.parent)
+# The commands whose every output two processes must agree on.
+_COMMANDS = (["check"], ["validate"], ["validate", "--format", "json"],
+             ["validate", "--expand-inheritance"],
+             ["validate", "--expand-inheritance", "--format", "json"],
+             ["export", "--view", "asset"], ["export", "--view", "goal"])
+
+
+def _cli(command: list, path: str, **env) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "accesslint.cli", *command, path],
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=_SRC, **env),
+                          check=False)
+
+
+@pytest.mark.parametrize("document", ["pyramid", "works-diary", "chain",
+                                      "owned-needs-chain", "mutual-gains"])
 def test_output_bytes_do_not_depend_on_the_process(tmp_path, data_dir, document):
     """Enum members hash by identity, so need sets iterate in an order that moves
-    with memory layout; the hash seed and the allocator move it between processes."""
+    with memory layout; the hash seed and the allocator move it between processes.
+    The owned-needs chain's bottom-up twin, each child declared before its parent,
+    must give the chain's expanded reports too."""
     if document == "chain":
-        path = str(data_dir / "chain.json")
+        text = (data_dir / "chain.json").read_text(encoding="utf-8")
+    elif document in documents.SHAPES:
+        text = json.dumps(documents.SHAPES[document][0](60))
     else:
-        path = str(tmp_path / f"{document}.json")
-        pathlib.Path(path).write_text(fixture_text(document), encoding="utf-8")
-    src = str(pathlib.Path(accesslint.__file__).parent.parent)
-    commands = (["validate"], ["validate", "--format", "json"],
-                ["validate", "--expand-inheritance"],
-                ["export", "--view", "asset"], ["export", "--view", "goal"])
+        text = fixture_text(document)
+    path = tmp_path / f"{document}.json"
+    path.write_text(text, encoding="utf-8")
     first, second = (
-        [subprocess.run([sys.executable, "-m", "accesslint.cli", *command, path],
-                        capture_output=True, env=dict(os.environ, PYTHONPATH=src, **env),
-                        check=False)
-         for command in commands]
+        [_cli(command, str(path), **env) for command in _COMMANDS]
         for env in ({"PYTHONHASHSEED": "0"}, {"PYTHONHASHSEED": "1", "PYTHONMALLOC": "malloc"}))
-    for one, other in zip(first, second):
-        assert one.stdout and one.stdout == other.stdout
-        assert one.stderr == other.stderr == b""
-        assert one.returncode == other.returncode
+    for command, one, other in zip(_COMMANDS, first, second):
+        assert (one.returncode, one.stdout, one.stderr) == (
+            other.returncode, other.stdout, other.stderr)
+        if command == ["check"]:  # its findings alone, on stderr
+            assert one.stdout == b""
+        else:
+            assert one.stdout and one.stderr == b""
+        if "json" in command:
+            assert one.stdout.decode() == json.dumps(
+                json.loads(one.stdout), indent=2, sort_keys=True) + "\n"
+    if document == "owned-needs-chain":
+        twin = tmp_path / "bottom-up.json"
+        twin.write_text(json.dumps(documents.bottom_up(json.loads(text), "assets")),
+                        encoding="utf-8")
+        for command, one in zip(_COMMANDS, first):
+            if "--expand-inheritance" in command:
+                assert _cli(command, str(twin)).stdout == one.stdout
+
+
+def test_importing_the_cli_loads_no_importlib_resources():
+    """Fixtures are read with open, so the start of every command skips importlib.resources;
+    -S leaves out site's own start-up imports, which may load it."""
+    subprocess.run([sys.executable, "-S", "-c", "import sys, accesslint.cli; "
+                    "sys.exit('importlib.resources' in sys.modules)"],
+                   env=dict(os.environ, PYTHONPATH=_SRC), check=True)

@@ -210,6 +210,23 @@ class TestLookupStatement:
         assert graph == GoalGraph(nodes=(Goal("R", REQ),), policy=(_statement(),))
         assert repr(graph) == repr(GoalGraph(nodes=graph.nodes, policy=graph.policy))
 
+    def test_only_a_graph_stating_an_interaction_twice_is_scanned(self):
+        class Scanned(tuple):
+            def __iter__(self):
+                scans.append(self)
+                return super().__iter__()
+
+        scans, deny = [], Permission.DENY
+        sound = GoalGraph(policy=Scanned((_statement(), _statement(resource="U", permission=deny))))
+        assert lookup_statement(sound, "S", AccessNeed.READ, "T", deny) is None
+        assert lookup_statement(sound, "S", AccessNeed.READ, "U", deny) is sound.policy[1]
+        assert scans == []
+        # The allow hides the denies after it from the index; a scan finds the first.
+        unsound = GoalGraph(policy=Scanned((
+            _statement(), _statement(req="R2", permission=deny), _statement(permission=deny))))
+        assert lookup_statement(unsound, "S", AccessNeed.READ, "T", deny) is unsound.policy[1]
+        assert scans == [unsound.policy]
+
 
 class TestSharedIndexes:
     """A graph's indexes are read-only views, so no caller can change a later result."""

@@ -851,6 +851,23 @@ def test_a_fault_in_the_last_of_many_records_takes_a_few_column_reads(monkeypatc
     assert len(reads) <= 2 * 21 and sum(reads) <= 2 * 3000, reads
 
 
+def test_a_key_fault_in_the_last_of_many_records_checks_two_objects_per_read(monkeypatch):
+    """Only a one-record list has its keys checked: an unknown key in the last of
+    1,000 statements is named after checking the root and that record, on each read."""
+    checked, object_keys = [], modelio._object_keys
+
+    def counted(obj, keys):
+        checked.append(obj)
+        return object_keys(obj, keys)
+
+    monkeypatch.setattr(modelio, "_object_keys", counted)
+    policy = [_STATEMENT] * 999 + [dict(_STATEMENT, colour="red")]
+    with pytest.raises(SchemaError) as info:
+        parse_model(json.dumps({"version": 1, "policy": policy}), check=False)
+    assert info.value.location == "$.policy[999].colour"
+    assert len(checked) <= 2 * 2, len(checked)
+
+
 # A clean document with a colon in every free-text string: asset names, a
 # parent, a property key, association ends, goal names and definitions,
 # refinement ends, and a statement's requirement, subject and resource.
